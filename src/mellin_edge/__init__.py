@@ -2,6 +2,7 @@
 half-line, with variable discrete asymptotics along an edge parameter.
 
 Modules:
+    kernels     the shared numerical kernels and certification constants
     mellin      weighted Mellin transform on a log grid, dilations, cut-offs
     symbols     meromorphic symbol families and pole-branch tracking
     asym_types  asymptotic types (pole/log-order data) and their algebra

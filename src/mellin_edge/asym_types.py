@@ -8,13 +8,12 @@ types (pole data of a symbol family) and weighted types tied to weight data
 """
 
 import csv
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import CoveringFailed, EmptyDomain, WrongKind
-from .symbols import CLUSTER_TOL, locate_poles
+from .symbols import CLUSTER_TOL, locate_poles, track_branches
 
 PAD_TOL = 1e-3
 
@@ -118,13 +117,15 @@ def set_equal(r1, r2, tol=CLUSTER_TOL):
 
 
 def type_of_family(f, y_grid=None, spectral=None):
-    """The Mellin asymptotic type of a symbol family: its actual pole data."""
-    from .symbols import track_branches
-
-    sd = spectral if spectral is not None else (
-        f.spectral if getattr(f, "spectral", None) is not None
-        and y_grid is None else track_branches(f, y_grid, with_laurent=False)
-    )
+    """The Mellin asymptotic type of a symbol family: its actual pole data,
+    from `spectral` (SpectralData of f) when given, else tracked over
+    y_grid."""
+    if spectral is not None:
+        sd = spectral
+    elif y_grid is not None:
+        sd = track_branches(f, y_grid, with_laurent=False)
+    else:
+        raise ValueError("type_of_family needs y_grid or spectral")
     pairs = [[(p, m - 1) for p, m in sd.pairs_at(k)]
              for k in range(len(sd.y_nodes))]
     return AsymptoticType(sd.y_nodes, pairs)

@@ -12,7 +12,7 @@ import sys
 
 import numpy as np
 
-from . import asym_types, cone, edge_ops, edge_spaces, mellin, symbols
+from . import cone, edge_ops, edge_spaces, mellin, symbols
 from .errors import ConfigError, MellinEdgeError
 
 DT_DEFAULT = np.log(2.0) / 96.0
@@ -89,7 +89,7 @@ def write_json(obj, path):
 # ----------------------------------------------------------------------
 # poles
 
-def cmd_poles(cfg, out_dir, seed, threads):
+def cmd_poles(cfg, out_dir, seed):
     check_keys(cfg, {"symbol", "y", "seed"}, "config")
     f = mero_from_config(cfg.get("symbol", {}))
     ys = y_grid_from_config(cfg.get("y", {}))
@@ -115,7 +115,7 @@ def cmd_poles(cfg, out_dir, seed, threads):
 # ----------------------------------------------------------------------
 # solve
 
-def cmd_solve(cfg, out_dir, seed, threads):
+def cmd_solve(cfg, out_dir, seed):
     check_keys(cfg, {"cone", "grid", "y", "depth", "radii", "seed"}, "config")
     cn = cfg.get("cone", {})
     check_keys(cn, {"coeffs", "y_domain", "mu", "gamma", "rhs",
@@ -159,13 +159,10 @@ def cmd_solve(cfg, out_dir, seed, threads):
     for y, ex in zip(ys, br.expansions):
         u = cone.solve(problem, y)
         flat, _sing = cone.split_flat_singular(u, ex, omega, gamma)
-        beta = ex.weight_front - 0.1
-        ratios = [cone.flatness_ratio(flat, gamma, frac * beta)
-                  for frac in (0.25, 0.6, 0.95)]
         cert.append({"y": "%.17g" % y,
                      "depth_used": "%.17g" % ex.depth_used,
                      "certified_weight": "%.17g" % flat.certified_weight,
-                     "mass_ratios": ["%.17g" % v for v in ratios],
+                     "mass_ratios": ["%.17g" % v for v in flat.mass_ratios],
                      "notes": ex.notes})
     write_json({"certification": cert},
                os.path.join(out_dir, "flat_certification.json"))
@@ -180,25 +177,11 @@ def cmd_solve(cfg, out_dir, seed, threads):
 # ----------------------------------------------------------------------
 # verify
 
-def _random_bump_field(grid, rng):
-    r = grid.r
-    vals = np.zeros(grid.n_points)
-    for _ in range(3):
-        c = rng.uniform(0.8, 3.0)
-        w = rng.uniform(0.3, 0.8)
-        amp = rng.uniform(0.5, 2.0)
-        a, b = c - w, c + w
-        mid = (r > a) & (r < b)
-        x = (r[mid] - a) / (b - a)
-        vals[mid] += amp * np.exp(-1.0 / (x * (1.0 - x)) + 4.0)
-    return mellin.HalfLineFunction(grid, vals + 0j)
-
-
 def _check_plancherel(rng, tol):
     grid = mellin.LogGrid(-15.0, -15.0 + 4096 * DT_DEFAULT, 4096)
     worst = 0.0
     for _ in range(20):
-        u = _random_bump_field(grid, rng)
+        u = cone.random_bump_field(grid, rng)
         for g in (0.0, 0.3, -0.3):
             line = mellin.mellin_transform(u, g)
             d = abs(line.norm() - u.norm(g)) / max(u.norm(g), 1e-300)
@@ -208,7 +191,7 @@ def _check_plancherel(rng, tol):
 
 def _check_dilation(rng, tol):
     grid = mellin.LogGrid(-50.0, -50.0 + 8192 * DT_DEFAULT, 8192)
-    u = _random_bump_field(rng=rng, grid=grid)
+    u = cone.random_bump_field(grid, rng)
     worst = 0.0
     for k in range(10):
         p = -0.9 - 0.25 * k + 0.1j * (k % 3)
@@ -273,22 +256,23 @@ def _check_adjoint(rng, tol):
     return worst, None
 
 
-def _check_edge_w0(rng, tol):
+def _random_edge_field(rng):
+    """Random y-profile times r^2 e^{-r} on 8 torus nodes."""
     grid = mellin.LogGrid(-15.0, -15.0 + 4096 * DT_DEFAULT, 4096)
     tg = edge_spaces.TorusGrid(2 * np.pi, 8)
     ay = rng.standard_normal(8) + 1j * rng.standard_normal(8)
-    u = edge_spaces.EdgeField(
+    return edge_spaces.EdgeField(
         tg, grid, ay[:, None] * (grid.r**2 * np.exp(-grid.r))[None, :])
+
+
+def _check_edge_w0(rng, tol):
+    u = _random_edge_field(rng)
     return (abs(edge_spaces.edge_norm(u, 0.0) - u.l2_norm())
             / u.l2_norm()), None
 
 
 def _check_edge_roundtrip(rng, tol):
-    grid = mellin.LogGrid(-15.0, -15.0 + 4096 * DT_DEFAULT, 4096)
-    tg = edge_spaces.TorusGrid(2 * np.pi, 8)
-    ay = rng.standard_normal(8) + 1j * rng.standard_normal(8)
-    u = edge_spaces.EdgeField(
-        tg, grid, ay[:, None] * (grid.r**2 * np.exp(-grid.r))[None, :])
+    u = _random_edge_field(rng)
     back = edge_spaces.inverse_potential_op(edge_spaces.potential_op(u))
     d = back.copy(values=back.values - u.values)
     return d.l2_norm() / u.l2_norm(), None
@@ -305,7 +289,7 @@ VERIFY_CHECKS = [
 ]
 
 
-def cmd_verify(cfg, out_dir, seed, threads):
+def cmd_verify(cfg, out_dir, seed):
     check_keys(cfg, {"checks", "tolerances", "seed"}, "config")
     names = [n for n, _f, _t in VERIFY_CHECKS]
     selected = cfg.get("checks", names)
@@ -337,7 +321,7 @@ def cmd_verify(cfg, out_dir, seed, threads):
 # ----------------------------------------------------------------------
 # green-check
 
-def cmd_green_check(cfg, out_dir, seed, threads):
+def cmd_green_check(cfg, out_dir, seed):
     check_keys(cfg, {"symbol", "delta", "beta", "grid", "tolerance", "seed"},
                "config")
     f = mero_from_config(cfg.get("symbol", {}))
@@ -353,20 +337,21 @@ def cmd_green_check(cfg, out_dir, seed, threads):
     diff, cont = edge_ops.weight_shift_green(f, 0.0, delta, beta, u)
     agreement = edge_ops.green_agreement(diff, cont, delta + beta)
     gamma = delta + beta
+    ok = bool(agreement <= tol)
     write_json({
         "agreement": "%.17g" % agreement,
         "diff_norm": "%.17g" % diff.norm(gamma),
         "contour_norm": "%.17g" % cont.norm(gamma),
         "tolerance": "%.17g" % tol,
-        "pass": bool(agreement <= tol),
+        "pass": ok,
     }, os.path.join(out_dir, "green_report.json"))
-    return 0
+    return 0 if ok else 1
 
 
 # ----------------------------------------------------------------------
 # edge-apply
 
-def cmd_edge_apply(cfg, out_dir, seed, threads):
+def cmd_edge_apply(cfg, out_dir, seed):
     check_keys(cfg, {"field", "operator", "seed"}, "config")
     fld = cfg.get("field", {})
     check_keys(fld, {"bin", "json"}, "field")
@@ -421,7 +406,6 @@ def main(argv=None):
         sp = sub.add_parser(name)
         sp.add_argument("--config", required=True)
         sp.add_argument("--out", default=".")
-        sp.add_argument("--threads", type=int, default=1)
         sp.add_argument("--seed", type=int, default=None)
     args = parser.parse_args(argv)
 
@@ -429,28 +413,14 @@ def main(argv=None):
         cfg = load_config(args.config)
         if not isinstance(cfg, dict):
             raise ConfigError("config root must be a JSON object")
-        if args.threads < 1:
-            raise ConfigError("--threads must be >= 1")
         seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
         os.makedirs(args.out, exist_ok=True)
-    except ConfigError as e:
-        json.dump({"error": type(e).__name__, "message": str(e)},
-                  sys.stderr, sort_keys=True)
-        sys.stderr.write("\n")
-        return 2
-
-    try:
-        return COMMANDS[args.command](cfg, args.out, seed, args.threads)
-    except ConfigError as e:
-        json.dump({"error": type(e).__name__, "message": str(e)},
-                  sys.stderr, sort_keys=True)
-        sys.stderr.write("\n")
-        return 2
+        return COMMANDS[args.command](cfg, args.out, seed)
     except MellinEdgeError as e:
         json.dump({"error": type(e).__name__, "message": str(e)},
                   sys.stderr, sort_keys=True)
         sys.stderr.write("\n")
-        return 3
+        return 2 if isinstance(e, ConfigError) else 3
 
 
 if __name__ == "__main__":

@@ -9,6 +9,7 @@ type branches with the parameter y.
 """
 
 from dataclasses import dataclass, field
+from math import factorial
 
 import numpy as np
 
@@ -17,7 +18,19 @@ from .errors import (
     PoleOnHarvestBoundary,
     ResidualTooLarge,
 )
-from .functionals import AnalyticFunctional, PointMass, singular_function
+from .functionals import (
+    AnalyticFunctional,
+    masses_from_orders,
+    singular_function,
+)
+from .kernels import (
+    CERT_FACTOR,
+    CERT_MARGIN,
+    cert_shifts,
+    mass_ratios,
+    residue_weights,
+    windowed_mass,
+)
 from .mellin import (
     TAIL_TOL,
     CutoffFunction,
@@ -38,8 +51,6 @@ from .asym_types import AsymptoticType
 SOLVE_TOL = 1e-7
 CONT_TOL = 1e-4
 BOUNDARY_TOL = 1e-6
-CERT_FACTOR = 50.0
-CERT_T_FLOOR = -12.0
 
 
 def bump_rhs(grid, a=1.0, b=3.0, amplitude=1.0):
@@ -50,6 +61,17 @@ def bump_rhs(grid, a=1.0, b=3.0, amplitude=1.0):
     x = (r[mid] - a) / (b - a)
     vals[mid] = np.exp(-1.0 / (x * (1.0 - x)) + 4.0)
     return HalfLineFunction(grid, amplitude * vals + 0j)
+
+
+def random_bump_field(grid, rng):
+    """Sum of three bumps with random centers, widths and amplitudes."""
+    vals = np.zeros(grid.n_points, dtype=complex)
+    for _ in range(3):
+        c = rng.uniform(0.8, 3.0)
+        w = rng.uniform(0.3, 0.8)
+        amp = rng.uniform(0.5, 2.0)
+        vals += bump_rhs(grid, c - w, c + w, amp).values
+    return HalfLineFunction(grid, vals)
 
 
 @dataclass
@@ -135,6 +157,7 @@ class AsymptoticExpansion:
 class FlatRemainder:
     values: object              # HalfLineFunction
     certified_weight: float     # gamma + beta
+    mass_ratios: list = field(default_factory=list)  # one per shifted weight
 
 
 def extract_asymptotics(problem, y, depth, boundary_tol=BOUNDARY_TOL,
@@ -173,21 +196,15 @@ def extract_asymptotics(problem, y, depth, boundary_tol=BOUNDARY_TOL,
             continue
         d = laurent_expand(finv, y, p, order=m - 1)
         taylor = np.array([
-            mellin_eval(ft, p, derivative=j) / _factorial(j) for j in range(m)
+            mellin_eval(ft, p, derivative=j) / factorial(j) for j in range(m)
         ])
-        for k in range(m):
-            e_k = sum(d[i] * taylor[i - k] for i in range(k, m))
-            c = e_k * (-1) ** k / _factorial(k)
+        for k, w in enumerate(residue_weights(d, taylor)):
+            c = (-1) ** k * w
             if c != 0:
                 terms.append((complex(p), int(k), complex(c)))
     terms.sort(key=lambda t: (t[0].real, t[0].imag, t[1]))
     return AsymptoticExpansion(terms=terms, weight_front=depth_used,
                                y=float(y), depth_used=depth_used, notes=notes)
-
-
-def _factorial(k):
-    from math import factorial
-    return factorial(k)
 
 
 def expansion_to_functional(expansion):
@@ -201,15 +218,7 @@ def expansion_to_functional(expansion):
         key = complex(p)
         by_pole.setdefault(key, {})[k] = by_pole.get(key, {}).get(k, 0) \
             + c * (-1) ** k
-    masses = []
-    for p, orders in sorted(by_pole.items(), key=lambda kv: (kv[0].real,
-                                                             kv[0].imag)):
-        top = max(orders)
-        w = np.zeros(top + 1, dtype=complex)
-        for k, c in orders.items():
-            w[k] = c
-        masses.append(PointMass(p, top, w))
-    return AnalyticFunctional(masses=masses)
+    return AnalyticFunctional(masses=masses_from_orders(by_pole))
 
 
 def singular_part(expansion, omega, grid):
@@ -220,58 +229,45 @@ def singular_part(expansion, omega, grid):
     return singular_function(zeta, omega, grid)
 
 
-def _weighted_norm_finite(u, gamma, t_floor=None):
-    """Weighted L^2 mass, optionally restricted to t >= t_floor.
-
-    The restriction matters for certification: far to the left the flat
-    remainder is a difference of astronomically large near-equal values, so
-    its samples there carry only rounding noise, which a left-shifted weight
-    amplifies without bound.  A genuinely missed pole still dominates the
-    windowed mass by many orders of magnitude.
-    """
-    w = u.weighted_samples(gamma)
-    if t_floor is not None:
-        w = w[u.grid.t >= t_floor]
-    if not np.all(np.isfinite(w)):
-        return np.inf
-    return float(np.sqrt(u.grid.dt * np.sum(np.abs(w) ** 2)))
+def _windowed_mass(u):
+    """gamma -> weighted L^2 mass of u on the certification window: far
+    left, a flat remainder is a difference of huge near-equal values whose
+    rounding noise a left-shifted weight amplifies without bound."""
+    return lambda gamma: windowed_mass(u.grid.t, u.values, gamma, u.grid.dt)
 
 
-def split_flat_singular(u, expansion, omega, gamma=None, margin=0.1,
-                        cert_factor=CERT_FACTOR, cert_t_floor=CERT_T_FLOOR):
+def split_flat_singular(u, expansion, omega, gamma=None):
     """(flat remainder, singular part): u = flat + omega * sum of terms.
 
     The flat part is certified in the gamma+beta' weight classes at three
-    beta' below beta = depth - margin: its beta'-weighted L^2 mass must stay
-    within cert_factor of the base-weight mass (a missed pole makes it blow
-    up by many orders of magnitude on the left end of the grid).
+    beta' below beta = depth - CERT_MARGIN: its beta'-weighted L^2 mass must
+    stay within CERT_FACTOR of the base-weight mass (a missed pole makes it
+    blow up by many orders of magnitude on the left end of the grid).  The
+    mass ratios are returned on the FlatRemainder.
     """
     if gamma is None:
         gamma = getattr(u, "weight_hint", 0.0) or 0.0
     grid = u.grid
     sing = singular_part(expansion, omega, grid)
     flat = HalfLineFunction(grid, u.values - sing.values)
-    beta = expansion.weight_front - margin
-    baseline = max(_weighted_norm_finite(flat, gamma, cert_t_floor), 1e-300)
-    for frac in (0.25, 0.6, 0.95):
-        beta_p = frac * beta
-        val = _weighted_norm_finite(flat, gamma + beta_p, cert_t_floor)
-        if not np.isfinite(val) or val > cert_factor * baseline:
+    shifts = cert_shifts(expansion.weight_front)
+    ratios = mass_ratios(_windowed_mass(flat), gamma, shifts)
+    for beta_p, ratio in zip(shifts, ratios):
+        if not ratio <= CERT_FACTOR:
             raise CertificationFailed(
                 "flat remainder fails the weight check at beta'=%.4g "
                 "(mass ratio %.3e); a deeper harvest is likely needed"
-                % (beta_p, val / baseline),
+                % (beta_p, ratio),
                 clause="flatness",
             )
-    return FlatRemainder(values=flat, certified_weight=gamma + beta), sing
+    beta = expansion.weight_front - CERT_MARGIN
+    return FlatRemainder(values=flat, certified_weight=gamma + beta,
+                         mass_ratios=ratios), sing
 
 
-def flatness_ratio(flat, gamma, beta_p, cert_t_floor=CERT_T_FLOOR):
+def flatness_ratio(flat, gamma, beta_p):
     """Weighted-mass ratio used by the certification (negative-control aid)."""
-    baseline = max(_weighted_norm_finite(flat.values, gamma, cert_t_floor),
-                   1e-300)
-    return (_weighted_norm_finite(flat.values, gamma + beta_p, cert_t_floor)
-            / baseline)
+    return mass_ratios(_windowed_mass(flat.values), gamma, [beta_p])[0]
 
 
 @dataclass
@@ -284,7 +280,7 @@ class BranchingResult:
 
 
 def detect_branching(problem, depth, cont_tol=CONT_TOL,
-                     radii=(0.05, 0.1, 0.2), omega=None):
+                     radii=(0.05, 0.1, 0.2)):
     """Asymptotics of the solution over the whole y-grid.
 
     Harvests every node, assembles the y-dependent asymptotic type and the
@@ -319,6 +315,7 @@ def detect_branching(problem, depth, cont_tol=CONT_TOL,
             bid = _branch_id_for(spectral, i, p)
             table.append((float(y_grid[i]), p, k, c, bid))
 
+    # the check is done in the omega == 1 region; radii must sit there
     rr = np.asarray(radii, dtype=float)
     using = np.array([exp.evaluate(rr) for exp in expansions])  # y x r
     defect = 0.0
@@ -332,7 +329,6 @@ def detect_branching(problem, depth, cont_tol=CONT_TOL,
             "singular part jumps by %.3e across a collision event" % defect,
             clause="continuity",
         )
-    _ = omega  # the check is done in the omega == 1 region; radii must sit there
     return BranchingResult(asym_type=atype, events=events, table=table,
                            continuity_defect=defect, expansions=expansions)
 

@@ -7,12 +7,21 @@ commutators, formal adjoints, finite-rank Green symbols, convention
 differences, eta-derivatives, and asymptotic summation with excision.
 """
 
+from math import factorial
+
 import numpy as np
 
 from .errors import (
     CertificationFailed,
     LambdaOffGrid,
     ScheduleDiverged,
+)
+from .kernels import (
+    CERT_T_FLOOR,
+    circle_nodes,
+    contour_synthesis,
+    point_mass_synthesis,
+    residue_weights,
 )
 from .mellin import (
     TAIL_TOL,
@@ -30,9 +39,7 @@ from .symbols import (
     p2_reflect_conj,
 )
 
-HOMOG_TOL = 1e-8
 GREEN_TOL = 1e-7
-ADJOINT_TOL = 1e-8
 SLOPE_TOL = 0.1
 FD_ETA_REL = 1e-3
 
@@ -144,12 +151,17 @@ def twisted_norm(m, y, eta, u, tail_tol=TAIL_TOL):
     return kappa(mv, 1.0 / s).norm(0.0)
 
 
-def measured_order(m, y, u, etas, tail_tol=TAIL_TOL):
-    """Log-log slope of the twisted norm over an |eta| fan (symbol order)."""
-    ns = [twisted_norm(m, y, e, u, tail_tol=tail_tol) for e in etas]
+def _loglog_slope(ns, etas):
+    """(slope of log ns against log [eta], the (scale, norm) samples)."""
     ss = [eta_bracket(e) for e in etas]
     slope = np.polyfit(np.log(ss), np.log(ns), 1)[0]
     return float(slope), list(zip(ss, ns))
+
+
+def measured_order(m, y, u, etas, tail_tol=TAIL_TOL):
+    """Log-log slope of the twisted norm over an |eta| fan (symbol order)."""
+    return _loglog_slope([twisted_norm(m, y, e, u, tail_tol=tail_tol)
+                          for e in etas], etas)
 
 
 def weight_shift_green(f, y, delta, beta, u, n_contour=256,
@@ -177,12 +189,10 @@ def weight_shift_green(f, y, delta, beta, u, n_contour=256,
         others = [abs(q - p) for q, _m in locate_poles(f, y) if q != p]
         radius = min(p.real - lo, hi - p.real,
                      min(others, default=np.inf) / 2) * 0.9
-        theta = 2 * np.pi * np.arange(n_contour) / n_contour
-        z = p + radius * np.exp(1j * theta)
-        dz = 1j * radius * np.exp(1j * theta) * (2 * np.pi / n_contour)
+        _theta, z, dz = circle_nodes(p, radius, n_contour)
         fz = f(y, z) * mellin_eval(u, z)
         # clockwise orientation: minus the ccw integral
-        vals += -(np.exp(np.outer(-t, z)) @ (fz * dz)) / (2j * np.pi)
+        vals -= contour_synthesis(t, z, fz * dz)
     contour_form = HalfLineFunction(u.grid, vals)
     return diff, contour_form
 
@@ -201,23 +211,16 @@ def green_agreement(diff, cont, gamma):
 def _op_singular_values(f, y, gamma, w, depth=8.0):
     """Singular part of op_M^gamma(f) w near r = 0: residue synthesis of
     r^{-z} f(z) Mw(z) over the poles of f left of the weight line."""
-    from math import factorial
-
     line_re = 0.5 - gamma
-    grid = w.grid
-    t = grid.t
-    out = np.zeros(grid.n_points, dtype=complex)
+    masses = []
     for p, mm in locate_poles(f, y):
         if not (line_re - depth < p.real < line_re):
             continue
         d = laurent_expand(f, y, p, order=mm - 1)
         taylor = [mellin_eval(w, p, derivative=jj) / factorial(jj)
                   for jj in range(mm)]
-        rp = np.exp(-p * t)
-        for k in range(mm):
-            e_k = sum(d[i] * taylor[i - k] for i in range(k, mm))
-            out += e_k * (-t) ** k / factorial(k) * rp
-    return out
+        masses.append((p, residue_weights(d, taylor)))
+    return point_mass_synthesis(w.grid.t, masses)
 
 
 def formal_adjoint(m):
@@ -262,8 +265,7 @@ class GreenSymbolFiniteRank:
 
 
 def green_apply(g, y, eta, u):
-    """g(y, eta) u: finite-rank action with scaled kernel arguments."""
-    _ = y
+    """g(y, eta) u: y-independent finite-rank action, scaled arguments."""
     s = eta_bracket(eta)
     grid = u.grid
     out = np.zeros(grid.n_points, dtype=complex)
@@ -276,13 +278,8 @@ def green_apply(g, y, eta, u):
         tval = grid.dt * np.sum(tk * u.values * grid.r)
         # output: a [eta]^{1/2} omega(r[eta]) <zeta, (r[eta])^{-z}> T
         rs = grid.r * s
-        lrs = np.log(rs)
-        sing = np.zeros(grid.n_points, dtype=complex)
-        for mass in zeta_out.masses:
-            rp = rs ** (-mass.p)
-            for l in range(mass.order + 1):
-                if mass.weights[l] != 0:
-                    sing += mass.weights[l] * (-lrs) ** l * rp
+        sing = point_mass_synthesis(grid.t + np.log(s), [
+            (mass.p, mass.weights) for mass in zeta_out.masses])
         out += a * np.sqrt(s) * g.omega(rs) * sing * tval
     return HalfLineFunction(grid, out)
 
@@ -293,10 +290,7 @@ def green_twisted_norm(g, y, eta, u):
 
 
 def green_measured_order(g, y, u, etas):
-    ns = [green_twisted_norm(g, y, e, u) for e in etas]
-    ss = [eta_bracket(e) for e in etas]
-    slope = np.polyfit(np.log(ss), np.log(ns), 1)[0]
-    return float(slope), list(zip(ss, ns))
+    return _loglog_slope([green_twisted_norm(g, y, e, u) for e in etas], etas)
 
 
 def mellin_convention_difference(m1, m2, y, u, etas, green_tol=GREEN_TOL,
@@ -353,8 +347,8 @@ def mellin_convention_difference(m1, m2, y, u, etas, green_tol=GREEN_TOL,
             # op(f) applied to (omega1' - omega2') u, whose r -> 0 behavior
             # is the residue synthesis over poles left of the weight line;
             # after subtracting it the remainder must be flat.  The window
-            # starts at t = -12 (left of it the shifted weights amplify
-            # rounding noise past any fixed threshold).
+            # starts at t = CERT_T_FLOOR (left of it the shifted weights
+            # amplify rounding noise past any fixed threshold).
             s = eta_bracket(eta)
             a_min = min(m1.omega.a, m2.omega.a, m1.omega_prime.a,
                         m2.omega_prime.a) / s
@@ -367,7 +361,7 @@ def mellin_convention_difference(m1, m2, y, u, etas, green_tol=GREEN_TOL,
             for j, alpha, f, gj in m1.terms:
                 sing += (eta_power(eta, alpha) * u.grid.r ** (-m1.mu + j)
                          * _op_singular_values(f, y, gj, w_d))
-            mask = (u.grid.r <= a_min) & (u.grid.t >= -12.0)
+            mask = (u.grid.r <= a_min) & (u.grid.t >= CERT_T_FLOOR)
             resid = np.abs(dvals - sing)[mask] if mask.any() else np.zeros(1)
             scale = max(float(np.max(np.abs(dvals))), 1e-300)
             defect = float(np.max(resid)) / scale
@@ -407,27 +401,17 @@ def eta_derivative_green_check(m, y, u, eta=1.5, lams=(1.0, 2.0, 4.0, 8.0),
     """Certify that d m / d eta drops one order and keeps Green structure."""
     j, alpha, _f, _gj = m.single_term()
 
-    class _Deriv:
-        def __call__(self, yy, ee, uu):
-            d, _ = eta_derivative(m, yy, ee, uu, tail_tol=tail_tol)
-            return d
+    def dm(yy, e, w):
+        return eta_derivative(m, yy, e, w, tail_tol=tail_tol)[0]
 
-    ns, ss = [], []
-    dm = _Deriv()
-    for lam in lams:
-        e = lam * eta
-        s = eta_bracket(e)
-        w = kappa(u, s)
-        ns.append(kappa(dm(y, e, w), 1.0 / s).norm(0.0))
-        ss.append(s)
-    slope = float(np.polyfit(np.log(ss), np.log(ns), 1)[0])
+    slope, samples = measured_order(dm, y, u, [lam * eta for lam in lams])
     target = m.mu - j + abs(alpha) - 1
     report = {
         "clause": "eta-derivative order drop",
         "measured_slope": slope,
         "target_order": target,
         "margin": target + slope_tol - slope,
-        "grid": [float(x) for x in ss],
+        "grid": [float(x) for x, _n in samples],
     }
     if slope > target + slope_tol:
         raise CertificationFailed(

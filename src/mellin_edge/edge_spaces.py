@@ -8,7 +8,6 @@ synthesized into fields and harvested back out of them.
 """
 
 import json
-import struct
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -19,12 +18,18 @@ from .errors import (
     NonFinite,
     SubordinationFailed,
 )
-from .functionals import AnalyticFunctional, PointMass
+from .functionals import AnalyticFunctional, masses_from_orders
+from .kernels import (
+    CERT_FACTOR,
+    cert_shifts,
+    mass_ratios,
+    point_mass_synthesis,
+    windowed_mass,
+)
 from .mellin import CutoffFunction, HalfLineFunction, kappa
 from .edge_ops import eta_bracket
 
 HARVEST_TOL = 1e-7
-CERT_T_FLOOR = -12.0
 
 
 @dataclass
@@ -134,26 +139,24 @@ def edge_norm(u, s=None):
     return float(np.sqrt(vol * total))
 
 
+def _kappa_modes(u, inverse, s):
+    """Per-mode dilation kappa_{[eta]} (or its inverse) of an edge field."""
+    modes = u.modes()
+    out = np.empty_like(modes)
+    for idx, mag, slc in _mode_iter(modes, u.mode_etas()):
+        br = eta_bracket(mag)
+        out[idx] = kappa(HalfLineFunction(u.r_grid, slc),
+                         1.0 / br if inverse else br).values
+    return EdgeField.from_modes(u.y_grids, u.r_grid, out, s=s, gamma=u.gamma)
+
+
 def potential_op(v, s=None):
     """K = F^{-1} kappa_{[eta]} F: per-mode dilation by [eta]."""
-    modes = v.modes()
-    mags = v.mode_etas()
-    out = np.empty_like(modes)
-    for idx, mag, slc in _mode_iter(modes, mags):
-        br = eta_bracket(mag)
-        out[idx] = kappa(HalfLineFunction(v.r_grid, slc), br).values
-    return EdgeField.from_modes(v.y_grids, v.r_grid, out,
-                                s=v.s if s is None else s, gamma=v.gamma)
+    return _kappa_modes(v, False, v.s if s is None else s)
 
 
 def inverse_potential_op(u):
-    modes = u.modes()
-    mags = u.mode_etas()
-    out = np.empty_like(modes)
-    for idx, mag, slc in _mode_iter(modes, mags):
-        br = eta_bracket(mag)
-        out[idx] = kappa(HalfLineFunction(u.r_grid, slc), 1.0 / br).values
-    return EdgeField.from_modes(u.y_grids, u.r_grid, out, s=u.s, gamma=u.gamma)
+    return _kappa_modes(u, True, u.s)
 
 
 @dataclass
@@ -174,10 +177,16 @@ class SingularEdgeData:
         return pts
 
 
+def _singular_mode(masses, t, br, cutoff):
+    """[eta]^{1/2} omega(r[eta]) <zeta, (r[eta])^{-z}> for point masses."""
+    ts = t + np.log(br)                    # log(r [eta])
+    vals = point_mass_synthesis(ts, [(m.p, m.weights) for m in masses])
+    return np.sqrt(br) * cutoff(np.exp(ts)) * vals
+
+
 def synthesize_singular(data):
     """F^{-1} { [eta]^{1/2} omega(r[eta]) <zeta(eta), (r[eta])^{-z}> }."""
     g = data.r_grid
-    t = g.t
     n = data.y_grid.n_points
     etas = data.y_grid.etas
     modes = np.zeros((n, g.n_points), dtype=complex)
@@ -186,14 +195,7 @@ def synthesize_singular(data):
         if zeta is None or not zeta.masses:
             continue
         br = eta_bracket(abs(float(etas[k])))
-        ts = t + np.log(br)                    # log(r [eta])
-        vals = np.zeros(g.n_points, dtype=complex)
-        for m in zeta.masses:
-            rp = np.exp(-m.p * ts)
-            for l in range(m.order + 1):
-                if m.weights[l] != 0:
-                    vals += m.weights[l] * (-ts) ** l * rp
-        modes[k] = np.sqrt(br) * data.cutoff(np.exp(ts)) * vals
+        modes[k] = _singular_mode(zeta.masses, g.t, br, data.cutoff)
     return EdgeField.from_modes(data.y_grid, data.r_grid, modes,
                                 gamma=data.gamma)
 
@@ -228,7 +230,7 @@ def _harvest_masses(slc, r_grid, candidates, br=1.0, window=(-40.0, -15.0)):
 
 
 def decompose_flat_singular_edge(u, asym_type, depth, harvest_tol=HARVEST_TOL,
-                                 cutoff=None, cert_factor=50.0):
+                                 cutoff=None):
     """(flat EdgeField, SingularEdgeData): per-mode harvesting on the
     kappa^{-1}-normalized mode slices at the type's candidate poles."""
     if u.q != 1:
@@ -249,7 +251,6 @@ def decompose_flat_singular_edge(u, asym_type, depth, harvest_tol=HARVEST_TOL,
     functionals = []
     sing_modes = np.zeros_like(modes)
     g = u.r_grid
-    t = g.t
     mode_scales = [float(np.max(np.abs(modes[k]))) /
                    np.sqrt(eta_bracket(abs(float(etas[k]))))
                    for k in range(u.y_grids[0].n_points)]
@@ -265,25 +266,9 @@ def decompose_flat_singular_edge(u, asym_type, depth, harvest_tol=HARVEST_TOL,
         for (p, l), c in found.items():
             if abs(c) > harvest_tol * scale:
                 masses.setdefault(p, {})[l] = c
-        pm = []
-        for p, orders in sorted(masses.items(),
-                                key=lambda kv: (kv[0].real, kv[0].imag)):
-            top = max(orders)
-            w = np.zeros(top + 1, dtype=complex)
-            for l, c in orders.items():
-                w[l] = c
-            pm.append(PointMass(p, top, w))
-        zeta = AnalyticFunctional(masses=pm) if pm else \
-            AnalyticFunctional(masses=[])
-        functionals.append(zeta)
-        # synthesized singular mode (scaled arguments)
-        ts = t + np.log(br)
-        vals = np.zeros(g.n_points, dtype=complex)
-        for m in pm:
-            rp = np.exp(-m.p * ts)
-            for l in range(m.order + 1):
-                vals += m.weights[l] * (-ts) ** l * rp
-        sing_modes[k] = np.sqrt(br) * cutoff(np.exp(ts)) * vals
+        pm = masses_from_orders(masses)
+        functionals.append(AnalyticFunctional(masses=pm))
+        sing_modes[k] = _singular_mode(pm, g.t, br, cutoff)
 
     # subordination: every harvested pole must appear in the declared type
     harvested = set()
@@ -303,13 +288,13 @@ def decompose_flat_singular_edge(u, asym_type, depth, harvest_tol=HARVEST_TOL,
     sing = EdgeField.from_modes(u.y_grids, u.r_grid, sing_modes,
                                 gamma=u.gamma)
     flat = u.copy(values=u.values - sing.values)
-    _certify_flat_edge(flat, u, u.gamma, depth, cert_factor)
+    _certify_flat_edge(flat, u, u.gamma, depth)
     data = SingularEdgeData(u.y_grids[0], u.r_grid, functionals,
                             cutoff=cutoff, asym_type=asym_type, gamma=u.gamma)
     return flat, data
 
 
-def _certify_flat_edge(flat, reference, gamma, depth, cert_factor):
+def _certify_flat_edge(flat, reference, gamma, depth):
     """Per-mode kappa-normalized weighted-mass check at 3 shifted weights.
 
     The kappa^{-1} normalization is evaluated exactly via the change of
@@ -318,33 +303,29 @@ def _certify_flat_edge(flat, reference, gamma, depth, cert_factor):
     the spectral-interpolation noise of an explicit dilation.
     """
     g = flat.r_grid
-    beta = depth - 0.1
+    shifts = cert_shifts(depth)
 
-    def mass(slc, br, gam):
+    def mass(slc, br):
         ts = g.t + np.log(br)
-        sel = ts >= CERT_T_FLOOR
-        w = np.exp((0.5 - gam) * ts[sel]) * slc[sel]
-        return br ** (gam - 1.0) * float(
-            np.sqrt(g.dt * np.sum(np.abs(w) ** 2)))
+        return lambda gam: br ** (gam - 1.0) * windowed_mass(ts, slc, gam,
+                                                              g.dt)
 
     ref_base = 1e-300
     for _idx, mag, slc in _mode_iter(reference.modes(),
                                      reference.mode_etas()):
-        ref_base = max(ref_base, mass(slc, eta_bracket(mag), gamma))
+        ref_base = max(ref_base, mass(slc, eta_bracket(mag))(gamma))
     for idx, mag, slc in _mode_iter(flat.modes(), flat.mode_etas()):
-        br = eta_bracket(mag)
-        base = mass(slc, br, gamma)
+        mode_mass = mass(slc, eta_bracket(mag))
         # modes below the harvest noise floor of the input field carry no
         # certifiable mass; a genuinely missed pole keeps its mode large
-        if base <= 1e-6 * ref_base:
+        if mode_mass(gamma) <= 1e-6 * ref_base:
             continue
-        for frac in (0.25, 0.6, 0.95):
-            val = mass(slc, br, gamma + frac * beta)
-            if not np.isfinite(val) or val > cert_factor * base:
+        ratios = mass_ratios(mode_mass, gamma, shifts)
+        for beta_p, ratio in zip(shifts, ratios):
+            if not ratio <= CERT_FACTOR:
                 raise CertificationFailed(
                     "edge flat part fails the weight check at mode %s "
-                    "(ratio %.3e at beta'=%.3g)" % (idx, val / base,
-                                                    frac * beta),
+                    "(ratio %.3e at beta'=%.3g)" % (idx, ratio, beta_p),
                     clause="edge flatness",
                 )
 

@@ -56,10 +56,6 @@ class NotAPole(MellinEdgeError):
     pass
 
 
-class BranchAmbiguity(MellinEdgeError):
-    """Two branch matchings are within match_tie_tol of each other."""
-
-
 class DomainMismatch(MellinEdgeError):
     pass
 
@@ -107,10 +103,6 @@ class NotDiscrete(MellinEdgeError):
 
 
 class CarrierTooFarRight(MellinEdgeError):
-    pass
-
-
-class PhiUnavailable(MellinEdgeError):
     pass
 
 

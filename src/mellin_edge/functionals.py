@@ -7,7 +7,6 @@ provides the Mellin potential Phi = M omega (meromorphic, simple pole at 0
 with residue 1) and the synthesis of singular functions omega(r) <zeta, r^{-z}>.
 """
 
-import json
 from dataclasses import dataclass
 from math import comb, factorial
 
@@ -19,6 +18,12 @@ from .errors import (
     PoleOnContour,
     RepresentationInvalid,
     WindingMismatch,
+)
+from .kernels import (
+    circle_moments,
+    circle_nodes,
+    contour_synthesis,
+    point_mass_synthesis,
 )
 from .mellin import HalfLineFunction
 from .symbols import LAURENT_TOL
@@ -56,10 +61,7 @@ class Contour:
     def nodes(self):
         """(z nodes, dz weights) for the trapezoid rule along the contour."""
         if self.kind == "circle":
-            theta = 2 * np.pi * np.arange(self.n_nodes) / self.n_nodes
-            z = self.center + self.radius * np.exp(1j * theta)
-            dz = 1j * self.radius * np.exp(1j * theta) * (2 * np.pi / self.n_nodes)
-            return z, dz
+            return circle_nodes(self.center, self.radius, self.n_nodes)[1:]
         verts = self.vertices
         lengths = [abs(verts[(i + 1) % len(verts)] - verts[i])
                    for i in range(len(verts))]
@@ -99,6 +101,18 @@ class PointMass:
         self.weights = np.asarray(self.weights, dtype=complex)
         if self.weights.shape != (self.order + 1,):
             raise RepresentationInvalid("weights must have order+1 entries")
+
+
+def masses_from_orders(by_pole):
+    """Point masses from {p: {derivative order: weight}}, sorted by p."""
+    masses = []
+    for p, orders in sorted(by_pole.items(),
+                            key=lambda kv: (kv[0].real, kv[0].imag)):
+        w = np.zeros(max(orders) + 1, dtype=complex)
+        for l, c in orders.items():
+            w[l] = c
+        masses.append(PointMass(p, max(orders), w))
+    return masses
 
 
 class AnalyticFunctional:
@@ -148,11 +162,7 @@ def from_symbol(f, y, contour, clearance=CONTOUR_CLEARANCE):
 
 def _cauchy_derivative(h, p, order, radius=0.25, n=128):
     """h^(order)(p) by the Cauchy integral formula on a small circle."""
-    theta = 2 * np.pi * np.arange(n) / n
-    z = p + radius * np.exp(1j * theta)
-    hv = np.asarray(h(z), dtype=complex)
-    return (factorial(order) / radius**order
-            * np.mean(hv * np.exp(-1j * order * theta)))
+    return factorial(order) * circle_moments(h, p, radius, [-order - 1], n)[0]
 
 
 def pair(zeta, h, h_derivatives=None, certify=False, tol=FUNCTIONAL_TOL):
@@ -176,16 +186,15 @@ def pair(zeta, h, h_derivatives=None, certify=False, tol=FUNCTIONAL_TOL):
                     hd = _cauchy_derivative(h, m.p, l)
                 val += m.weights[l] * hd
         return (val, 0.0) if certify else val
-    z, dz = zeta.contour.nodes()
-    fv = np.asarray(zeta.density(z), dtype=complex)
-    hv = np.asarray(h(z), dtype=complex)
-    val = np.sum(fv * hv * dz) / (2j * np.pi)
+
+    def integral(contour):
+        z, dz = contour.nodes()
+        return np.sum(np.asarray(zeta.density(z), dtype=complex)
+                      * np.asarray(h(z), dtype=complex) * dz) / (2j * np.pi)
+
+    val = integral(zeta.contour)
     if certify:
-        c2 = zeta.contour.scaled(1.25)
-        z2, dz2 = c2.nodes()
-        val2 = np.sum(np.asarray(zeta.density(z2), dtype=complex)
-                      * np.asarray(h(z2), dtype=complex) * dz2) / (2j * np.pi)
-        return val, abs(val - val2)
+        return val, abs(val - integral(zeta.contour.scaled(1.25)))
     return val
 
 
@@ -202,8 +211,9 @@ def to_point_masses(zeta, pole_hints=None, max_order=8,
         others = [q for q in hints if q != p]
         dmin = min((abs(q - p) for q in others), default=np.inf)
         radius = min(0.5, dmin / 2)
-        d = _contour_laurent(zeta.density, p, radius, max_order)
-        d2 = _contour_laurent(zeta.density, p, radius / 2, max_order)
+        ks = np.arange(max_order + 1)
+        d = circle_moments(zeta.density, p, radius, ks, 256)
+        d2 = circle_moments(zeta.density, p, radius / 2, ks, 256)
         scale = max(1.0, np.max(np.abs(d)))
         if np.max(np.abs(d - d2)) > stabilize_tol * scale:
             raise NotDiscrete(
@@ -218,16 +228,6 @@ def to_point_masses(zeta, pole_hints=None, max_order=8,
     return AnalyticFunctional(masses=masses, carrier=[m.p for m in masses])
 
 
-def _contour_laurent(density, p, radius, max_order, n=256):
-    theta = 2 * np.pi * np.arange(n) / n
-    z = p + radius * np.exp(1j * theta)
-    fv = np.asarray(density(z), dtype=complex)
-    ks = np.arange(max_order + 1)
-    return radius ** (ks + 1) * np.mean(
-        fv[None, :] * np.exp(1j * np.outer(ks + 1, theta)), axis=1
-    )
-
-
 def singular_function(zeta, omega, grid, gamma_target=None):
     """omega(r) <zeta_z, r^{-z}> on the log grid.
 
@@ -240,19 +240,13 @@ def singular_function(zeta, omega, grid, gamma_target=None):
             raise CarrierTooFarRight(
                 "carrier reaches Re = %g >= %g" % (mre, 0.5 - gamma_target)
             )
-    t = grid.t
     if zeta.rep == "point_mass":
-        vals = np.zeros(grid.n_points, dtype=complex)
-        for m in zeta.masses:
-            rp = np.exp(-m.p * t)          # r^{-p}
-            for l in range(m.order + 1):
-                if m.weights[l] != 0:
-                    vals += m.weights[l] * (-t) ** l * rp
+        vals = point_mass_synthesis(grid.t, [(m.p, m.weights)
+                                             for m in zeta.masses])
     else:
         z, dz = zeta.contour.nodes()
         fv = np.asarray(zeta.density(z), dtype=complex)
-        # sum over contour nodes of f(z) r^{-z} dz / (2 pi i)
-        vals = (np.exp(np.outer(-t, z)) @ (fv * dz)) / (2j * np.pi)
+        vals = contour_synthesis(grid.t, z, fv * dz)
     return HalfLineFunction(grid, omega(grid.r) * vals)
 
 

@@ -6,7 +6,8 @@ Fourier transform in t of the weighted samples e^{(1/2-gamma)t} u(e^t),
 so an FFT gives spectral accuracy for smooth decaying data.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from math import factorial
 
 import numpy as np
 
@@ -21,8 +22,6 @@ from .errors import (
 
 TAIL_TOL = 1e-10
 LINE_CLEARANCE_TOL = 1e-6
-ROUNDTRIP_TOL = 1e-8
-HOMOG_TOL = 1e-8
 
 
 def _is_power_of_two(n):
@@ -210,12 +209,11 @@ def inverse_mellin(g, grid=None, tail_tol=TAIL_TOL):
     return _inverse_mellin_raw(g, grid)
 
 
-def mellin_eval(u, z, gamma=None, derivative=0):
+def mellin_eval(u, z, derivative=0):
     """Evaluate M u (and d/dz derivatives) at arbitrary z by direct quadrature.
 
     Mu(z) = int_0^inf r^{z-1} u(r) dr = int e^{zt} u(e^t) dt; the d-th
-    derivative inserts a factor t^d.  `gamma` is unused (the transform does
-    not depend on the line) and accepted for call-site symmetry.
+    derivative inserts a factor t^d.
     """
     t = u.grid.t
     w = u.values * u.grid.dt
@@ -337,8 +335,6 @@ class EntireKernel:
 
     def taylor(self, center, order):
         """Taylor coefficients of k on a disk around `center`."""
-        from math import factorial
-
         return np.array(
             [mellin_eval(self.w, center, derivative=d) / factorial(d)
              for d in range(order + 1)]

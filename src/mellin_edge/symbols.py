@@ -8,9 +8,9 @@ admits exact partial-fraction oracles.
 """
 
 import csv
-import json
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import comb
 from typing import NamedTuple
 
 import numpy as np
@@ -25,6 +25,7 @@ from .errors import (
     NotAPole,
     PoleTooClose,
 )
+from .kernels import circle_moments, circle_nodes
 
 CLUSTER_TOL = 1e-6
 N_CONTOUR = 256
@@ -37,8 +38,7 @@ MATCH_TIE_TOL = 1e-9
 # 2-D polynomial helpers (coefficient arrays, ascending powers)
 
 def p2(arr):
-    a = np.atleast_2d(np.asarray(arr, dtype=complex))
-    return a
+    return np.atleast_2d(np.asarray(arr, dtype=complex))
 
 
 def p2_trim(a):
@@ -91,8 +91,6 @@ def p2_dy(a):
 
 def p2_shift_z(a, sigma):
     """Coefficients of p(z + sigma, y)."""
-    from math import comb
-
     a = p2(a)
     out = np.zeros_like(a)
     for k in range(a.shape[0]):
@@ -103,8 +101,6 @@ def p2_shift_z(a, sigma):
 
 def p2_reflect_conj(a):
     """Coefficients of conj(p(1 - conj(z), y)) for real y."""
-    from math import comb
-
     a = np.conj(p2(a))
     out = np.zeros_like(a)
     for k in range(a.shape[0]):
@@ -189,7 +185,6 @@ class MeromorphicSymbol:
         self.num = num
         self.den = den
         self.y_domain = tuple(y_domain) if y_domain is not None else None
-        self.spectral = None
 
     def __call__(self, y, z):
         return p2_eval(self.num, y, z) / p2_eval(self.den, y, z)
@@ -380,15 +375,11 @@ def laurent_expand(f, y, pole, order, n_contour=N_CONTOUR,
         raise PoleTooClose(
             "nearest other pole at %.3e < 2 x contour radius %.3e" % (dmin, radius)
         )
-    theta = 2 * np.pi * np.arange(n_contour) / n_contour
-    zs = pole + radius * np.exp(1j * theta)
-    fv = f(y, zs)
-    ks = np.arange(order + 1)
-    d = radius ** (ks + 1) * np.mean(
-        fv[None, :] * np.exp(1j * np.outer(ks + 1, theta)), axis=1
-    )
+    d = circle_moments(lambda z: f(y, z), pole, radius, np.arange(order + 1),
+                       n_contour)
     matched = any(abs(p - pole) <= cluster_tol * max(1.0, abs(pole)) for p, _m in poles)
     if not matched:
+        fv = f(y, circle_nodes(pole, radius, n_contour)[1])
         scale = max(1.0, float(np.max(np.abs(fv))) * radius)
         if np.all(np.abs(d) <= laurent_tol * scale):
             raise NotAPole("contour moments below laurent_tol at %s" % pole)
@@ -455,14 +446,9 @@ def track_branches(f, y_grid, cluster_tol=CLUSTER_TOL, match_tie_tol=MATCH_TIE_T
     closed = {}           # branch id -> (last node, last position)
     for k, yv in enumerate(y_grid):
         cur = locate_poles(f, yv, cluster_tol=cluster_tol)
-        laur = []
-        if with_laurent:
-            for p, m in cur:
-                laur.append(laurent_expand(f, yv, p, m - 1, n_contour=n_contour,
-                                           radius_cap=radius_cap,
-                                           cluster_tol=cluster_tol))
-        else:
-            laur = [None] * len(cur)
+        laur = [laurent_expand(f, yv, p, m - 1, n_contour=n_contour,
+                               radius_cap=radius_cap, cluster_tol=cluster_tol)
+                if with_laurent else None for p, m in cur]
         if prev is None:
             ids = []
             for (p, m), d in zip(cur, laur):
@@ -536,7 +522,6 @@ def track_branches(f, y_grid, cluster_tol=CLUSTER_TOL, match_tie_tol=MATCH_TIE_T
     sd = SpectralData(y_nodes=y_grid, branches=branches,
                       collision_events=events, ambiguities=ambiguities,
                       symbol=f)
-    f.spectral = sd
     return sd
 
 

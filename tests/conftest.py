@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from mellin_edge.mellin import CutoffFunction, HalfLineFunction, LogGrid
+from mellin_edge.cone import bump_rhs as bump, random_bump_field  # noqa: F401
+from mellin_edge.mellin import LogGrid
 from mellin_edge.symbols import MeromorphicSymbol
 
 # dt = ln2/96 keeps lambda in {2, 4} grid-aligned (log 2 = 96 dt)
@@ -34,15 +35,6 @@ def grid_green():
     return make_grid(-30.0, 32768)
 
 
-def bump(grid, a=1.0, b=3.0, amplitude=1.0):
-    r = grid.r
-    vals = np.zeros(grid.n_points)
-    mid = (r > a) & (r < b)
-    x = (r[mid] - a) / (b - a)
-    vals[mid] = amplitude * np.exp(-1.0 / (x * (1.0 - x)) + 4.0)
-    return HalfLineFunction(grid, vals + 0j)
-
-
 def bump_callable(a=1.0, b=3.0, amplitude=1.0):
     def f(r):
         if not (a < r < b):
@@ -50,20 +42,6 @@ def bump_callable(a=1.0, b=3.0, amplitude=1.0):
         x = (r - a) / (b - a)
         return amplitude * np.exp(-1.0 / (x * (1.0 - x)) + 4.0)
     return f
-
-
-def random_bump_field(grid, rng, n_bumps=3):
-    r = grid.r
-    vals = np.zeros(grid.n_points)
-    for _ in range(n_bumps):
-        c = rng.uniform(0.8, 3.0)
-        w = rng.uniform(0.3, 0.8)
-        amp = rng.uniform(0.5, 2.0)
-        a, b = c - w, c + w
-        mid = (r > a) & (r < b)
-        x = (r[mid] - a) / (b - a)
-        vals[mid] += amp * np.exp(-1.0 / (x * (1.0 - x)) + 4.0)
-    return HalfLineFunction(grid, vals + 0j)
 
 
 def simple_pole(p, scale=1.0):

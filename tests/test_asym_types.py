@@ -24,7 +24,7 @@ from mellin_edge.asym_types import (
     union,
 )
 from mellin_edge.errors import EmptyDomain, WrongKind
-from mellin_edge.symbols import MeromorphicSymbol
+from mellin_edge.symbols import MeromorphicSymbol, track_branches
 
 from conftest import double_pole, simple_pole
 
@@ -61,6 +61,15 @@ def test_type_of_family_log_orders():
     got = sorted(r.pairs_at(0.0), key=lambda pm: pm[0].real)
     assert got[0][0] == pytest.approx(-0.75) and got[0][1] == 0
     assert got[1][0] == pytest.approx(0.25) and got[1][1] == 1
+
+
+def test_type_of_family_takes_spectral_data_explicitly():
+    f = double_pole(0.25) + simple_pole(-0.75)
+    ys = np.linspace(-0.5, 0.5, 5)
+    sd = track_branches(f, ys, with_laurent=False)
+    assert set_equal(type_of_family(f, spectral=sd), type_of_family(f, ys))
+    with pytest.raises(ValueError):
+        type_of_family(f)
 
 
 def test_restrict_idempotent():

@@ -182,6 +182,28 @@ def test_green_check_pass(tmp_path):
     assert float(rep["agreement"]) <= 1e-7
 
 
+def test_green_check_fail_exits_1(tmp_path):
+    cfg = write_cfg(tmp_path, "c.json", {
+        "symbol": {"num": [[[1.0, 0.0]]],
+                   "den": [[[-0.25, 0.0]], [[1.0, 0.0]]], "y_domain": None},
+        "delta": 0.0,
+        "beta": 0.5,
+        "tolerance": 1e-300,
+    })
+    out = tmp_path / "out"
+    assert run("green-check", cfg, out) == 1
+    rep = json.loads((out / "green_report.json").read_text())
+    assert rep["pass"] is False
+
+
+def test_threads_flag_is_a_usage_error(tmp_path):
+    cfg = write_cfg(tmp_path, "c.json", {"checks": ["plancherel"]})
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--config", cfg, "--out", str(tmp_path / "out"),
+              "--threads", "2"])
+    assert exc.value.code == 2
+
+
 def test_green_check_pole_on_line(tmp_path, capsys):
     # pole at 0.5 sits on the weight line of delta = 0
     cfg = write_cfg(tmp_path, "c.json", {

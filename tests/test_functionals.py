@@ -17,7 +17,6 @@ from mellin_edge.functionals import (
     Contour,
     MellinPotential,
     PointMass,
-    _contour_laurent,
     from_symbol,
     masses_from_json,
     masses_to_json,
@@ -26,6 +25,7 @@ from mellin_edge.functionals import (
     singular_function,
     to_point_masses,
 )
+from mellin_edge.kernels import circle_moments
 from mellin_edge.mellin import CutoffFunction
 from mellin_edge.symbols import MeromorphicSymbol
 
@@ -85,8 +85,8 @@ def test_to_point_masses_partial_fraction_oracle():
 
 def test_point_mass_radius_independence():
     zeta = from_symbol(simple_pole(0.25, scale=1.7), 0.0, unit_circle())
-    d1 = _contour_laurent(zeta.density, 0.25 + 0j, 0.3, 2)
-    d2 = _contour_laurent(zeta.density, 0.25 + 0j, 0.12, 2)
+    d1 = circle_moments(zeta.density, 0.25 + 0j, 0.3, np.arange(3), 256)
+    d2 = circle_moments(zeta.density, 0.25 + 0j, 0.12, np.arange(3), 256)
     assert np.max(np.abs(d1 - d2)) <= 1e-10
     assert abs(d1[0] - 1.7) <= 1e-10
 
@@ -168,7 +168,7 @@ def test_potential_representative():
     # f1 = <zeta_w, Phi(z-w)> has Laurent data of zeta at each carrier point
     zeta = AnalyticFunctional(masses=[PointMass(0.2, 1, [2.0, 0.7])])
     f1 = potential(zeta, CutoffFunction())
-    d = _contour_laurent(f1, 0.2 + 0j, 0.15, 2)
+    d = circle_moments(f1, 0.2 + 0j, 0.15, np.arange(3), 256)
     assert abs(d[0] - 2.0) <= 1e-9
     assert abs(d[1] - 0.7) <= 1e-9
     assert abs(d[2]) <= 1e-9
@@ -179,7 +179,7 @@ def test_potential_contour_rep():
     f1 = potential(zeta, CutoffFunction())
     # evaluate outside the representing contour (radius 0.4), where f1
     # agrees with the meromorphic extension carrying the full residue
-    d = _contour_laurent(f1, 0.25 + 0j, 0.5, 1)
+    d = circle_moments(f1, 0.25 + 0j, 0.5, np.arange(2), 256)
     assert abs(d[0] - 1.3) <= 1e-8
 
 

@@ -1,0 +1,85 @@
+"""The shared numerical kernels against closed forms."""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from mellin_edge.kernels import (
+    CERT_FACTOR,
+    CERT_FRACS,
+    CERT_MARGIN,
+    CERT_T_FLOOR,
+    cert_shifts,
+    circle_moments,
+    mass_ratios,
+    point_mass_synthesis,
+    residue_weights,
+    windowed_mass,
+)
+
+from conftest import make_grid
+
+
+@settings(max_examples=40, deadline=None)
+@given(re_p=st.floats(-1.0, 0.5, exclude_min=True, exclude_max=True),
+       im_p=st.floats(-2.0, 2.0), k=st.integers(0, 3),
+       scale=st.floats(1.0, 64.0), c_re=st.floats(-2.0, 2.0),
+       c_im=st.floats(-2.0, 2.0))
+def test_point_mass_synthesis_scaled_closed_form(re_p, im_p, k, scale, c_re,
+                                                 c_im):
+    # weight c (-1)^k at order k synthesizes c (r s)^{-p} log^k (r s)
+    grid = make_grid(-10.0, 1024)
+    p, c = complex(re_p, im_p), complex(c_re, c_im)
+    w = np.zeros(k + 1, dtype=complex)
+    w[k] = c * (-1) ** k
+    got = point_mass_synthesis(grid.t + np.log(scale), [(p, w)])
+    rs = grid.r * scale
+    exact = c * rs ** (-p) * np.log(rs) ** k
+    scale_ref = max(np.max(np.abs(exact)), 1e-300)
+    assert np.max(np.abs(got - exact)) <= 1e-12 * scale_ref
+
+
+def test_circle_moments_laurent_and_cauchy():
+    # 3/(z-1)^2 + 2/(z-1) + z: d_0 = 2, d_1 = 3, d_2 = 0
+    f = lambda z: 3 / (z - 1) ** 2 + 2 / (z - 1) + z
+    d = circle_moments(f, 1.0, 0.5, np.arange(3), 256)
+    assert np.max(np.abs(d - [2, 3, 0])) <= 1e-13
+    # k = -(l+1) gives h^(l)(c) / l! for entire h
+    h = lambda z: np.exp(2 * z)
+    got = circle_moments(h, 0.3, 0.25, [-1, -2, -3], 128)
+    exact = np.exp(0.6) * np.array([1.0, 2.0, 2.0])
+    assert np.max(np.abs(got - exact)) <= 1e-13
+
+
+def test_residue_weights_double_pole():
+    # r^{-z} e^{az} / (z - p)^2 has residue (a - log r) e^{ap} r^{-p}:
+    # w_0 = a e^{ap}, w_1 = e^{ap} in sum_k w_k (-log r)^k r^{-p}
+    a, p = 0.7, -0.3 + 0.2j
+    taylor = [np.exp(a * p), a * np.exp(a * p)]
+    w = residue_weights([0.0, 1.0], taylor)
+    assert np.max(np.abs(w - [a * np.exp(a * p), np.exp(a * p)])) <= 1e-15
+
+
+def test_windowed_mass_window_and_nonfinite():
+    s = np.linspace(-20.0, 5.0, 501)
+    dt = s[1] - s[0]
+    v = np.exp(-0.5 * s) + 0j          # weight 0: |e^{s/2} v| = 1
+    full = np.sqrt(dt * np.sum(s >= CERT_T_FLOOR))
+    assert abs(windowed_mass(s, v, 0.0, dt) - full) <= 1e-14 * full
+    # samples left of the window do not count, even if not finite
+    v_left = v.copy()
+    v_left[0] = np.nan
+    assert windowed_mass(s, v_left, 0.0, dt) == windowed_mass(s, v, 0.0, dt)
+    for bad in (np.nan, np.inf):
+        v_bad = v.copy()
+        v_bad[-1] = bad
+        with np.errstate(invalid="ignore"):
+            assert windowed_mass(s, v_bad, 0.0, dt) == np.inf
+
+
+def test_mass_ratios_at_cert_shifts():
+    shifts = cert_shifts(1.0)
+    assert shifts == [f * (1.0 - CERT_MARGIN) for f in CERT_FRACS]
+    ratios = mass_ratios(lambda g: np.exp(-g), 0.5, shifts)
+    assert np.allclose(ratios, np.exp(-np.array(shifts)), rtol=1e-15)
+    assert all(r <= CERT_FACTOR for r in ratios)
