@@ -13,9 +13,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CoveringFailed, EmptyDomain, WrongKind
-from .symbols import CLUSTER_TOL, locate_poles, track_branches
+from .symbols import CLUSTER_TOL, locate_poles, same_pole, track_branches
 
 PAD_TOL = 1e-3
+MAX_HALVINGS = 8
 
 
 @dataclass(frozen=True)
@@ -93,15 +94,15 @@ class AsymptoticType:
         return cls(obj["y_nodes"], pairs, weight, tuple(dom) if dom else None)
 
 
-def _match(pairs, p, tol=CLUSTER_TOL):
-    """Index of the pair whose location matches p within tol, or None."""
+def _match(pairs, p):
+    """Index of the pair whose location is the same pole as p, or None."""
     for i, (q, _m) in enumerate(pairs):
-        if abs(q - p) <= tol * max(1.0, abs(p)):
+        if same_pole(q, p):
             return i
     return None
 
 
-def set_equal(r1, r2, tol=CLUSTER_TOL):
+def set_equal(r1, r2):
     if len(r1.y_nodes) != len(r2.y_nodes):
         return False
     if np.max(np.abs(r1.y_nodes - r2.y_nodes), initial=0.0) > 1e-12:
@@ -110,7 +111,7 @@ def set_equal(r1, r2, tol=CLUSTER_TOL):
         if len(pl1) != len(pl2):
             return False
         for (p, m) in pl1:
-            i = _match(pl2, p, tol)
+            i = _match(pl2, p)
             if i is None or pl2[i][1] != m:
                 return False
     return True
@@ -152,7 +153,7 @@ def restrict(r, region=None, u_box=None):
     return AsymptoticType(nodes, pairs, r.weight, dom)
 
 
-def union(rs, tol=CLUSTER_TOL):
+def union(rs):
     """Pointwise union; coincident locations take the maximum log-order."""
     rs = list(rs)
     if not rs:
@@ -169,7 +170,7 @@ def union(rs, tol=CLUSTER_TOL):
         merged = []
         for r in rs:
             for p, m in r.pairs[r.node_index(y)]:
-                i = _match(merged, p, tol)
+                i = _match(merged, p)
                 if i is None:
                     merged.append((p, m))
                 else:
@@ -179,7 +180,7 @@ def union(rs, tol=CLUSTER_TOL):
     return AsymptoticType(nodes, pairs, weight)
 
 
-def check_shadow(p_type, tol=CLUSTER_TOL):
+def check_shadow(p_type):
     """Shadow condition: closure under p -> p - l inside the weight strip."""
     if p_type.weight is None:
         raise WrongKind("shadow condition applies to weighted types")
@@ -190,7 +191,7 @@ def check_shadow(p_type, tol=CLUSTER_TOL):
             l = 1
             while p.real - l > lo:
                 q = p - l
-                i = _match(pl, q, tol)
+                i = _match(pl, q)
                 if i is None or pl[i][1] < m:
                     violations.append((float(yv), p, l))
                 l += 1
@@ -211,13 +212,13 @@ def shadow_closure(pairs, weight):
     return out
 
 
-def subordinate(f, r, y_samples, tol=CLUSTER_TOL):
+def subordinate(f, r, y_samples):
     """Is every pole of f(y, .) matched in R(y) with multiplicity <= m+1?"""
     violations = []
     for yv in np.asarray(y_samples, dtype=float):
         pl = r.pairs[r.node_index(yv)]
         for p, mult in locate_poles(f, yv):
-            i = _match(pl, p, tol)
+            i = _match(pl, p)
             if i is None:
                 violations.append((float(yv), p, "missing"))
             elif mult > pl[i][1] + 1:
@@ -290,8 +291,7 @@ def _classify_node(pairs, c, cp, eps):
     return members
 
 
-def build_covering(r, strip, u_box, eps_target, pad_tol=PAD_TOL,
-                   max_halvings=8):
+def build_covering(r, strip, u_box, eps_target):
     """Greedy finite covering {U_i, K_i, eps_i} for R restricted to a strip.
 
     Grows y-intervals while every node's in-strip poles classify cleanly at
@@ -313,7 +313,7 @@ def build_covering(r, strip, u_box, eps_target, pad_tol=PAD_TOL,
         while _classify_node(plists[i], c, cp, eps) is None:
             eps /= 2
             halvings += 1
-            if halvings > max_halvings:
+            if halvings > MAX_HALVINGS:
                 raise CoveringFailed(
                     "pole too close to the strip boundary at y = %g" % nodes[i],
                     y_interval=(float(nodes[i]), float(nodes[i])),
@@ -326,14 +326,14 @@ def build_covering(r, strip, u_box, eps_target, pad_tol=PAD_TOL,
                 break
             members.extend(cls)
             j += 1
-        k_region = CompactRegion.of_points(members, pad=pad_tol)
+        k_region = CompactRegion.of_points(members)
         sets.append(((float(nodes[i]), float(nodes[j - 1])), k_region,
-                     eps / 2 + pad_tol))
+                     eps / 2 + PAD_TOL))
         i = j
     return CoveringData(sets=sets, strip=(float(c), float(cp)))
 
 
-def covering_reconstructs(r, cov, tol=CLUSTER_TOL):
+def covering_reconstructs(r, cov):
     """Eq.-level fidelity: the union of p_{K_i} R|_{U_i} over the covering
     equals R restricted to the strip on every sample node."""
     c, cp = cov.strip
@@ -343,7 +343,7 @@ def covering_reconstructs(r, cov, tol=CLUSTER_TOL):
             continue
         _u, k_region, _e = hit
         for p, _m in pl:
-            if c < p.real < cp and not k_region.contains(p, slack=tol):
+            if c < p.real < cp and not k_region.contains(p, slack=CLUSTER_TOL):
                 return False
     return True
 

@@ -38,8 +38,17 @@ def check_keys(obj, allowed, where):
                           % (where, ", ".join(sorted(unknown))))
 
 
+def number(kind, value, name):
+    """kind(value) for kind float or int, with a malformed value reported as
+    a ConfigError naming the config entry."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError) as e:
+        raise ConfigError("bad %s: %s" % (name, e))
+
+
 def positive(value, name):
-    v = float(value)
+    v = number(float, value, name)
     if not v > 0:
         raise ConfigError("%s must be positive (got %r)" % (name, value))
     return v
@@ -50,9 +59,9 @@ def grid_from_config(obj, where="grid"):
     try:
         t_min = float(obj["t_min"])
         n = int(obj["n_points"])
+        dt = float(obj.get("dt", DT_DEFAULT))
     except (KeyError, TypeError, ValueError) as e:
         raise ConfigError("bad %s: %s" % (where, e))
-    dt = float(obj.get("dt", DT_DEFAULT))
     if dt <= 0:
         raise ConfigError("%s.dt must be positive" % where)
     try:
@@ -123,7 +132,10 @@ def cmd_solve(cfg, out_dir, seed):
     grid = grid_from_config(cfg.get("grid", {}))
     ys = y_grid_from_config(cfg.get("y", {}))
     depth = positive(cfg.get("depth", 1.0), "depth")
-    radii = tuple(cfg.get("radii", [0.05, 0.1, 0.2]))
+    radii = cfg.get("radii", [0.05, 0.1, 0.2])
+    if not isinstance(radii, list):
+        raise ConfigError("radii must be a list of numbers")
+    radii = tuple(number(float, r, "radii") for r in radii)
     try:
         a = symbols.ConormalSymbol.from_json(
             {"coeffs": cn["coeffs"], "y_domain": cn.get("y_domain")})
@@ -134,11 +146,11 @@ def cmd_solve(cfg, out_dir, seed):
         rhs = cone.bump_rhs(grid, float(rc.get("a", 1.0)),
                             float(rc.get("b", 3.0)),
                             float(rc.get("amplitude", 1.0)))
+        sr = cn.get("support_radius")
+        sr = None if sr is None else float(sr)
     except (KeyError, TypeError, ValueError) as e:
         raise ConfigError("bad cone spec: %s" % e)
-    sr = cn.get("support_radius")
-    problem = cone.ConeProblem(a, mu, gamma, rhs, ys,
-                               None if sr is None else float(sr))
+    problem = cone.ConeProblem(a, mu, gamma, rhs, ys, sr)
 
     with open(os.path.join(out_dir, "solution.csv"), "w",
               encoding="utf-8") as fh:
@@ -293,6 +305,8 @@ def cmd_verify(cfg, out_dir, seed):
     check_keys(cfg, {"checks", "tolerances", "seed"}, "config")
     names = [n for n, _f, _t in VERIFY_CHECKS]
     selected = cfg.get("checks", names)
+    if not isinstance(selected, list):
+        raise ConfigError("checks must be a list of check names")
     for n in selected:
         if n not in names:
             raise ConfigError("unknown check name %r" % n)
@@ -303,7 +317,8 @@ def cmd_verify(cfg, out_dir, seed):
     for name, fn, default_tol in VERIFY_CHECKS:
         if name not in selected:
             continue
-        tol = float(overrides.get(name, default_tol))
+        tol = number(float, overrides.get(name, default_tol),
+                     "tolerances." + name)
         rng = np.random.default_rng(seed)
         defect, note = fn(rng, tol)
         ok = bool(defect <= tol)
@@ -372,11 +387,11 @@ def cmd_edge_apply(cfg, out_dir, seed):
             terms, mu=float(op["mu"]), gamma=float(op["gamma"]),
             omega=mellin.CutoffFunction(),
             omega_prime=mellin.CutoffFunction())
+        y = float(op.get("y", 0.0))
     except (KeyError, TypeError, ValueError) as e:
         raise ConfigError("bad operator spec: %s" % e)
     out = edge_spaces.apply_edge_operator(
-        m, u, y=float(op.get("y", 0.0)),
-        y_dependent=bool(op.get("y_dependent", False)))
+        m, u, y=y, y_dependent=bool(op.get("y_dependent", False)))
     edge_spaces.field_to_binary(out, os.path.join(out_dir, "out_field.bin"),
                                 os.path.join(out_dir, "out_field.json"))
     with open(os.path.join(out_dir, "mode_norms.csv"), "w",
@@ -413,7 +428,8 @@ def main(argv=None):
         cfg = load_config(args.config)
         if not isinstance(cfg, dict):
             raise ConfigError("config root must be a JSON object")
-        seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
+        seed = (args.seed if args.seed is not None
+                else number(int, cfg.get("seed", 0), "seed"))
         os.makedirs(args.out, exist_ok=True)
         return COMMANDS[args.command](cfg, args.out, seed)
     except MellinEdgeError as e:

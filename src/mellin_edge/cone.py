@@ -32,7 +32,6 @@ from .kernels import (
     windowed_mass,
 )
 from .mellin import (
-    TAIL_TOL,
     CutoffFunction,
     HalfLineFunction,
     check_line_clearance,
@@ -113,13 +112,12 @@ class ConeProblem:
                                  self.symbol.y_domain, reduce=False)
 
 
-def solve(problem, y, solve_tol=SOLVE_TOL, tail_tol=TAIL_TOL):
+def solve(problem, y):
     """u = op_M^gamma(sigma_c^{-1})(r^mu f), with the residual verified by
     applying the discrete operator A."""
     gamma = problem.gamma
     ft = problem.scaled_rhs_at(y)
-    check_line_clearance(problem.inverse_symbol, y, gamma)
-    u = op_mellin(problem.inverse_symbol, y, gamma, ft, tail_tol=tail_tol)
+    u = op_mellin(problem.inverse_symbol, y, gamma, ft)
     # residual: A u = r^{-mu} op_M^gamma(sigma_c) u vs f.  The solution decays
     # only algebraically at r -> infinity, so the tail precondition is waived
     # for this same-grid verification pass.
@@ -128,8 +126,8 @@ def solve(problem, y, solve_tol=SOLVE_TOL, tail_tol=TAIL_TOL):
     rvals = au.values / f.grid.r**problem.mu - f.values
     residual = (HalfLineFunction(f.grid, rvals).norm(gamma)
                 / max(f.norm(gamma), 1e-300))
-    if residual > solve_tol:
-        raise ResidualTooLarge(residual, solve_tol)
+    if residual > SOLVE_TOL:
+        raise ResidualTooLarge(residual, SOLVE_TOL)
     u.residual = residual
     return u
 
@@ -160,8 +158,7 @@ class FlatRemainder:
     mass_ratios: list = field(default_factory=list)  # one per shifted weight
 
 
-def extract_asymptotics(problem, y, depth, boundary_tol=BOUNDARY_TOL,
-                        strict_boundary=False):
+def extract_asymptotics(problem, y, depth, strict_boundary=False):
     """Harvest poles of g(z) = sigma_c^{-1}(y,z) M(r^mu f)(z) in the strip
     {1/2 - gamma - depth < Re z < 1/2 - gamma}.
 
@@ -180,13 +177,13 @@ def extract_asymptotics(problem, y, depth, boundary_tol=BOUNDARY_TOL,
     depth_used = float(depth)
     poles = locate_poles(finv, y)
     for p, _m in poles:
-        if abs(p.real - (line_re - depth_used)) < boundary_tol:
+        if abs(p.real - (line_re - depth_used)) < BOUNDARY_TOL:
             if strict_boundary:
                 raise PoleOnHarvestBoundary(p, depth_used)
-            depth_used = line_re - p.real - 10 * boundary_tol
+            depth_used = line_re - p.real - 10 * BOUNDARY_TOL
             notes.append(
                 "pole %s within %.1e of the harvest boundary; depth shrunk "
-                "to %.6g" % (p, boundary_tol, depth_used)
+                "to %.6g" % (p, BOUNDARY_TOL, depth_used)
             )
     left_re = line_re - depth_used
 
@@ -279,8 +276,7 @@ class BranchingResult:
     expansions: list = field(default_factory=list)
 
 
-def detect_branching(problem, depth, cont_tol=CONT_TOL,
-                     radii=(0.05, 0.1, 0.2)):
+def detect_branching(problem, depth, radii=(0.05, 0.1, 0.2)):
     """Asymptotics of the solution over the whole y-grid.
 
     Harvests every node, assembles the y-dependent asymptotic type and the
@@ -324,7 +320,7 @@ def detect_branching(problem, depth, cont_tol=CONT_TOL,
         if 0 < k < len(y_grid) - 1:
             mid = 0.5 * (using[k - 1] + using[k + 1])
             defect = max(defect, float(np.max(np.abs(using[k] - mid))))
-    if defect > cont_tol:
+    if defect > CONT_TOL:
         raise CertificationFailed(
             "singular part jumps by %.3e across a collision event" % defect,
             clause="continuity",

@@ -24,10 +24,10 @@ from .kernels import (
     residue_weights,
 )
 from .mellin import (
+    SHIFTED_TAIL_TOL,
     TAIL_TOL,
     CutoffFunction,
     HalfLineFunction,
-    check_line_clearance,
     kappa,
     mellin_eval,
     op_mellin,
@@ -42,21 +42,21 @@ from .symbols import (
 GREEN_TOL = 1e-7
 SLOPE_TOL = 0.1
 FD_ETA_REL = 1e-3
+GREEN_N_CONTOUR = 256
+# |eta| fan on which eta_derivative_green_check measures the order drop
+ETA_DERIVATIVE_FAN = (1.5, 3.0, 6.0, 12.0)
 
 _omega0 = CutoffFunction("canonical")
 
 
 def eta_bracket(eta):
-    """[eta] = (1 - omega0(|eta|)) |eta| + omega0(|eta|): smooth, >= 1/2,
-    equal to |eta| for |eta| >= 1 and to 1 near eta = 0."""
-    mag = np.abs(np.atleast_1d(np.asarray(eta, dtype=float)))
-    if mag.ndim > 1 or (hasattr(eta, "__len__") and mag.size > 1
-                        and np.ndim(eta) == 1 and not np.isscalar(eta)):
-        # a single q-vector: use the euclidean magnitude
-        mag = np.array([np.linalg.norm(eta)])
-    w = _omega0(mag)
+    """[eta] = (1 - omega0(|eta|)) |eta| + omega0(|eta|), elementwise:
+    smooth, >= 1/2, equal to |eta| for |eta| >= 1 and to 1 near eta = 0.
+    A scalar gives a float."""
+    mag = np.abs(np.asarray(eta, dtype=float))
+    w = _omega0(mag.ravel()).reshape(mag.shape)
     out = (1.0 - w) * mag + w
-    return float(out[0]) if out.size == 1 else out
+    return float(out) if out.ndim == 0 else out
 
 
 def eta_power(eta, alpha):
@@ -126,27 +126,27 @@ def _require_grid_aligned(lam, dt):
         raise LambdaOffGrid("log(lambda)/dt = %.6g is not an integer" % k)
 
 
-def twisted_homogeneity_defect(m, y, eta, lam, u, tail_tol=TAIL_TOL):
+def twisted_homogeneity_defect(m, y, eta, lam, u):
     """Relative defect of m(y, lam*eta) - lam^{mu-j+|alpha|} kappa_lam
     m(y, eta) kappa_lam^{-1}, for |eta| >= 1, lam >= 1 (single term)."""
     j, alpha, _f, _gj = m.single_term()
     if abs(eta) < 1 or lam < 1:
         raise ValueError("homogeneity regime needs |eta| >= 1 and lambda >= 1")
     _require_grid_aligned(lam, u.grid.dt)
-    lhs = eval_mellin_edge_symbol(m, y, lam * eta, u, tail_tol=tail_tol)
+    lhs = eval_mellin_edge_symbol(m, y, lam * eta, u)
     inner = eval_mellin_edge_symbol(m, y, eta, kappa(u, 1.0 / lam),
-                                    tail_tol=max(tail_tol, 1e-6))
+                                    tail_tol=SHIFTED_TAIL_TOL)
     rhs_vals = lam ** (m.mu - j + abs(alpha)) * kappa(inner, lam).values
     num = HalfLineFunction(u.grid, lhs.values - rhs_vals).norm(0.0)
     den = max(lhs.norm(0.0), 1e-300)
     return num / den
 
 
-def twisted_norm(m, y, eta, u, tail_tol=TAIL_TOL):
+def twisted_norm(m, y, eta, u):
     """||kappa_{[eta]}^{-1} m(y, eta) kappa_{[eta]} u|| in L^2(dr)."""
     s = eta_bracket(eta)
     w = kappa(u, s)
-    mv = (eval_mellin_edge_symbol(m, y, eta, w, tail_tol=tail_tol)
+    mv = (eval_mellin_edge_symbol(m, y, eta, w)
           if isinstance(m, MellinEdgeSymbol) else m(y, eta, w))
     return kappa(mv, 1.0 / s).norm(0.0)
 
@@ -158,14 +158,12 @@ def _loglog_slope(ns, etas):
     return float(slope), list(zip(ss, ns))
 
 
-def measured_order(m, y, u, etas, tail_tol=TAIL_TOL):
+def measured_order(m, y, u, etas):
     """Log-log slope of the twisted norm over an |eta| fan (symbol order)."""
-    return _loglog_slope([twisted_norm(m, y, e, u, tail_tol=tail_tol)
-                          for e in etas], etas)
+    return _loglog_slope([twisted_norm(m, y, e, u) for e in etas], etas)
 
 
-def weight_shift_green(f, y, delta, beta, u, n_contour=256,
-                       tail_tol=TAIL_TOL):
+def weight_shift_green(f, y, delta, beta, u, tail_tol=TAIL_TOL):
     """G(y) u = op_M^{delta+beta}(f) u - op_M^{delta}(f) u and its contour
     form over the poles of f in the strip between the two weight lines.
 
@@ -175,21 +173,22 @@ def weight_shift_green(f, y, delta, beta, u, n_contour=256,
     """
     if beta <= 0:
         raise ValueError("beta must be positive")
-    check_line_clearance(f, y, delta)
-    check_line_clearance(f, y, delta + beta)
-    a = op_mellin(f, y, delta + beta, u, tail_tol=tail_tol)
+    # op_mellin checks each line's clearance; the delta line goes first
     b = op_mellin(f, y, delta, u, tail_tol=tail_tol)
+    a = op_mellin(f, y, delta + beta, u, tail_tol=tail_tol)
     diff = HalfLineFunction(u.grid, a.values - b.values)
 
     lo, hi = 0.5 - delta - beta, 0.5 - delta
-    poles = [(p, mm) for p, mm in locate_poles(f, y) if lo < p.real < hi]
+    poles = locate_poles(f, y)
     t = u.grid.t
     vals = np.zeros(u.grid.n_points, dtype=complex)
     for p, _mm in poles:
-        others = [abs(q - p) for q, _m in locate_poles(f, y) if q != p]
+        if not lo < p.real < hi:
+            continue
+        others = [abs(q - p) for q, _m in poles if q != p]
         radius = min(p.real - lo, hi - p.real,
                      min(others, default=np.inf) / 2) * 0.9
-        _theta, z, dz = circle_nodes(p, radius, n_contour)
+        _theta, z, dz = circle_nodes(p, radius, GREEN_N_CONTOUR)
         fz = f(y, z) * mellin_eval(u, z)
         # clockwise orientation: minus the ccw integral
         vals -= contour_synthesis(t, z, fz * dz)
@@ -238,11 +237,11 @@ def formal_adjoint(m):
                             validate=False)
 
 
-def adjoint_pairing_defect(m, y, eta, u, v, tail_tol=TAIL_TOL):
+def adjoint_pairing_defect(m, y, eta, u, v):
     """|(m u, v) - (u, m* v)| / (||u|| ||v||) in L^2(dr)."""
-    mu_ = eval_mellin_edge_symbol(m, y, eta, u, tail_tol=tail_tol)
+    mu_ = eval_mellin_edge_symbol(m, y, eta, u)
     mstar = formal_adjoint(m)
-    mv_ = eval_mellin_edge_symbol(mstar, y, eta, v, tail_tol=tail_tol)
+    mv_ = eval_mellin_edge_symbol(mstar, y, eta, v)
     lhs = l2_dr_pairing(mu_, v)
     rhs = l2_dr_pairing(u, mv_)
     return abs(lhs - rhs) / max(u.norm(0.0) * v.norm(0.0), 1e-300)
@@ -293,14 +292,14 @@ def green_measured_order(g, y, u, etas):
     return _loglog_slope([green_twisted_norm(g, y, e, u) for e in etas], etas)
 
 
-def mellin_convention_difference(m1, m2, y, u, etas, green_tol=GREEN_TOL,
-                                 tail_tol=TAIL_TOL):
+def mellin_convention_difference(m1, m2, y, u, etas):
     """Certify that d(y, eta) = m1 - m2 behaves as a Green symbol.
 
     Same cut-offs / different weights: the difference must reproduce the
     weight-shift contour term.  Different cut-offs / same weights: the
     difference must vanish identically near r = 0 (flat to all orders).
-    Returns a defect report; raises CertificationFailed on violation.
+    Both clauses compare against GREEN_TOL.  Returns a defect report;
+    raises CertificationFailed on violation.
     """
     report = {"clauses": []}
     same_cutoffs = (m1.omega is m2.omega or
@@ -309,8 +308,8 @@ def mellin_convention_difference(m1, m2, y, u, etas, green_tol=GREEN_TOL,
                     np.allclose(m1.omega_prime(u.grid.r),
                                 m2.omega_prime(u.grid.r)))
     for eta in etas:
-        d1 = eval_mellin_edge_symbol(m1, y, eta, u, tail_tol=tail_tol)
-        d2 = eval_mellin_edge_symbol(m2, y, eta, u, tail_tol=tail_tol)
+        d1 = eval_mellin_edge_symbol(m1, y, eta, u)
+        d2 = eval_mellin_edge_symbol(m2, y, eta, u)
         dvals = d1.values - d2.values
         if same_cutoffs:
             # per-term weight-shift contour oracle
@@ -323,8 +322,7 @@ def mellin_convention_difference(m1, m2, y, u, etas, green_tol=GREEN_TOL,
                     continue
                 lo_g, hi_g = min(gj, gj2), max(gj, gj2)
                 v = HalfLineFunction(u.grid, w_in * u.values)
-                _diff, cont = weight_shift_green(f, y, lo_g, hi_g - lo_g, v,
-                                                 tail_tol=tail_tol)
+                _diff, cont = weight_shift_green(f, y, lo_g, hi_g - lo_g, v)
                 sign = 1.0 if gj > gj2 else -1.0
                 oracle += (sign * eta_power(eta, alpha)
                            * m1.omega(u.grid.r * s)
@@ -335,9 +333,9 @@ def mellin_convention_difference(m1, m2, y, u, etas, green_tol=GREEN_TOL,
                       / max(u.norm(gmin), 1e-300))
             report["clauses"].append(
                 {"clause": "weight-shift contour", "eta": float(eta),
-                 "max_defect": defect, "tolerance": green_tol}
+                 "max_defect": defect, "tolerance": GREEN_TOL}
             )
-            if defect > green_tol:
+            if defect > GREEN_TOL:
                 raise CertificationFailed(
                     "weight-shift difference misses the contour oracle "
                     "(defect %.3e)" % defect, clause="weight-shift contour",
@@ -367,9 +365,9 @@ def mellin_convention_difference(m1, m2, y, u, etas, green_tol=GREEN_TOL,
             defect = float(np.max(resid)) / scale
             report["clauses"].append(
                 {"clause": "cut-off flatness", "eta": float(eta),
-                 "max_defect": defect, "tolerance": 1e-7}
+                 "max_defect": defect, "tolerance": GREEN_TOL}
             )
-            if defect > 1e-7:
+            if defect > GREEN_TOL:
                 raise CertificationFailed(
                     "cut-off difference is not flat near r = 0 after "
                     "removing the residue-synthesized singular part",
@@ -379,13 +377,13 @@ def mellin_convention_difference(m1, m2, y, u, etas, green_tol=GREEN_TOL,
     return report
 
 
-def eta_derivative(m, y, eta, u, fd_rel=FD_ETA_REL, tail_tol=TAIL_TOL):
+def eta_derivative(m, y, eta, u):
     """Richardson-extrapolated central difference of eta -> m(y, eta) u."""
-    h = fd_rel * eta_bracket(eta)
+    h = FD_ETA_REL * eta_bracket(eta)
 
     def fd(step):
-        a = eval_mellin_edge_symbol(m, y, eta + step, u, tail_tol=tail_tol)
-        b = eval_mellin_edge_symbol(m, y, eta - step, u, tail_tol=tail_tol)
+        a = eval_mellin_edge_symbol(m, y, eta + step, u)
+        b = eval_mellin_edge_symbol(m, y, eta - step, u)
         return (a.values - b.values) / (2 * step)
 
     d1, d2 = fd(h), fd(h / 2)
@@ -396,26 +394,26 @@ def eta_derivative(m, y, eta, u, fd_rel=FD_ETA_REL, tail_tol=TAIL_TOL):
     return HalfLineFunction(u.grid, vals), fd_defect
 
 
-def eta_derivative_green_check(m, y, u, eta=1.5, lams=(1.0, 2.0, 4.0, 8.0),
-                               slope_tol=SLOPE_TOL, tail_tol=TAIL_TOL):
+def eta_derivative_green_check(m, y, u):
     """Certify that d m / d eta drops one order and keeps Green structure."""
     j, alpha, _f, _gj = m.single_term()
 
     def dm(yy, e, w):
-        return eta_derivative(m, yy, e, w, tail_tol=tail_tol)[0]
+        return eta_derivative(m, yy, e, w)[0]
 
-    slope, samples = measured_order(dm, y, u, [lam * eta for lam in lams])
+    slope, samples = measured_order(dm, y, u, ETA_DERIVATIVE_FAN)
     target = m.mu - j + abs(alpha) - 1
     report = {
         "clause": "eta-derivative order drop",
         "measured_slope": slope,
         "target_order": target,
-        "margin": target + slope_tol - slope,
+        "margin": target + SLOPE_TOL - slope,
         "grid": [float(x) for x, _n in samples],
     }
-    if slope > target + slope_tol:
+    if slope > target + SLOPE_TOL:
         raise CertificationFailed(
-            "eta-derivative slope %.4f exceeds %.4f" % (slope, target + slope_tol),
+            "eta-derivative slope %.4f exceeds %.4f"
+            % (slope, target + SLOPE_TOL),
             clause="eta-derivative order drop",
         )
     return report

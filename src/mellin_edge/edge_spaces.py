@@ -28,6 +28,7 @@ from .kernels import (
 )
 from .mellin import CutoffFunction, HalfLineFunction, kappa
 from .edge_ops import eta_bracket
+from .symbols import same_pole
 
 HARVEST_TOL = 1e-7
 
@@ -150,9 +151,9 @@ def _kappa_modes(u, inverse, s):
     return EdgeField.from_modes(u.y_grids, u.r_grid, out, s=s, gamma=u.gamma)
 
 
-def potential_op(v, s=None):
+def potential_op(v):
     """K = F^{-1} kappa_{[eta]} F: per-mode dilation by [eta]."""
-    return _kappa_modes(v, False, v.s if s is None else s)
+    return _kappa_modes(v, False, v.s)
 
 
 def inverse_potential_op(u):
@@ -229,14 +230,13 @@ def _harvest_masses(slc, r_grid, candidates, br=1.0, window=(-40.0, -15.0)):
     return {lab: c / sc for lab, c, sc in zip(labels, coef, scales)}
 
 
-def decompose_flat_singular_edge(u, asym_type, depth, harvest_tol=HARVEST_TOL,
-                                 cutoff=None):
+def decompose_flat_singular_edge(u, asym_type, depth):
     """(flat EdgeField, SingularEdgeData): per-mode harvesting on the
-    kappa^{-1}-normalized mode slices at the type's candidate poles."""
+    kappa^{-1}-normalized mode slices at the type's candidate poles, with
+    the canonical cut-off."""
     if u.q != 1:
         raise ValueError("decomposition implemented for q = 1")
-    if cutoff is None:
-        cutoff = CutoffFunction("canonical")
+    cutoff = CutoffFunction("canonical")
     line_re = 0.5 - u.gamma
     # candidate (p, m) pairs: union of the declared type over its nodes
     cand = {}
@@ -264,7 +264,7 @@ def decompose_flat_singular_edge(u, asym_type, depth, harvest_tol=HARVEST_TOL,
         masses = {}
         scale = max(mode_scales[k], 1e-300)
         for (p, l), c in found.items():
-            if abs(c) > harvest_tol * scale:
+            if abs(c) > HARVEST_TOL * scale:
                 masses.setdefault(p, {})[l] = c
         pm = masses_from_orders(masses)
         functionals.append(AnalyticFunctional(masses=pm))
@@ -276,8 +276,7 @@ def decompose_flat_singular_edge(u, asym_type, depth, harvest_tol=HARVEST_TOL,
         for m in z.masses:
             harvested.add((round(m.p.real, 9), round(m.p.imag, 9), m.order))
     for pr, pi, order in harvested:
-        ok = any(abs(complex(pr, pi) - p) <= 1e-6 * max(1.0, abs(p))
-                 and order <= m
+        ok = any(same_pole(complex(pr, pi), p) and order <= m
                  for pl in asym_type.pairs for p, m in pl)
         if not ok:
             raise SubordinationFailed(
@@ -330,8 +329,7 @@ def _certify_flat_edge(flat, reference, gamma, depth):
                 )
 
 
-def apply_edge_operator(symbol, u, y=0.0, y_dependent=False,
-                        tail_tol=1e-10):
+def apply_edge_operator(symbol, u, y=0.0, y_dependent=False):
     """Apply a Mellin edge symbol or Green symbol to an edge field.
 
     y-independent mode: Op_y(a) u-hat(eta) = a(eta) u-hat(eta) per mode.
@@ -350,8 +348,7 @@ def apply_edge_operator(symbol, u, y=0.0, y_dependent=False,
     def act(yy, eta, slc):
         h = HalfLineFunction(g, slc)
         if isinstance(symbol, MellinEdgeSymbol):
-            return eval_mellin_edge_symbol(symbol, yy, float(eta), h,
-                                           tail_tol=tail_tol).values
+            return eval_mellin_edge_symbol(symbol, yy, float(eta), h).values
         if isinstance(symbol, GreenSymbolFiniteRank):
             return green_apply(symbol, yy, float(eta), h).values
         raise TypeError("unsupported symbol type %r" % type(symbol))

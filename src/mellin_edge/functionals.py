@@ -25,11 +25,13 @@ from .kernels import (
     contour_synthesis,
     point_mass_synthesis,
 )
-from .mellin import HalfLineFunction
+from .mellin import CutoffFunction, HalfLineFunction
 from .symbols import LAURENT_TOL
 
-FUNCTIONAL_TOL = 1e-9
 CONTOUR_CLEARANCE = 1e-6
+MAX_MASS_ORDER = 8
+STABILIZE_TOL = 1e-8
+POTENTIAL_N_QUAD = 400
 
 
 class Contour:
@@ -143,13 +145,13 @@ class AnalyticFunctional:
         return None
 
 
-def from_symbol(f, y, contour, clearance=CONTOUR_CLEARANCE):
+def from_symbol(f, y, contour):
     """zeta(y): h -> oint f(y, z) h(z) dz/(2 pi i) along the contour."""
     z, _dz = contour.nodes()
     enclosed = []
     for p, _m in f.poles(y):
         d = np.min(np.abs(z - p))
-        if d < clearance:
+        if d < CONTOUR_CLEARANCE:
             raise PoleOnContour("pole %s at distance %.3e from contour" % (p, d))
         w = contour.winding(p)
         if w == 1:
@@ -165,7 +167,7 @@ def _cauchy_derivative(h, p, order, radius=0.25, n=128):
     return factorial(order) * circle_moments(h, p, radius, [-order - 1], n)[0]
 
 
-def pair(zeta, h, h_derivatives=None, certify=False, tol=FUNCTIONAL_TOL):
+def pair(zeta, h, h_derivatives=None, certify=False):
     """<zeta, h> for h holomorphic near the carrier.
 
     h_derivatives, if given, is a callable (p, l) -> h^(l)(p) used by the
@@ -198,9 +200,9 @@ def pair(zeta, h, h_derivatives=None, certify=False, tol=FUNCTIONAL_TOL):
     return val
 
 
-def to_point_masses(zeta, pole_hints=None, max_order=8,
-                    laurent_tol=LAURENT_TOL, stabilize_tol=1e-8):
-    """Convert a contour representation to point masses via Laurent data."""
+def to_point_masses(zeta, pole_hints=None):
+    """Convert a contour representation to point masses via Laurent data
+    of orders up to MAX_MASS_ORDER."""
     if zeta.rep == "point_mass":
         return zeta
     hints = list(pole_hints) if pole_hints is not None else list(zeta.carrier)
@@ -211,16 +213,16 @@ def to_point_masses(zeta, pole_hints=None, max_order=8,
         others = [q for q in hints if q != p]
         dmin = min((abs(q - p) for q in others), default=np.inf)
         radius = min(0.5, dmin / 2)
-        ks = np.arange(max_order + 1)
+        ks = np.arange(MAX_MASS_ORDER + 1)
         d = circle_moments(zeta.density, p, radius, ks, 256)
         d2 = circle_moments(zeta.density, p, radius / 2, ks, 256)
         scale = max(1.0, np.max(np.abs(d)))
-        if np.max(np.abs(d - d2)) > stabilize_tol * scale:
+        if np.max(np.abs(d - d2)) > STABILIZE_TOL * scale:
             raise NotDiscrete(
                 "contour moments at %s do not stabilize under radius change" % p
             )
-        order = max_order
-        while order >= 0 and abs(d[order]) <= laurent_tol * scale:
+        order = MAX_MASS_ORDER
+        while order >= 0 and abs(d[order]) <= LAURENT_TOL * scale:
             order -= 1
         if order < 0:
             continue
@@ -257,14 +259,12 @@ class MellinPotential:
     E(z) = int_{1/2}^{1} (omega(r) - 1) r^{z-1} dr is entire (quadrature).
     """
 
-    def __init__(self, omega, n_quad=400):
+    def __init__(self, omega):
         self.scale = omega.scale
         # Gauss-Legendre nodes on [1/2, 1] for the canonical profile
-        x, w = np.polynomial.legendre.leggauss(n_quad)
+        x, w = np.polynomial.legendre.leggauss(POTENTIAL_N_QUAD)
         self._r = 0.75 + 0.25 * x
         self._w = 0.25 * w
-        from .mellin import CutoffFunction
-
         canonical = CutoffFunction("canonical")
         self._f = (canonical(self._r) - 1.0) * self._w / self._r
 
@@ -288,10 +288,9 @@ class MellinPotential:
         return self(z) - 1.0 / np.asarray(z, dtype=complex)
 
 
-def potential(zeta, omega, phi=None):
+def potential(zeta, omega):
     """f1(z) = <zeta_w, Phi(z - w)>: a meromorphic representative of zeta."""
-    if phi is None:
-        phi = MellinPotential(omega)
+    phi = MellinPotential(omega)
 
     if zeta.rep == "point_mass":
         def f1(z, derivative=0):

@@ -21,7 +21,10 @@ from .errors import (
 )
 
 TAIL_TOL = 1e-10
+SHIFTED_TAIL_TOL = 1e-6     # for inputs a dilation moved toward a grid end
 LINE_CLEARANCE_TOL = 1e-6
+CUTOFF_PLATEAU = 12.0       # kernel_cutoff plateau half-width in log r
+CUTOFF_DECAY_FLOOR = 0.1    # largest relative line sample at window ends
 
 
 def _is_power_of_two(n):
@@ -193,10 +196,9 @@ def _inverse_mellin_raw(g, grid):
     return HalfLineFunction(grid, values, weight_hint=g.gamma)
 
 
-def inverse_mellin(g, grid=None, tail_tol=TAIL_TOL):
+def inverse_mellin(g, tail_tol=TAIL_TOL):
     """Inverse weighted Mellin transform back onto the source log grid."""
-    if grid is None:
-        grid = g.grid
+    grid = g.grid
     if grid is None:
         raise GridMismatch("no output grid available")
     n = grid.n_points
@@ -224,31 +226,22 @@ def mellin_eval(u, z, derivative=0):
     return out[0] if np.isscalar(z) or np.asarray(z).ndim == 0 else out
 
 
-def _symbol_on_line(f, y, z):
-    """Evaluate a symbol (MeromorphicSymbol or plain callable) on line nodes."""
-    if hasattr(f, "num"):
-        return f(y, z)
-    try:
-        return np.asarray(f(z), dtype=complex) * np.ones_like(z)
-    except TypeError:
-        return np.asarray(f(y, z), dtype=complex) * np.ones_like(z)
-
-
-def check_line_clearance(f, y, gamma, clearance=LINE_CLEARANCE_TOL):
-    if not hasattr(f, "poles"):
-        return
+def check_line_clearance(f, y, gamma):
+    """Raise PoleOnWeightLine when a pole of the MeromorphicSymbol f(y, .)
+    is within LINE_CLEARANCE_TOL of the weight line Re z = 1/2 - gamma."""
     line_re = 0.5 - gamma
     for p, _m in f.poles(y):
         d = abs(p.real - line_re)
-        if d < clearance:
+        if d < LINE_CLEARANCE_TOL:
             raise PoleOnWeightLine(p, d, line_re)
 
 
-def op_mellin(f, y, gamma, u, tail_tol=TAIL_TOL, clearance=LINE_CLEARANCE_TOL):
-    """Mellin pseudo-differential action op_M^gamma(f) u = M^{-1}[f . M u]."""
-    check_line_clearance(f, y, gamma, clearance)
+def op_mellin(f, y, gamma, u, tail_tol=TAIL_TOL):
+    """Mellin pseudo-differential action op_M^gamma(f) u = M^{-1}[f . M u]
+    for a MeromorphicSymbol f, after the line-clearance check."""
+    check_line_clearance(f, y, gamma)
     g = mellin_transform(u, gamma, tail_tol=tail_tol)
-    g.values = g.values * _symbol_on_line(f, y, g.z_nodes)
+    g.values = g.values * f(y, g.z_nodes)
     return _inverse_mellin_raw(g, u.grid)
 
 
@@ -289,28 +282,27 @@ def dilate(u, lam, interpolation=True):
     return out
 
 
-def kappa(u, lam, interpolation=True):
+def kappa(u, lam):
     """Unitary dilation (kappa_lambda u)(r) = lambda^{1/2} u(lambda r) (n=0)."""
     if lam <= 0:
         raise ValueError("lambda must be positive")
-    return _shift_weighted(u, np.log(lam), interpolation)
+    return _shift_weighted(u, np.log(lam), True)
 
 
-def dilation_commutation_defect(f, gamma, u, lam, interpolation=False,
-                                tail_tol=TAIL_TOL):
+def dilation_commutation_defect(f, gamma, u, lam):
     """Relative L^2 defect of delta_lambda op(f) u - op(f) delta_lambda u.
 
     The identity tested is plain commutation (no lambda prefactor): from
     M(delta_lambda u)(z) = lambda^{-z} Mu(z) the two sides agree exactly for
     r-independent f.  Exact up to tail wrap when log lambda is a grid
-    multiple.
+    multiple; off-grid lambda raises LambdaOffGrid.
     """
     if not (0.25 <= lam <= 4.0):
         raise ValueError("lambda must lie in [1/4, 4]")
-    au = op_mellin(f, None, gamma, u, tail_tol=tail_tol)
-    lhs = dilate(au, lam, interpolation)
-    rhs = op_mellin(f, None, gamma, dilate(u, lam, interpolation),
-                    tail_tol=max(tail_tol, 1e-6))
+    au = op_mellin(f, None, gamma, u)
+    lhs = dilate(au, lam, False)
+    rhs = op_mellin(f, None, gamma, dilate(u, lam, False),
+                    tail_tol=SHIFTED_TAIL_TOL)
     num = (lhs.values - rhs.values)
     scale = max(lhs.norm(gamma), 1e-300)
     diff = HalfLineFunction(u.grid, num, gamma)
@@ -341,12 +333,12 @@ class EntireKernel:
         )
 
 
-def kernel_cutoff(l, psi, plateau=12.0, decay_floor=0.1):
+def kernel_cutoff(l, psi):
     """Kernel cut-off: entire k with (l - k)|_Gamma rapidly decaying.
 
-    psi_1(r) = psi(r/S) (1 - psi(S r)) with S = e^plateau; any plateau
-    works in exact arithmetic, a wide one keeps the defect numerically
-    tiny for inputs concentrated near |Im z| small.
+    psi_1(r) = psi(r/S) (1 - psi(S r)) with S = e^CUTOFF_PLATEAU; any
+    plateau works in exact arithmetic, a wide one keeps the defect
+    numerically tiny for inputs concentrated near |Im z| small.
 
     Returns (k: EntireKernel, defect: VerticalLineFunction).
     """
@@ -355,13 +347,13 @@ def kernel_cutoff(l, psi, plateau=12.0, decay_floor=0.1):
     scale = np.max(np.abs(l.values))
     if scale > 0:
         ends = max(np.max(np.abs(l.values[:4])), np.max(np.abs(l.values[-4:])))
-        if ends > decay_floor * scale:
+        if ends > CUTOFF_DECAY_FLOOR * scale:
             raise InsufficientDecay(
                 "line samples do not decay (%.3e of max at window ends)" % (ends / scale)
             )
     grid = l.grid
     u = _inverse_mellin_raw(l, grid)     # may ring for slowly decaying l; fine
-    s = np.exp(plateau)
+    s = np.exp(CUTOFF_PLATEAU)
     psi1 = psi(grid.r / s) * (1.0 - psi(grid.r * s))
     w = HalfLineFunction(grid, psi1 * u.values, weight_hint=l.gamma)
     # k on the line via the same discrete transform => defect is exactly

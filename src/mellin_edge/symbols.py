@@ -32,6 +32,9 @@ N_CONTOUR = 256
 RADIUS_CAP = 1.0
 LAURENT_TOL = 1e-10
 MATCH_TIE_TOL = 1e-9
+ELLIPTICITY_TOL = 1e-8
+ELLIPTICITY_SAMPLES = 33
+SPLIT_SAMPLES = 9
 
 
 # ----------------------------------------------------------------------
@@ -195,8 +198,8 @@ class MeromorphicSymbol:
     def den_at(self, y):
         return _trim1d(p2_at_y(self.den, 0.0 if y is None else y))
 
-    def poles(self, y, cluster_tol=CLUSTER_TOL):
-        return locate_poles(self, y, cluster_tol=cluster_tol)
+    def poles(self, y):
+        return locate_poles(self, y)
 
     def __add__(self, other):
         num = p2_add(p2_mul(self.num, other.den), p2_mul(other.num, self.den))
@@ -283,17 +286,17 @@ class ConormalSymbol:
         return cls(coeffs, tuple(dom) if dom else None)
 
 
-def invert_symbol(a, a_mu_min=1e-8, n_samples=33):
+def invert_symbol(a):
     """Meromorphic inverse 1/a(y, z) after an ellipticity margin check."""
     if a.y_domain is not None:
-        ys = np.linspace(a.y_domain[0], a.y_domain[1], n_samples)
+        ys = np.linspace(a.y_domain[0], a.y_domain[1], ELLIPTICITY_SAMPLES)
     else:
         ys = np.array([0.0])
     lead = np.abs(a.leading_at(ys))
-    if np.min(lead) < a_mu_min:
+    if np.min(lead) < ELLIPTICITY_TOL:
         raise EllipticityViolated(
             "leading coefficient reaches %.3e (< %.1e) on the sample grid"
-            % (np.min(lead), a_mu_min)
+            % (np.min(lead), ELLIPTICITY_TOL)
         )
     return MeromorphicSymbol(np.ones((1, 1)), a.num2d(), a.y_domain)
 
@@ -301,15 +304,20 @@ def invert_symbol(a, a_mu_min=1e-8, n_samples=33):
 # ----------------------------------------------------------------------
 # pole location / Laurent data
 
-def _cluster(roots, cluster_tol):
-    """Merge roots within cluster_tol (relative to local scale) into centroids."""
+def same_pole(q, p):
+    """Whether q is the pole p: within CLUSTER_TOL relative to max(1, |p|)."""
+    return abs(q - p) <= CLUSTER_TOL * max(1.0, abs(p))
+
+
+def _cluster(roots):
+    """Merge roots that are the same pole as a cluster's first root into
+    centroids."""
     roots = sorted(roots, key=lambda r: (r.real, r.imag))
     clusters = []
     for r in roots:
         placed = False
         for c in clusters:
-            ref = c[0]
-            if abs(r - ref) <= cluster_tol * max(1.0, abs(ref)):
+            if same_pole(r, c[0]):
                 c.append(r)
                 placed = True
                 break
@@ -320,17 +328,17 @@ def _cluster(roots, cluster_tol):
     return out
 
 
-def locate_poles(f, y, cluster_tol=CLUSTER_TOL):
+def locate_poles(f, y):
     """Poles of f(y, .) with multiplicities via companion-matrix roots.
 
-    Denominator roots matched by numerator roots (within cluster_tol) are
-    cancelled, so unreduced representations still report the true poles.
+    Denominator roots matched by numerator roots (same_pole) are cancelled,
+    so unreduced representations still report the true poles.
     """
     den = f.den_at(y)
     if den.size <= 1:
         return []
     droots = np.roots(den[::-1])
-    clusters = _cluster(list(droots), cluster_tol)
+    clusters = _cluster(list(droots))
     num = f.num_at(y)
     nroots = list(np.roots(num[::-1])) if num.size > 1 else []
     out = []
@@ -338,7 +346,7 @@ def locate_poles(f, y, cluster_tol=CLUSTER_TOL):
         cancel = 0
         remaining = []
         for nr in nroots:
-            if cancel < m and abs(nr - p) <= cluster_tol * max(1.0, abs(p)):
+            if cancel < m and same_pole(nr, p):
                 cancel += 1
             else:
                 remaining.append(nr)
@@ -354,9 +362,7 @@ def strip_bound(poles, c, c_prime):
     return max(ims) if ims else 0.0
 
 
-def laurent_expand(f, y, pole, order, n_contour=N_CONTOUR,
-                   radius_cap=RADIUS_CAP, contour_radius=None,
-                   laurent_tol=LAURENT_TOL, cluster_tol=CLUSTER_TOL):
+def laurent_expand(f, y, pole, order, contour_radius=None):
     """Laurent coefficients d_0..d_order at `pole`:
 
     d_k = (2 pi i)^{-1} oint f(y,z) (z - pole)^k dz
@@ -364,25 +370,24 @@ def laurent_expand(f, y, pole, order, n_contour=N_CONTOUR,
     over a circle of half the distance to the nearest other pole (capped),
     trapezoid rule (geometric convergence for rational f).
     """
-    poles = locate_poles(f, y, cluster_tol=cluster_tol)
-    dists = [abs(p - pole) for p, _m in poles
-             if abs(p - pole) > cluster_tol * max(1.0, abs(pole))]
+    poles = locate_poles(f, y)
+    dists = [abs(p - pole) for p, _m in poles if not same_pole(p, pole)]
     dmin = min(dists) if dists else np.inf
-    radius = contour_radius if contour_radius is not None else min(radius_cap, dmin / 2)
+    radius = (contour_radius if contour_radius is not None
+              else min(RADIUS_CAP, dmin / 2))
     if not np.isfinite(radius) or radius <= 0:
-        radius = radius_cap
+        radius = RADIUS_CAP
     if dmin < 2 * radius * (1 - 1e-12):
         raise PoleTooClose(
             "nearest other pole at %.3e < 2 x contour radius %.3e" % (dmin, radius)
         )
     d = circle_moments(lambda z: f(y, z), pole, radius, np.arange(order + 1),
-                       n_contour)
-    matched = any(abs(p - pole) <= cluster_tol * max(1.0, abs(pole)) for p, _m in poles)
-    if not matched:
-        fv = f(y, circle_nodes(pole, radius, n_contour)[1])
+                       N_CONTOUR)
+    if not any(same_pole(p, pole) for p, _m in poles):
+        fv = f(y, circle_nodes(pole, radius, N_CONTOUR)[1])
         scale = max(1.0, float(np.max(np.abs(fv))) * radius)
-        if np.all(np.abs(d) <= laurent_tol * scale):
-            raise NotAPole("contour moments below laurent_tol at %s" % pole)
+        if np.all(np.abs(d) <= LAURENT_TOL * scale):
+            raise NotAPole("contour moments below LAURENT_TOL at %s" % pole)
     return d
 
 
@@ -429,8 +434,7 @@ class SpectralData:
         return val
 
 
-def track_branches(f, y_grid, cluster_tol=CLUSTER_TOL, match_tie_tol=MATCH_TIE_TOL,
-                   with_laurent=True, n_contour=N_CONTOUR, radius_cap=RADIUS_CAP):
+def track_branches(f, y_grid, with_laurent=True):
     """Locate poles at each y node and stitch them into branches.
 
     Adjacent nodes are matched by Hungarian assignment on |delta p|; nodes
@@ -445,10 +449,9 @@ def track_branches(f, y_grid, cluster_tol=CLUSTER_TOL, match_tie_tol=MATCH_TIE_T
     prev_ids = []         # branch id per prev cluster
     closed = {}           # branch id -> (last node, last position)
     for k, yv in enumerate(y_grid):
-        cur = locate_poles(f, yv, cluster_tol=cluster_tol)
-        laur = [laurent_expand(f, yv, p, m - 1, n_contour=n_contour,
-                               radius_cap=radius_cap, cluster_tol=cluster_tol)
-                if with_laurent else None for p, m in cur]
+        cur = locate_poles(f, yv)
+        laur = [laurent_expand(f, yv, p, m - 1) if with_laurent else None
+                for p, m in cur]
         if prev is None:
             ids = []
             for (p, m), d in zip(cur, laur):
@@ -463,14 +466,14 @@ def track_branches(f, y_grid, cluster_tol=CLUSTER_TOL, match_tie_tol=MATCH_TIE_T
                                  for pp, _pm in prev])
                 rows, cols = linear_sum_assignment(cost)
                 # near-tie report: any transposition of the chosen matching
-                # that changes total cost by less than match_tie_tol
+                # that changes total cost by less than MATCH_TIE_TOL
                 for a in range(len(rows)):
                     for b_ in range(a + 1, len(rows)):
                         ra, rb = rows[a], rows[b_]
                         ca, cb = cols[a], cols[b_]
                         delta = (cost[ra, cb] + cost[rb, ca]
                                  - cost[ra, ca] - cost[rb, cb])
-                        if abs(delta) < match_tie_tol:
+                        if abs(delta) < MATCH_TIE_TOL:
                             ambiguities.append((float(yv), int(ra), int(rb)))
                 matched_rows = set()
                 for r_, c_ in zip(rows, cols):
@@ -533,10 +536,8 @@ def multiply(f1, f2):
     return MeromorphicSymbol(p2_mul(f1.num, f2.num), p2_mul(f1.den, f2.den), dom)
 
 
-def differentiate_y(f, direction=0):
+def differentiate_y(f):
     """d f / d y by the quotient rule (pole multiplicities may grow by 1)."""
-    if direction != 0:
-        raise NonDifferentiableCoefficients("only a single edge variable (q=1)")
     num = p2_add(p2_mul(p2_dy(f.num), f.den), -p2_mul(f.num, p2_dy(f.den)))
     den = p2_mul(f.den, f.den)
     return MeromorphicSymbol(num, den, f.y_domain)
@@ -555,7 +556,7 @@ class SplitResult(NamedTuple):
     eps1: float
 
 
-def split_by_weight(f, y_region, beta, eps, n_samples=9):
+def split_by_weight(f, y_region, beta, eps):
     """Partial-fraction split of f across the weight line Re z = beta.
 
     f0 = sum of singular parts at poles with Re p <= beta (holomorphic in
@@ -565,7 +566,7 @@ def split_by_weight(f, y_region, beta, eps, n_samples=9):
     if np.isscalar(y_region):
         ys = np.array([float(y_region)])
     else:
-        ys = np.linspace(y_region[0], y_region[1], n_samples)
+        ys = np.linspace(y_region[0], y_region[1], SPLIT_SAMPLES)
     left_gap, right_gap = np.inf, np.inf
     for yv in ys:
         for p, _m in locate_poles(f, yv):

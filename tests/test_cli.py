@@ -244,3 +244,59 @@ def test_edge_apply(tmp_path):
     lines = (out / "mode_norms.csv").read_text().splitlines()
     assert lines[0] == "eta,norm"
     assert len(lines) == 9
+
+
+def _edge_config(tmp_path, y):
+    grid = LogGrid(-15.0, -15.0 + 16 * DT, 16)
+    tg = TorusGrid(2 * np.pi, 2)
+    pb, pj = str(tmp_path / "u.bin"), str(tmp_path / "u.json")
+    field_to_binary(EdgeField(tg, grid, np.zeros((2, 16))), pb, pj)
+    return {"field": {"bin": pb, "json": pj},
+            "operator": {"terms": [], "mu": 0.0, "gamma": 0.0, "y": y}}
+
+
+def _solve_with(section, key, value):
+    """The solve config with cfg[section][key] (cfg[key] for section None)
+    set to value."""
+    cfg = solve_config()
+    (cfg if section is None else cfg[section])[key] = value
+    return cfg
+
+
+GREEN_SYMBOL = {"num": [[[1.0, 0.0]]],
+                "den": [[[-0.25, 0.0]], [[1.0, 0.0]]], "y_domain": None}
+
+
+@pytest.mark.parametrize("cmd,make_cfg,named", [
+    pytest.param("green-check", lambda tmp: {
+        "symbol": GREEN_SYMBOL, "delta": 0.0, "beta": 0.5,
+        "tolerance": "abc"}, "tolerance", id="tolerance"),
+    pytest.param("solve", lambda tmp: _solve_with(None, "depth", "abc"),
+                 "depth", id="depth"),
+    pytest.param("solve", lambda tmp: _solve_with(None, "radii", ["x"]),
+                 "radii", id="radii-item"),
+    pytest.param("solve", lambda tmp: _solve_with(None, "radii", 0.1), "radii",
+                 id="radii-scalar"),
+    pytest.param("solve", lambda tmp: _solve_with("grid", "dt", "abc"), "grid",
+                 id="grid-dt"),
+    pytest.param("solve",
+                 lambda tmp: _solve_with("cone", "support_radius", "abc"),
+                 "cone", id="support-radius"),
+    pytest.param("poles", lambda tmp: {
+        "symbol": BRANCHING_SYMBOL, "y": {"min": -0.5, "max": 0.5, "n": 5},
+        "seed": "abc"}, "seed", id="seed"),
+    pytest.param("edge-apply", lambda tmp: _edge_config(tmp, "abc"),
+                 "operator", id="operator-y"),
+    pytest.param("verify", lambda tmp: {"checks": "plancherel"},
+                 "checks must be a list", id="checks-string"),
+    pytest.param("verify", lambda tmp: {
+        "checks": ["plancherel"], "tolerances": {"plancherel": "abc"}},
+        "tolerances.plancherel", id="verify-tolerance"),
+])
+def test_malformed_number_is_a_config_error(tmp_path, capsys, cmd, make_cfg,
+                                            named):
+    cfg = write_cfg(tmp_path, "c.json", make_cfg(tmp_path))
+    assert run(cmd, cfg, tmp_path / "out") == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ConfigError"
+    assert named in err["message"]

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from mellin_edge.edge_ops import (
+    GREEN_TOL,
     GreenSymbolFiniteRank,
     MellinEdgeSymbol,
     adjoint_pairing_defect,
@@ -285,3 +286,30 @@ def test_l2_pairing_symmetry(grid_short):
     v = bump(grid_short, a=0.5, b=2.0)
     assert l2_dr_pairing(u, v) == pytest.approx(
         np.conj(l2_dr_pairing(v, u)), rel=1e-12)
+
+
+def test_eta_bracket_is_elementwise():
+    etas = np.array([0.0, 2.0, 5.0])
+    assert np.array_equal(eta_bracket(etas), [1.0, 2.0, 5.0])
+    grid = np.array([[0.0, -0.7, 1e-3], [0.9, -3.0, 12.5]])
+    out = eta_bracket(grid)
+    assert out.shape == grid.shape
+    assert np.array_equal(out, np.vectorize(eta_bracket)(grid))
+    assert type(eta_bracket(np.float64(0.7))) is float
+
+
+@pytest.mark.parametrize("kind", ["weight-shift contour", "cut-off flatness"])
+def test_convention_difference_clauses_use_green_tol(grid_deep, kind):
+    u = small_bump(grid_deep)
+    if kind == "weight-shift contour":
+        f = simple_pole(0.8)
+        m1 = MellinEdgeSymbol([(1, 0, f, 0.0)], mu=1.0, gamma=0.0)
+        m2 = MellinEdgeSymbol([(1, 0, f, -0.6)], mu=1.0, gamma=0.0)
+    else:
+        f = simple_pole(-0.5)
+        m1 = MellinEdgeSymbol([(0, 0, f, 0.0)], mu=0.0, gamma=0.0)
+        m2 = MellinEdgeSymbol([(0, 0, f, 0.0)], mu=0.0, gamma=0.0,
+                              omega_prime=CutoffFunction("shifted", scale=2.0))
+    report = mellin_convention_difference(m1, m2, 0.0, u, etas=[1.0])
+    assert [c["clause"] for c in report["clauses"]] == [kind]
+    assert all(c["tolerance"] == GREEN_TOL for c in report["clauses"])
