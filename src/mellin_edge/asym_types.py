@@ -7,7 +7,6 @@ types (pole data of a symbol family) and weighted types tied to weight data
 {1/2 - gamma + theta < Re p < 1/2 - gamma}.
 """
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -67,9 +66,6 @@ class AsymptoticType:
 
     def pairs_at(self, y):
         return list(self.pairs[self.node_index(y)])
-
-    def is_empty(self):
-        return all(len(pl) == 0 for pl in self.pairs)
 
     def __eq__(self, other):
         return set_equal(self, other)
@@ -346,19 +342,3 @@ def covering_reconstructs(r, cov):
             if c < p.real < cp and not k_region.contains(p, slack=CLUSTER_TOL):
                 return False
     return True
-
-
-def covering_to_json(cov):
-    return {
-        "strip": list(cov.strip),
-        "sets": [{"U": list(u), "K_vertices": [list(v) for v in k.vertices],
-                  "eps": e} for u, k, e in cov.sets],
-    }
-
-
-def pairs_to_csv(r, fileobj):
-    w = csv.writer(fileobj, lineterminator="\n")
-    w.writerow(["y", "Re p", "Im p", "log_order"])
-    for yv, pl in zip(r.y_nodes, r.pairs):
-        for p, m in pl:
-            w.writerow(["%.17g" % yv, "%.17g" % p.real, "%.17g" % p.imag, m])

@@ -390,8 +390,11 @@ def cmd_edge_apply(cfg, out_dir, seed):
         y = float(op.get("y", 0.0))
     except (KeyError, TypeError, ValueError) as e:
         raise ConfigError("bad operator spec: %s" % e)
-    out = edge_spaces.apply_edge_operator(
-        m, u, y=y, y_dependent=bool(op.get("y_dependent", False)))
+    y_dependent = op.get("y_dependent", False)
+    if not isinstance(y_dependent, bool):
+        raise ConfigError("operator.y_dependent must be true or false (got %r)"
+                          % (y_dependent,))
+    out = edge_spaces.apply_edge_operator(m, u, y=y, y_dependent=y_dependent)
     edge_spaces.field_to_binary(out, os.path.join(out_dir, "out_field.bin"),
                                 os.path.join(out_dir, "out_field.json"))
     with open(os.path.join(out_dir, "mode_norms.csv"), "w",

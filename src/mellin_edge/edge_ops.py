@@ -479,14 +479,3 @@ def asymptotic_sum(gs, y, u, eta_fan, margin=10.0, c_max=2.0**24):
                                 weights=gs[0].weights, omega=gs[0].omega)
     out.schedule = list(cs)
     return out
-
-
-def defect_report_json(report):
-    import json
-    return json.dumps(report, sort_keys=True, default=float)
-
-
-def slopes_to_csv(samples, fileobj):
-    fileobj.write("scale,norm\n")
-    for s, n in samples:
-        fileobj.write("%.17g,%.17g\n" % (s, n))

@@ -13,11 +13,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .asym_types import AsymptoticType
-from .errors import (
-    CertificationFailed,
-    NonFinite,
-    SubordinationFailed,
+from .edge_ops import (
+    GreenSymbolFiniteRank,
+    MellinEdgeSymbol,
+    eta_bracket,
+    eval_mellin_edge_symbol,
+    green_apply,
 )
+from .errors import CertificationFailed, NonFiniteInput
 from .functionals import AnalyticFunctional, masses_from_orders
 from .kernels import (
     CERT_FACTOR,
@@ -26,9 +29,7 @@ from .kernels import (
     point_mass_synthesis,
     windowed_mass,
 )
-from .mellin import CutoffFunction, HalfLineFunction, kappa
-from .edge_ops import eta_bracket
-from .symbols import same_pole
+from .mellin import CutoffFunction, HalfLineFunction, LogGrid, kappa
 
 HARVEST_TOL = 1e-7
 
@@ -69,7 +70,7 @@ class EdgeField:
             raise ValueError("values shape %s != %s" % (self.values.shape,
                                                         expected))
         if not np.all(np.isfinite(self.values)):
-            raise NonFinite("EdgeField values must be finite")
+            raise NonFiniteInput("EdgeField values must be finite")
         self.s = float(s)
         self.gamma = float(gamma)
 
@@ -171,12 +172,6 @@ class SingularEdgeData:
     asym_type: AsymptoticType = None
     gamma: float = 0.0
 
-    def carrier_points(self):
-        pts = []
-        for z in self.mode_functionals:
-            pts.extend(z.carrier)
-        return pts
-
 
 def _singular_mode(masses, t, br, cutoff):
     """[eta]^{1/2} omega(r[eta]) <zeta, (r[eta])^{-z}> for point masses."""
@@ -270,20 +265,6 @@ def decompose_flat_singular_edge(u, asym_type, depth):
         functionals.append(AnalyticFunctional(masses=pm))
         sing_modes[k] = _singular_mode(pm, g.t, br, cutoff)
 
-    # subordination: every harvested pole must appear in the declared type
-    harvested = set()
-    for z in functionals:
-        for m in z.masses:
-            harvested.add((round(m.p.real, 9), round(m.p.imag, 9), m.order))
-    for pr, pi, order in harvested:
-        ok = any(same_pole(complex(pr, pi), p) and order <= m
-                 for pl in asym_type.pairs for p, m in pl)
-        if not ok:
-            raise SubordinationFailed(
-                "harvested pole (%g, %g) order %d exits the declared type"
-                % (pr, pi, order)
-            )
-
     sing = EdgeField.from_modes(u.y_grids, u.r_grid, sing_modes,
                                 gamma=u.gamma)
     flat = u.copy(values=u.values - sing.values)
@@ -336,8 +317,6 @@ def apply_edge_operator(symbol, u, y=0.0, y_dependent=False):
     y-dependent mode: left quantization
     (Op_y(a) u)(y_j) = sum_k a(y_j, eta_k) u-hat(eta_k) e^{i y_j eta_k}.
     """
-    from .edge_ops import (GreenSymbolFiniteRank, MellinEdgeSymbol,
-                           eval_mellin_edge_symbol, green_apply)
     if u.q != 1:
         raise ValueError("operator action implemented for q = 1")
     modes = u.modes()
@@ -392,8 +371,6 @@ def field_to_binary(u, path_bin, path_json):
 
 
 def field_from_binary(path_bin, path_json):
-    from .mellin import LogGrid
-
     with open(path_json, "r", encoding="utf-8") as fh:
         sc = json.load(fh)
     y_grids = [TorusGrid(d["length"], d["n_points"]) for d in sc["y_grids"]]

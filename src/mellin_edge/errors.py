@@ -130,20 +130,12 @@ class CertificationFailed(MellinEdgeError):
         super().__init__(msg)
 
 
-# --- edge spaces ---
-
-class SubordinationFailed(MellinEdgeError):
-    pass
-
+# --- edge operators ---
 
 class ScheduleDiverged(MellinEdgeError):
     def __init__(self, msg, failing_n=None):
         self.failing_n = failing_n
         super().__init__(msg)
-
-
-class NonFinite(MellinEdgeError):
-    pass
 
 
 # --- cli ---

@@ -317,24 +317,3 @@ def potential(zeta, omega):
             ])
             return out if out.size > 1 else out[0]
     return f1
-
-
-def masses_to_json(zeta):
-    if zeta.rep != "point_mass":
-        raise RepresentationInvalid("JSON export needs a point-mass representation")
-    return [
-        {"p_re": m.p.real, "p_im": m.p.imag, "order": m.order,
-         "weights_re": [c.real for c in m.weights],
-         "weights_im": [c.imag for c in m.weights]}
-        for m in zeta.masses
-    ]
-
-
-def masses_from_json(obj):
-    masses = [
-        PointMass(complex(d["p_re"], d["p_im"]), int(d["order"]),
-                  np.array([complex(re, im) for re, im
-                            in zip(d["weights_re"], d["weights_im"])]))
-        for d in obj
-    ]
-    return AnalyticFunctional(masses=masses)

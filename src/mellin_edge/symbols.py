@@ -14,7 +14,6 @@ from math import comb
 from typing import NamedTuple
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .errors import (
     BandOccupied,
@@ -116,12 +115,9 @@ def p2_reflect_conj(a):
 # ----------------------------------------------------------------------
 # exact reduction via sympy (when coefficients are rational-representable)
 
-import sympy as sp
-
-_Z, _Y = sp.symbols("z y")
-
-
 def _to_rational(x, tol=1e-12):
+    import sympy as sp
+
     if x == 0:
         return sp.Integer(0)
     fr = Fraction(x).limit_denominator(10**9)
@@ -131,6 +127,9 @@ def _to_rational(x, tol=1e-12):
 
 
 def _arr_to_sympy(a):
+    import sympy as sp
+
+    z, y = sp.symbols("z y")
     a = p2(a)
     expr = sp.Integer(0)
     for i in range(a.shape[0]):
@@ -142,15 +141,16 @@ def _arr_to_sympy(a):
             im = _to_rational(c.imag)
             if re is None or im is None:
                 return None
-            expr += (re + sp.I * im) * _Z**i * _Y**j
+            expr += (re + sp.I * im) * z**i * y**j
     return expr
 
 
 def _sympy_to_arr(expr):
-    p = sp.Poly(sp.expand(expr), _Z, _Y)
-    dz = p.degree(_Z)
-    dy = p.degree(_Y)
-    out = np.zeros((dz + 1, dy + 1), dtype=complex)
+    import sympy as sp
+
+    z, y = sp.symbols("z y")
+    p = sp.Poly(sp.expand(expr), z, y)
+    out = np.zeros((p.degree(z) + 1, p.degree(y) + 1), dtype=complex)
     for (i, j), c in p.terms():
         out[i, j] = complex(c)
     return out
@@ -161,6 +161,8 @@ def _reduce(num, den):
     num, den = p2_trim(num), p2_trim(den)
     if num.shape == (1, 1) or den.shape == (1, 1):
         return num, den
+    import sympy as sp
+
     ns = _arr_to_sympy(num)
     ds = _arr_to_sympy(den)
     if ns is None or ds is None or ns == 0:
@@ -441,6 +443,8 @@ def track_branches(f, y_grid, with_laurent=True):
     where the clustered multiplicity pattern changes are collision events.
     Near-tie matchings are recorded (lexicographic order breaks them).
     """
+    from scipy.optimize import linear_sum_assignment
+
     y_grid = np.asarray(y_grid, dtype=float)
     branches = []
     patterns = []         # sorted multiplicity tuple per node
@@ -563,6 +567,9 @@ def split_by_weight(f, y_region, beta, eps):
     {Re z > beta + eps0}); f1 = f - f0 (holomorphic in {Re z < beta + eps1}),
     0 < eps1 < eps0 < eps.
     """
+    import sympy as sp
+
+    z = sp.Symbol("z")
     if np.isscalar(y_region):
         ys = np.array([float(y_region)])
     else:
@@ -585,12 +592,12 @@ def split_by_weight(f, y_region, beta, eps):
         raise NonDifferentiableCoefficients(
             "split_by_weight needs rational-representable coefficients"
         )
-    terms = sp.Add.make_args(sp.apart(sp.cancel(ns / ds), _Z))
+    terms = sp.Add.make_args(sp.apart(sp.cancel(ns / ds), z))
     f0_expr = sp.Integer(0)
     f1_expr = sp.Integer(0)
     for term in terms:
         _tn, td = term.as_numer_denom()
-        if sp.degree(td, _Z) == 0:
+        if sp.degree(td, z) == 0:
             f1_expr += term          # polynomial (entire) part
             continue
         sides = set()
@@ -619,13 +626,6 @@ def split_by_weight(f, y_region, beta, eps):
 
 # ----------------------------------------------------------------------
 # serialization
-
-def symbol_to_json(f):
-    def enc(a):
-        return [[[float(c.real), float(c.imag)] for c in row] for row in a]
-    return {"num": enc(f.num), "den": enc(f.den),
-            "y_domain": list(f.y_domain) if f.y_domain else None}
-
 
 def symbol_from_json(obj):
     def dec(rows):

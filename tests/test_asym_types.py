@@ -1,7 +1,6 @@
 """Asymptotic types: strip validation, restriction, union, shadow
 condition, subordination, coverings, serialization."""
 
-import io
 import json
 
 import numpy as np
@@ -14,8 +13,6 @@ from mellin_edge.asym_types import (
     build_covering,
     check_shadow,
     covering_reconstructs,
-    covering_to_json,
-    pairs_to_csv,
     restrict,
     set_equal,
     shadow_closure,
@@ -149,9 +146,6 @@ def test_build_covering_and_reconstruct():
             # compact carriers sit inside the closed strip (up to padding)
             assert k.re_bounds[0] >= lo - 0.1
             assert k.re_bounds[1] <= hi + 0.1
-    obj = json.loads(json.dumps(covering_to_json(cov)))
-    assert obj["strip"] == [-0.4, 0.4]
-    assert len(obj["sets"]) == len(cov.sets)
 
 
 def test_compact_region():
@@ -167,12 +161,3 @@ def test_type_json_roundtrip():
     r2 = AsymptoticType.from_json(json.loads(json.dumps(r.to_json())))
     assert set_equal(r, r2)
     assert r2.weight == w
-
-
-def test_pairs_csv_format():
-    r = const_type([(0.25 + 0.5j, 1)], nodes=(0.0,))
-    buf = io.StringIO()
-    pairs_to_csv(r, buf)
-    lines = buf.getvalue().splitlines()
-    assert lines[0] == "y,Re p,Im p,log_order"
-    assert lines[1].split(",") == ["0", "0.25", "0.5", "1"]

@@ -2,6 +2,8 @@
 
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -217,7 +219,7 @@ def test_green_check_pole_on_line(tmp_path, capsys):
     assert err["error"] == "PoleOnWeightLine"
 
 
-def test_edge_apply(tmp_path):
+def edge_apply_config(tmp_path):
     grid = LogGrid(-15.0, -15.0 + 4096 * DT, 4096)
     tg = TorusGrid(2 * np.pi, 8)
     vals = ((1.0 + 0.5 * np.cos(tg.y))[:, None]
@@ -225,7 +227,7 @@ def test_edge_apply(tmp_path):
     u = EdgeField(tg, grid, vals)
     pb, pj = str(tmp_path / "u.bin"), str(tmp_path / "u.json")
     field_to_binary(u, pb, pj)
-    cfg = write_cfg(tmp_path, "c.json", {
+    return {
         "field": {"bin": pb, "json": pj},
         "operator": {
             "terms": [{"j": 0, "alpha": 0,
@@ -235,7 +237,11 @@ def test_edge_apply(tmp_path):
                        "gamma_j": 0.0}],
             "mu": 0.0, "gamma": 0.0,
         },
-    })
+    }
+
+
+def test_edge_apply(tmp_path):
+    cfg = write_cfg(tmp_path, "c.json", edge_apply_config(tmp_path))
     out = tmp_path / "out"
     assert run("edge-apply", cfg, out) == 0
     assert (out / "out_field.bin").exists()
@@ -253,6 +259,12 @@ def _edge_config(tmp_path, y):
     field_to_binary(EdgeField(tg, grid, np.zeros((2, 16))), pb, pj)
     return {"field": {"bin": pb, "json": pj},
             "operator": {"terms": [], "mu": 0.0, "gamma": 0.0, "y": y}}
+
+
+def _edge_with_y_dependent(tmp_path, value):
+    cfg = _edge_config(tmp_path, 0.0)
+    cfg["operator"]["y_dependent"] = value
+    return cfg
 
 
 def _solve_with(section, key, value):
@@ -287,6 +299,12 @@ GREEN_SYMBOL = {"num": [[[1.0, 0.0]]],
         "seed": "abc"}, "seed", id="seed"),
     pytest.param("edge-apply", lambda tmp: _edge_config(tmp, "abc"),
                  "operator", id="operator-y"),
+    pytest.param("edge-apply", lambda tmp: _edge_with_y_dependent(tmp, "false"),
+                 "operator.y_dependent", id="y-dependent-string"),
+    pytest.param("edge-apply", lambda tmp: _edge_with_y_dependent(tmp, 1),
+                 "operator.y_dependent", id="y-dependent-int"),
+    pytest.param("edge-apply", lambda tmp: _edge_with_y_dependent(tmp, None),
+                 "operator.y_dependent", id="y-dependent-null"),
     pytest.param("verify", lambda tmp: {"checks": "plancherel"},
                  "checks must be a list", id="checks-string"),
     pytest.param("verify", lambda tmp: {
@@ -300,3 +318,37 @@ def test_malformed_number_is_a_config_error(tmp_path, capsys, cmd, make_cfg,
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "ConfigError"
     assert named in err["message"]
+
+
+LOADED_AFTER_EACH_RUN = """
+import json, sys
+import mellin_edge.cli as cli
+loaded = [[m for m in ("sympy", "scipy") if m in sys.modules]]
+for cmd, cfg in json.loads(sys.argv[1]):
+    assert cli.main([cmd, "--config", cfg, "--out", "out_" + cmd]) == 0, cmd
+    loaded.append([m for m in ("sympy", "scipy") if m in sys.modules])
+print(json.dumps(loaded))
+"""
+
+
+def test_cli_loads_sympy_and_scipy_only_where_called(tmp_path):
+    """Importing the CLI loads neither sympy nor scipy; green-check and
+    edge-apply never call them, poles and solve call scipy's assignment
+    solver in track_branches but never sympy."""
+    edge = edge_apply_config(tmp_path)
+    edge["operator"]["y_dependent"] = True
+    runs = [
+        ("green-check", {"symbol": GREEN_SYMBOL, "delta": 0.0, "beta": 0.5}),
+        ("edge-apply", edge),
+        ("poles", {"symbol": BRANCHING_SYMBOL,
+                   "y": {"min": -0.5, "max": 0.5, "n": 21}}),
+        ("solve", solve_config()),
+    ]
+    args = json.dumps([(cmd, write_cfg(tmp_path, cmd + ".json", cfg))
+                       for cmd, cfg in runs])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        os.path.abspath(p) for p in sys.path))
+    proc = subprocess.run([sys.executable, "-c", LOADED_AFTER_EACH_RUN, args],
+                          cwd=tmp_path, env=env, capture_output=True,
+                          text=True, check=True)
+    assert json.loads(proc.stdout) == [[], [], [], ["scipy"], ["scipy"]]

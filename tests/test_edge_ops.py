@@ -2,9 +2,6 @@
 commutators, adjoints, finite-rank Green symbols, eta-derivatives,
 asymptotic summation, convention differences."""
 
-import io
-import json
-
 import numpy as np
 import pytest
 
@@ -14,7 +11,6 @@ from mellin_edge.edge_ops import (
     MellinEdgeSymbol,
     adjoint_pairing_defect,
     asymptotic_sum,
-    defect_report_json,
     eta_bracket,
     eta_derivative,
     eta_derivative_green_check,
@@ -27,7 +23,6 @@ from mellin_edge.edge_ops import (
     l2_dr_pairing,
     measured_order,
     mellin_convention_difference,
-    slopes_to_csv,
     twisted_homogeneity_defect,
     weight_shift_green,
 )
@@ -209,7 +204,6 @@ def test_eta_derivative_green_check(grid_deep):
     m = single_term_symbol(j=1, alpha=1, mu=1.0, gj=-0.5)
     report = eta_derivative_green_check(m, 0.0, u)
     assert report["measured_slope"] <= report["target_order"] + 0.1
-    json.loads(defect_report_json(report))      # serializable
 
 
 def test_asymptotic_sum_schedule():
@@ -271,14 +265,6 @@ def test_convention_difference_negative_control(grid_deep):
     m2 = MellinEdgeSymbol([(1, 0, simple_pole(0.7), -0.6)], mu=1.0, gamma=0.0)
     with pytest.raises(CertificationFailed):
         mellin_convention_difference(m1, m2, 0.0, u, etas=[1.0])
-
-
-def test_slopes_csv():
-    buf = io.StringIO()
-    slopes_to_csv([(1.0, 2.5), (2.0, 5.0)], buf)
-    lines = buf.getvalue().splitlines()
-    assert lines[0] == "scale,norm"
-    assert lines[1] == "1,2.5"
 
 
 def test_l2_pairing_symmetry(grid_short):

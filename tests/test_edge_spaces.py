@@ -22,7 +22,7 @@ from mellin_edge.edge_spaces import (
     potential_op,
     synthesize_singular,
 )
-from mellin_edge.errors import CertificationFailed, NonFinite
+from mellin_edge.errors import CertificationFailed, NonFiniteInput
 from mellin_edge.functionals import AnalyticFunctional, PointMass
 from mellin_edge.mellin import CutoffFunction, kappa, HalfLineFunction
 
@@ -172,7 +172,7 @@ def test_nonfinite_field_rejected(r_grid):
     yg = TorusGrid(2 * np.pi, 4)
     vals = np.zeros((4, r_grid.n_points))
     vals[0, 10] = np.inf
-    with pytest.raises(NonFinite):
+    with pytest.raises(NonFiniteInput):
         EdgeField(yg, r_grid, vals)
 
 

@@ -1,8 +1,6 @@
 """Analytic functionals: contour/point-mass representations, pairing,
 Laurent conversion, singular functions, Mellin potentials."""
 
-import json
-
 import numpy as np
 import pytest
 
@@ -10,7 +8,6 @@ from mellin_edge.errors import (
     CarrierTooFarRight,
     NotDiscrete,
     PoleOnContour,
-    RepresentationInvalid,
 )
 from mellin_edge.functionals import (
     AnalyticFunctional,
@@ -18,8 +15,6 @@ from mellin_edge.functionals import (
     MellinPotential,
     PointMass,
     from_symbol,
-    masses_from_json,
-    masses_to_json,
     pair,
     potential,
     singular_function,
@@ -181,19 +176,6 @@ def test_potential_contour_rep():
     # agrees with the meromorphic extension carrying the full residue
     d = circle_moments(f1, 0.25 + 0j, 0.5, np.arange(2), 256)
     assert abs(d[0] - 1.3) <= 1e-8
-
-
-def test_masses_json_roundtrip():
-    zeta = AnalyticFunctional(
-        masses=[PointMass(0.1 + 0.2j, 1, [1.0 + 2.0j, 3.0]),
-                PointMass(-0.4, 0, [0.5j])])
-    back = masses_from_json(json.loads(json.dumps(masses_to_json(zeta))))
-    assert len(back.masses) == 2
-    for a, b in zip(zeta.masses, back.masses):
-        assert a.p == b.p and a.order == b.order
-        assert np.array_equal(a.weights, b.weights)
-    with pytest.raises(RepresentationInvalid):
-        masses_to_json(from_symbol(simple_pole(0.25), 0.0, unit_circle()))
 
 
 def test_contour_winding():
