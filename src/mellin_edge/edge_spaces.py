@@ -17,8 +17,8 @@ from .edge_ops import (
     GreenSymbolFiniteRank,
     MellinEdgeSymbol,
     eta_bracket,
-    eval_mellin_edge_symbol,
     green_apply,
+    mellin_edge_rows,
 )
 from .errors import CertificationFailed, NonFiniteInput
 from .functionals import AnalyticFunctional, masses_from_orders
@@ -316,35 +316,37 @@ def apply_edge_operator(symbol, u, y=0.0, y_dependent=False):
     y-independent mode: Op_y(a) u-hat(eta) = a(eta) u-hat(eta) per mode.
     y-dependent mode: left quantization
     (Op_y(a) u)(y_j) = sum_k a(y_j, eta_k) u-hat(eta_k) e^{i y_j eta_k}.
+    A Mellin edge symbol costs one transform per mode and term, and at each
+    node one symbol evaluation and stacked inverse FFTs over blocks of
+    modes (edge_ops.mellin_edge_rows).
     """
     if u.q != 1:
         raise ValueError("operator action implemented for q = 1")
     modes = u.modes()
     etas = u.y_grids[0].etas
     g = u.r_grid
-    n = u.y_grids[0].n_points
 
-    def act(yy, eta, slc):
-        h = HalfLineFunction(g, slc)
+    def rows(ys):
+        """(j, k, a(ys[j], eta_k) u-hat(eta_k)), k ascending for each j."""
         if isinstance(symbol, MellinEdgeSymbol):
-            return eval_mellin_edge_symbol(symbol, yy, float(eta), h).values
+            return mellin_edge_rows(symbol, ys, etas, modes, g)
         if isinstance(symbol, GreenSymbolFiniteRank):
-            return green_apply(symbol, yy, float(eta), h).values
+            return ((j, k, green_apply(symbol, yj, float(eta),
+                                       HalfLineFunction(g, modes[k])).values)
+                    for j, yj in enumerate(ys) for k, eta in enumerate(etas))
         raise TypeError("unsupported symbol type %r" % type(symbol))
 
     if not y_dependent:
         out_modes = np.zeros_like(modes)
-        for k in range(n):
-            out_modes[k] = act(y, etas[k], modes[k])
+        for _j, k, a in rows([y]):
+            out_modes[k] = a
         return EdgeField.from_modes(u.y_grids, u.r_grid, out_modes,
                                     s=u.s, gamma=u.gamma)
     # left quantization over the torus nodes
     ys = u.y_grids[0].y
     out_vals = np.zeros_like(u.values)
-    for k in range(n):
-        akl = np.array([np.exp(1j * yj * etas[k]) for yj in ys])
-        for j in range(n):
-            out_vals[j] += akl[j] * act(ys[j], etas[k], modes[k])
+    for j, k, a in rows(ys):
+        out_vals[j] += np.exp(1j * ys[j] * etas[k]) * a
     return EdgeField(u.y_grids, u.r_grid, out_vals, s=u.s, gamma=u.gamma)
 
 
@@ -383,13 +385,9 @@ def field_from_binary(path_bin, path_json):
 
 
 def mode_norms_csv(u, fileobj):
-    modes = u.modes()
-    mags = u.mode_etas()
     g = u.r_grid
+    norms = np.sqrt(g.dt * np.sum(np.abs(u.modes()) ** 2 * g.r, axis=-1))
     fileobj.write("eta,norm\n")
-    rows = []
-    for _idx, mag, slc in _mode_iter(modes, mags):
-        nrm = float(np.sqrt(g.dt * np.sum(np.abs(slc) ** 2 * g.r)))
-        rows.append((mag, nrm))
-    for mag, nrm in sorted(rows):
+    for mag, nrm in sorted(zip(u.mode_etas().ravel().tolist(),
+                               norms.ravel().tolist())):
         fileobj.write("%.17g,%.17g\n" % (mag, nrm))

@@ -7,7 +7,6 @@ so an FFT gives spectral accuracy for smooth decaying data.
 """
 
 from dataclasses import dataclass
-from math import factorial
 
 import numpy as np
 
@@ -29,6 +28,11 @@ CUTOFF_DECAY_FLOOR = 0.1    # largest relative line sample at window ends
 
 def _is_power_of_two(n):
     return n >= 1 and (n & (n - 1)) == 0
+
+
+def _weighted(values, grid, gamma):
+    """e^{(1/2-gamma)t} u(e^t): the L^2(dt) representative in r^{-gamma}L^2."""
+    return np.exp((0.5 - gamma) * grid.t) * values
 
 
 @dataclass(frozen=True)
@@ -57,6 +61,11 @@ class LogGrid:
     def r(self):
         return np.exp(self.t)
 
+    @property
+    def rho(self):
+        """rho of the weight-line samples, in FFT order."""
+        return 2 * np.pi * np.fft.fftfreq(self.n_points, d=self.dt)
+
 
 @dataclass
 class HalfLineFunction:
@@ -73,23 +82,12 @@ class HalfLineFunction:
         if not np.all(np.isfinite(self.values)):
             raise NonFiniteInput("HalfLineFunction values must be finite")
 
-    def weighted_samples(self, gamma):
-        """e^{(1/2-gamma)t} u(e^t): the L^2(dt) representative in r^{-gamma}L^2."""
-        return np.exp((0.5 - gamma) * self.grid.t) * self.values
-
     def norm(self, gamma=None):
         """Norm in r^{-gamma}L^2(R_+) by the trapezoid rule in t."""
         if gamma is None:
             gamma = self.weight_hint
-        v = self.weighted_samples(gamma)
+        v = _weighted(self.values, self.grid, gamma)
         return float(np.sqrt(self.grid.dt * np.sum(np.abs(v) ** 2)))
-
-    def copy(self, values=None):
-        return HalfLineFunction(
-            self.grid,
-            self.values.copy() if values is None else values,
-            self.weight_hint,
-        )
 
 
 @dataclass
@@ -141,10 +139,6 @@ class CutoffFunction:
     def a(self):
         return 0.5 * self.scale
 
-    @property
-    def b(self):
-        return 1.0 * self.scale
-
     def __call__(self, r):
         r = np.asarray(r, dtype=float) / self.scale
         out = np.zeros_like(r)
@@ -169,31 +163,46 @@ def _check_tails(v, tail_tol, what="input"):
         )
 
 
+def line_transform(values, grid, gamma, tail_tol=TAIL_TOL):
+    """Forward step: M_gamma of each row of `values` (last axis on `grid`)
+    at z = 1/2 - gamma + i grid.rho; the tail check is per row."""
+    if not np.all(np.isfinite(values)):
+        raise NonFiniteInput("non-finite samples")
+    v = _weighted(values, grid, gamma)
+    for row in v.reshape(-1, grid.n_points):
+        _check_tails(row, tail_tol, "weighted")
+    vals = (grid.dt * grid.n_points * np.fft.ifft(v)
+            * np.exp(1j * grid.rho * grid.t_min))
+    if not np.all(np.isfinite(vals)):
+        raise NonFiniteInput("non-finite line samples")
+    return vals
+
+
+def line_inverse(rho, grid, gamma):
+    """Inverse step: a function taking line samples at rho (FFT order, last
+    axis) back to `grid`; it overwrites and returns its argument."""
+    phase = np.exp(-1j * rho * grid.t_min)
+    weight = np.exp(-(0.5 - gamma) * grid.t)
+
+    def invert(vals):
+        vals *= phase
+        np.fft.fft(vals, out=vals)
+        vals /= grid.n_points * grid.dt
+        return np.multiply(weight, vals, out=vals)
+    return invert
+
+
 def mellin_transform(u, gamma, tail_tol=TAIL_TOL):
     """Weighted Mellin transform M_gamma u on Gamma_{1/2-gamma} (FFT in log r)."""
-    if not np.all(np.isfinite(u.values)):
-        raise NonFiniteInput("non-finite samples")
-    v = u.weighted_samples(gamma)
-    _check_tails(v, tail_tol, "weighted")
-    grid = u.grid
-    n = grid.n_points
-    rho = 2 * np.pi * np.fft.fftfreq(n, d=grid.dt)
-    vals = grid.dt * n * np.fft.ifft(v) * np.exp(1j * rho * grid.t_min)
-    return VerticalLineFunction(
-        gamma=gamma,
-        rho_nodes=np.fft.fftshift(rho),
-        values=np.fft.fftshift(vals),
-        grid=grid,
-    )
+    vals = line_transform(u.values, u.grid, gamma, tail_tol)
+    return VerticalLineFunction(gamma, np.fft.fftshift(u.grid.rho),
+                                np.fft.fftshift(vals), u.grid)
 
 
 def _inverse_mellin_raw(g, grid):
-    n = grid.n_points
-    rho = np.fft.ifftshift(g.rho_nodes)
-    vals = np.fft.ifftshift(g.values) * np.exp(-1j * rho * grid.t_min)
-    v = np.fft.fft(vals) / (n * grid.dt)
-    values = np.exp(-(0.5 - g.gamma) * grid.t) * v
-    return HalfLineFunction(grid, values, weight_hint=g.gamma)
+    invert = line_inverse(np.fft.ifftshift(g.rho_nodes), grid, g.gamma)
+    return HalfLineFunction(grid, invert(np.fft.ifftshift(g.values)),
+                            weight_hint=g.gamma)
 
 
 def inverse_mellin(g, tail_tol=TAIL_TOL):
@@ -324,13 +333,6 @@ class EntireKernel:
 
     def __call__(self, z):
         return mellin_eval(self.w, z)
-
-    def taylor(self, center, order):
-        """Taylor coefficients of k on a disk around `center`."""
-        return np.array(
-            [mellin_eval(self.w, center, derivative=d) / factorial(d)
-             for d in range(order + 1)]
-        )
 
 
 def kernel_cutoff(l, psi):

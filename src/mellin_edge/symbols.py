@@ -600,9 +600,9 @@ def split_by_weight(f, y_region, beta, eps):
         if sp.degree(td, z) == 0:
             f1_expr += term          # polynomial (entire) part
             continue
-        sides = set()
+        sides, td_arr = set(), _sympy_to_arr(td)
         for yv in ys:
-            dcoef = _trim1d(p2_at_y(_sympy_to_arr(td), yv))
+            dcoef = _trim1d(p2_at_y(td_arr, yv))
             for root in np.roots(dcoef[::-1]):
                 sides.add("L" if root.real <= beta else "R")
         if sides == {"L"}:

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 import sympy as sp
 
-from mellin_edge import cone, edge_ops, edge_spaces, mellin, symbols
+from mellin_edge import cone, symbols
 from mellin_edge.asym_types import (
     AsymptoticType,
     WeightData,
@@ -26,7 +26,6 @@ from mellin_edge.edge_ops import (
     MellinEdgeSymbol,
     adjoint_pairing_defect,
     eta_bracket,
-    eval_mellin_edge_symbol,
     formal_adjoint,
     green_agreement,
     green_apply,
@@ -56,7 +55,6 @@ from mellin_edge.functionals import (
 from mellin_edge.mellin import (
     CutoffFunction,
     HalfLineFunction,
-    LogGrid,
     dilation_commutation_defect,
     mellin_eval,
     mellin_transform,
@@ -68,7 +66,6 @@ from mellin_edge.symbols import (
 )
 
 from conftest import (
-    DT,
     bump,
     bump_callable,
     double_pole,

@@ -21,7 +21,7 @@ from mellin_edge.asym_types import (
     union,
 )
 from mellin_edge.errors import EmptyDomain, WrongKind
-from mellin_edge.symbols import MeromorphicSymbol, track_branches
+from mellin_edge.symbols import track_branches
 
 from conftest import double_pole, simple_pole
 

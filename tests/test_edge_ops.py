@@ -14,7 +14,6 @@ from mellin_edge.edge_ops import (
     eta_bracket,
     eta_derivative,
     eta_derivative_green_check,
-    eval_mellin_edge_symbol,
     excision,
     formal_adjoint,
     green_agreement,

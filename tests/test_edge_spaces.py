@@ -7,7 +7,12 @@ import numpy as np
 import pytest
 
 from mellin_edge.asym_types import AsymptoticType
-from mellin_edge.edge_ops import MellinEdgeSymbol, eta_bracket
+from mellin_edge import edge_ops, symbols
+from mellin_edge.edge_ops import (
+    MellinEdgeSymbol,
+    eta_bracket,
+    eval_mellin_edge_symbol,
+)
 from mellin_edge.edge_spaces import (
     EdgeField,
     SingularEdgeData,
@@ -22,9 +27,16 @@ from mellin_edge.edge_spaces import (
     potential_op,
     synthesize_singular,
 )
-from mellin_edge.errors import CertificationFailed, NonFiniteInput
+from mellin_edge.errors import (
+    CertificationFailed,
+    NonFiniteInput,
+    PoleOnWeightLine,
+    TailTooLarge,
+)
 from mellin_edge.functionals import AnalyticFunctional, PointMass
-from mellin_edge.mellin import CutoffFunction, kappa, HalfLineFunction
+from mellin_edge.mellin import kappa, HalfLineFunction
+
+from mellin_edge.symbols import MeromorphicSymbol
 
 from conftest import bump, make_grid, simple_pole
 
@@ -166,6 +178,125 @@ def test_apply_edge_operator_y_modes(r_grid):
     b = apply_edge_operator(m, u, y_dependent=True)
     scale = max(1e-300, np.max(np.abs(a.values)))
     assert np.max(np.abs(a.values - b.values)) <= 1e-12 * scale
+
+
+def decaying_field(grid, n, seed=1, heavy_mode=None):
+    """Mode k carries c_k r^alpha_k e^{-beta_k r} (alpha_k >= 1.5, so the
+    weighted end samples pass the tail check); heavy_mode carries e^{-r}."""
+    rng = np.random.default_rng(seed)
+    c = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    alpha = rng.uniform(1.5, 3.0, n)
+    beta = rng.uniform(0.5, 2.0, n)
+    modes = c[:, None] * grid.r ** alpha[:, None] * np.exp(
+        -beta[:, None] * grid.r)
+    if heavy_mode is not None:
+        modes[heavy_mode] = np.exp(-grid.r)
+    return EdgeField.from_modes(TorusGrid(2 * np.pi, n), grid, modes)
+
+
+def two_term_symbol(r_power_right):
+    """j = 0: 1/(z + 1.2 + 0.3y); j = 1, alpha = 1:
+    (0.5 + 0.1y)/((z + 2 + 0.2y)(z - 2.5 - 0.1y)) on Re z = 1."""
+    f0 = MeromorphicSymbol(np.ones((1, 1)), [[1.2, 0.3], [1.0, 0.0]],
+                           reduce=False)
+    f1 = MeromorphicSymbol([[0.5, 0.1]],
+                           [[-5.0, -0.7, -0.02], [-0.5, 0.1, 0.0],
+                            [1.0, 0.0, 0.0]], reduce=False)
+    return MellinEdgeSymbol([(0, 0, f0, 0.0), (1, 1, f1, -0.5)], mu=0.0,
+                            gamma=0.0, r_power_right=r_power_right)
+
+
+def per_mode(m, u, modes, y, k):
+    """m(y, eta_k) applied to mode k by one eval_mellin_edge_symbol call."""
+    h = HalfLineFunction(u.r_grid, modes[k])
+    return eval_mellin_edge_symbol(m, y, float(u.y_grids[0].etas[k]), h).values
+
+
+def rel_err(got, ref):
+    return np.max(np.abs(got - ref)) / np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("r_power_right", [False, True])
+@pytest.mark.parametrize("n", [4, 8, 16])
+def test_apply_edge_operator_matches_per_node_calls(grid_short, n,
+                                                    r_power_right):
+    # left quantization against n^2 single (y_j, eta_k) evaluations
+    u = decaying_field(grid_short, n)
+    m = two_term_symbol(r_power_right)
+    ys, etas, modes = u.y_grids[0].y, u.y_grids[0].etas, u.modes()
+    ref = np.array([sum(np.exp(1j * ys[j] * etas[k])
+                        * per_mode(m, u, modes, ys[j], k) for k in range(n))
+                    for j in range(n)])
+    got = apply_edge_operator(m, u, y_dependent=True).values
+    assert rel_err(got, ref) <= 1e-14
+
+
+@pytest.mark.parametrize("r_power_right", [False, True])
+@pytest.mark.parametrize("n", [4, 8, 16])
+def test_apply_edge_operator_y_independent_matches_per_mode_calls(
+        grid_short, n, r_power_right):
+    u = decaying_field(grid_short, n, seed=2)
+    m = two_term_symbol(r_power_right)
+    modes = u.modes()
+    ref = EdgeField.from_modes(u.y_grids, grid_short,
+                               [per_mode(m, u, modes, 0.3, k) for k in range(n)])
+    got = apply_edge_operator(m, u, y=0.3, y_dependent=False).values
+    assert rel_err(got, ref.values) <= 1e-14
+
+
+def line_crossing_symbol(y_hit):
+    """1/(z - 1/2 - y + y_hit): on the weight line Re z = 1/2 at y_hit only."""
+    return MellinEdgeSymbol([(0, 0, MeromorphicSymbol(
+        np.ones((1, 1)), [[-0.5 + y_hit, -1.0], [1.0, 0.0]], reduce=False),
+        0.0)], mu=0.0, gamma=0.0)
+
+
+def test_apply_edge_operator_pole_on_line_at_one_node(grid_short):
+    u = decaying_field(grid_short, 8)
+    m = line_crossing_symbol(u.y_grids[0].y[3])
+    with pytest.raises(PoleOnWeightLine) as err:
+        apply_edge_operator(m, u, y_dependent=True)
+    assert abs(err.value.pole - 0.5) < 1e-12
+    apply_edge_operator(m, u, y=0.0, y_dependent=False)   # clear off y_3
+
+
+@pytest.mark.parametrize("y_dependent", [False, True])
+def test_apply_edge_operator_heavy_tail_mode(grid_short, y_dependent):
+    u = decaying_field(grid_short, 8, heavy_mode=5)
+    with pytest.raises(TailTooLarge):
+        apply_edge_operator(two_term_symbol(False), u,
+                            y_dependent=y_dependent)
+
+
+def test_apply_edge_operator_clearance_precedes_tail_check(grid_short):
+    # both errors apply: every node's clearance runs before any transform
+    u = decaying_field(grid_short, 8, heavy_mode=0)
+    m = line_crossing_symbol(u.y_grids[0].y[3])
+    with pytest.raises(PoleOnWeightLine):
+        apply_edge_operator(m, u, y_dependent=True)
+
+
+def test_apply_edge_operator_call_counts(grid_short, monkeypatch):
+    # one pole search per torus node and one forward transform per mode
+    calls = {"locate_poles": 0, "line_transform": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(symbols, "locate_poles",
+                        counted("locate_poles", symbols.locate_poles))
+    monkeypatch.setattr(edge_ops, "line_transform",
+                        counted("line_transform", edge_ops.line_transform))
+    n = 8
+    u = decaying_field(grid_short, n)
+    f = MeromorphicSymbol(np.ones((1, 1)), [[1.2, 0.3], [1.0, 0.0]],
+                          reduce=False)
+    m = MellinEdgeSymbol([(0, 0, f, 0.0)], mu=0.0, gamma=0.0)
+    apply_edge_operator(m, u, y_dependent=True)
+    assert calls == {"locate_poles": n, "line_transform": n}
 
 
 def test_nonfinite_field_rejected(r_grid):
