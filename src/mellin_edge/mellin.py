@@ -231,7 +231,13 @@ def mellin_eval(u, z, derivative=0):
     if derivative:
         w = w * t**derivative
     zarr = np.atleast_1d(np.asarray(z, dtype=complex))
-    out = np.exp(np.outer(zarr, t)) @ w
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below
+        out = np.exp(np.outer(zarr, t)) @ w
+    bad = ~np.isfinite(out)
+    if bad.any():
+        raise InsufficientDecay(
+            "Mellin quadrature not finite at z = %s: exp(z t) overflows "
+            "on this grid" % zarr[bad][0])
     return out[0] if np.isscalar(z) or np.asarray(z).ndim == 0 else out
 
 

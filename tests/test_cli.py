@@ -8,11 +8,12 @@ import sys
 import numpy as np
 import pytest
 
+from mellin_edge import cone, symbols
 from mellin_edge.cli import main
 from mellin_edge.edge_spaces import EdgeField, TorusGrid, field_to_binary
 from mellin_edge.mellin import LogGrid
 
-from conftest import DT
+from conftest import DT, make_grid
 
 
 def write_cfg(tmp_path, name, obj):
@@ -130,6 +131,49 @@ def test_solve_end_to_end(tmp_path):
     for name in ("solution.csv", "coefficients.csv",
                  "flat_certification.json", "branching.json"):
         assert (out / name).read_bytes() == (out2 / name).read_bytes()
+
+
+def test_solve_artifact_and_one_solve_per_node(tmp_path, monkeypatch):
+    """solution.csv is, byte for byte, the per-row %.17g loop over
+    cone.solve's results; the CLI solves each y node once, after it has
+    written coefficients.csv."""
+    cfg = solve_config()
+    grid = make_grid(-50.0, 8192)
+    ys = np.linspace(-0.004, 0.004, 5)
+    a = symbols.ConormalSymbol.from_json({"coeffs": cfg["cone"]["coeffs"],
+                                          "y_domain": [-0.5, 0.5]})
+    problem = cone.ConeProblem(a, 0, 0.0, cone.bump_rhs(grid), ys)
+    want = ["y,r,re_u,im_u\n"]
+    for y in ys:
+        u = cone.solve(problem, y)
+        for rr, uv in zip(grid.r, u.values):
+            want.append("%.17g,%.17g,%.17g,%.17g\n"
+                        % (y, rr, uv.real, uv.imag))
+
+    out = tmp_path / "out"
+    calls = []
+    solve = cone.solve
+
+    def counted(problem, y):
+        calls.append((float(y), (out / "coefficients.csv").exists()))
+        return solve(problem, y)
+
+    monkeypatch.setattr(cone, "solve", counted)
+    assert run("solve", write_cfg(tmp_path, "c.json", cfg), out) == 0
+    assert (out / "solution.csv").read_bytes() == "".join(want).encode()
+    assert calls == [(float(y), True) for y in ys]
+
+
+def test_solve_branching_failure_precedes_solution(tmp_path, capsys):
+    """The branching pass runs before any y is solved: a pole on the weight
+    line at an interior node is reported before any artifact is written."""
+    cfg = solve_config()
+    cfg["cone"]["gamma"] = 0.5      # line Re z = 0 meets the pole p = y = 0
+    cfg["y"] = {"min": -0.4, "max": 0.4, "n": 5}
+    out = tmp_path / "out"
+    assert run("solve", write_cfg(tmp_path, "c.json", cfg), out) == 3
+    assert json.loads(capsys.readouterr().err)["error"] == "PoleOnWeightLine"
+    assert os.listdir(out) == []
 
 
 def test_verify_subset_passes(tmp_path):

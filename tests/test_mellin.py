@@ -1,5 +1,7 @@
 """Weighted Mellin transform, dilations, cut-offs, kernel cut-off."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +9,8 @@ from hypothesis import strategies as st
 
 from mellin_edge import mellin
 from mellin_edge.errors import (
+    GridMismatch,
+    InsufficientDecay,
     LambdaOffGrid,
     NonFiniteInput,
     PoleOnWeightLine,
@@ -16,6 +20,7 @@ from mellin_edge.mellin import (
     CutoffFunction,
     HalfLineFunction,
     LogGrid,
+    VerticalLineFunction,
     dilate,
     inverse_mellin,
     kappa,
@@ -129,6 +134,38 @@ def test_mellin_eval_derivative(grid_short):
     h = 1e-5
     fd = (mellin_eval(u, z + h) - mellin_eval(u, z - h)) / (2 * h)
     assert mellin_eval(u, z, derivative=1) == pytest.approx(fd, rel=1e-8)
+
+
+@pytest.mark.filterwarnings("error")
+def test_mellin_eval_overflow_is_typed(grid_green):
+    # u = r e^{-r} on a grid reaching t = 206.6: exp(z t) overflows for
+    # Re z > 709 / 206.6, where u has underflowed to 0 and inf * 0 is nan;
+    # the typed error is the only report (no numpy warning on stderr)
+    u = HalfLineFunction(grid_green, grid_green.r * np.exp(-grid_green.r))
+    assert mellin_eval(u, 3.0) == pytest.approx(6.0, rel=1e-10)   # Gamma(4)
+    with pytest.raises(InsufficientDecay, match=r"z = \(4\+0j\)"):
+        mellin_eval(u, 4.0)
+    with pytest.raises(InsufficientDecay, match=r"z = \(3.5\+1j\)"):
+        mellin_eval(u, np.array([3.0, 3.5 + 1j, 4.0]))
+
+
+def test_inverse_mellin_grid_mismatch(grid_short):
+    line = mellin_transform(bump(grid_short), 0.0)
+    n = grid_short.n_points
+    bad_grids = [None, make_grid(-15.0, n // 2),           # no grid, length
+                 LogGrid(-15.0, -15.0 + 2 * n * DT, n)]    # spacing
+    for grid, what in zip(bad_grids, ["no output grid", "length",
+                                      "resolution"]):
+        with pytest.raises(GridMismatch, match=what):
+            inverse_mellin(replace(line, grid=grid))
+
+
+def test_kernel_cutoff_insufficient_decay(grid_short):
+    line = mellin_transform(bump(grid_short), 0.0)
+    flat = VerticalLineFunction(0.0, line.rho_nodes,
+                                np.ones_like(line.values), grid_short)
+    with pytest.raises(InsufficientDecay, match="do not decay"):
+        kernel_cutoff(flat, CutoffFunction())
 
 
 def test_cutoff_profile():

@@ -9,6 +9,8 @@ import pytest
 
 from mellin_edge.errors import (
     BandOccupied,
+    DegenerateDenominator,
+    DomainMismatch,
     EllipticityViolated,
     NotAPole,
     PoleTooClose,
@@ -176,6 +178,21 @@ def test_multiply_and_translate():
     t = translate(f, 0.75)
     [(p, m)] = locate_poles(t, 0.0)
     assert p == pytest.approx(0.5 - 0.75, abs=1e-10)
+
+
+def test_zero_denominator_rejected():
+    with pytest.raises(DegenerateDenominator):
+        MeromorphicSymbol(np.ones((1, 1)), np.zeros((3, 2)))
+
+
+def test_disjoint_y_domains_rejected():
+    f = MeromorphicSymbol(np.ones((1, 1)), np.array([[1.0], [1.0]]),
+                          y_domain=(0.0, 1.0))
+    g = MeromorphicSymbol(np.ones((1, 1)), np.array([[2.0], [1.0]]),
+                          y_domain=(2.0, 3.0))
+    for op in (f.__add__, f.__sub__):
+        with pytest.raises(DomainMismatch, match="disjoint"):
+            op(g)
 
 
 def test_differentiate_y_quotient_rule():
