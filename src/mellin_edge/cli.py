@@ -159,26 +159,33 @@ def cmd_solve(cfg, out_dir, seed):
 
     omega = mellin.CutoffFunction()
     cert = []
-    # one solve per y; a row's r is the same for every y, so only re_u and
-    # im_u are formatted per row
+    # one solve per y, rows streamed to a temporary name that becomes
+    # solution.csv when complete; r is formatted once, re_u, im_u per row
     r_cols = ["%.17g," % r for r in grid.r.tolist()]
-    with open(os.path.join(out_dir, "solution.csv"), "w",
-              encoding="utf-8") as fh:
-        fh.write("y,r,re_u,im_u\n")
-        for y, ex in zip(ys, br.expansions):
-            u = cone.solve(problem, y)
-            y_col = "%.17g," % y
-            fh.writelines("%s%s%.17g,%.17g\n" % (y_col, r_col, re, im)
-                          for r_col, re, im in zip(r_cols,
-                                                   u.values.real.tolist(),
-                                                   u.values.imag.tolist()))
-            flat, _sing = cone.split_flat_singular(u, ex, omega, gamma)
-            cert.append({"y": "%.17g" % y,
-                         "depth_used": "%.17g" % ex.depth_used,
-                         "certified_weight": "%.17g" % flat.certified_weight,
-                         "mass_ratios": ["%.17g" % v
-                                         for v in flat.mass_ratios],
-                         "notes": ex.notes})
+    path = os.path.join(out_dir, "solution.csv")
+    part = path + ".part"
+    with open(part, "w", encoding="utf-8") as fh:
+        try:
+            fh.write("y,r,re_u,im_u\n")
+            for y, ex in zip(ys, br.expansions):
+                u = cone.solve(problem, y)
+                y_col = "%.17g," % y
+                fh.writelines("%s%s%.17g,%.17g\n" % (y_col, r_col, re, im)
+                              for r_col, re, im in zip(
+                                  r_cols, u.values.real.tolist(),
+                                  u.values.imag.tolist()))
+                flat, _sing = cone.split_flat_singular(u, ex, omega, gamma)
+                cert.append({"y": "%.17g" % y,
+                             "depth_used": "%.17g" % ex.depth_used,
+                             "certified_weight":
+                                 "%.17g" % flat.certified_weight,
+                             "mass_ratios": ["%.17g" % v
+                                             for v in flat.mass_ratios],
+                             "notes": ex.notes})
+        except BaseException:
+            os.remove(part)
+            raise
+    os.replace(part, path)
     write_json({"certification": cert},
                os.path.join(out_dir, "flat_certification.json"))
     write_json({

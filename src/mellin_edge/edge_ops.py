@@ -212,7 +212,6 @@ def weight_shift_green(f, y, delta, beta, u, tail_tol=TAIL_TOL):
 
     lo, hi = 0.5 - delta - beta, 0.5 - delta
     poles = locate_poles(f, y)
-    t = u.grid.t
     vals = np.zeros(u.grid.n_points, dtype=complex)
     for p, _mm in poles:
         if not lo < p.real < hi:
@@ -223,7 +222,7 @@ def weight_shift_green(f, y, delta, beta, u, tail_tol=TAIL_TOL):
         _theta, z, dz = circle_nodes(p, radius, GREEN_N_CONTOUR)
         fz = f(y, z) * mellin_eval(u, z)
         # clockwise orientation: minus the ccw integral
-        vals -= contour_synthesis(t, z, fz * dz)
+        vals -= contour_synthesis(u.grid, z, fz * dz)
     contour_form = HalfLineFunction(u.grid, vals)
     return diff, contour_form
 

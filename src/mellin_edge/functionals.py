@@ -248,7 +248,7 @@ def singular_function(zeta, omega, grid, gamma_target=None):
     else:
         z, dz = zeta.contour.nodes()
         fv = np.asarray(zeta.density(z), dtype=complex)
-        vals = contour_synthesis(grid.t, z, fv * dz)
+        vals = contour_synthesis(grid, z, fv * dz)
     return HalfLineFunction(grid, omega(grid.r) * vals)
 
 

@@ -1,6 +1,6 @@
 """The numerical kernels shared by the calculus modules, one implementation
 each: circle trapezoid quadrature (geometrically convergent for functions
-analytic on an annulus; Trefethen & Weideman, SIAM Review 56, 2014), dense
+analytic on an annulus; Trefethen & Weideman, SIAM Review 56, 2014), factored
 contour synthesis, point-mass synthesis, residue weights, and the windowed
 weighted mass behind the flat-remainder certification.  numpy and the
 standard library only.
@@ -44,10 +44,16 @@ def circle_moments(f, center, radius, ks, n):
     )
 
 
-def contour_synthesis(t, z, f_dz):
-    """sum over contour nodes of f(z) r^{-z} dz / (2 pi i) at r = e^t,
-    with f_dz = f(z) dz the weighted node values."""
-    return (np.exp(np.outer(-t, z)) @ f_dz) / (2j * np.pi)
+def contour_synthesis(grid, z, f_dz):
+    """sum over contour nodes of f(z) r^{-z} dz / (2 pi i) at the grid's
+    r = e^t, with f_dz = f(z) dz.  t = t_a + s_b (t_a = t_min + a B dt,
+    s_b = b dt) factors e^{-t z} into one (N/B x K) @ (K x B) product:
+    (N/B + B) K exponentials in place of N K."""
+    n, dt = grid.n_points, grid.dt
+    b = 2 ** ((n.bit_length() - 1) // 2)   # n = 2^k: b = 2^floor(k/2)
+    rows = np.exp(np.outer(-grid.t_min - b * dt * np.arange(n // b), z))
+    cols = np.exp(np.outer(-dt * np.arange(b), z))
+    return ((rows * f_dz) @ cols.T).reshape(n) / (2j * np.pi)
 
 
 def point_mass_synthesis(s, masses):

@@ -224,16 +224,23 @@ def mellin_eval(u, z, derivative=0):
     """Evaluate M u (and d/dz derivatives) at arbitrary z by direct quadrature.
 
     Mu(z) = int_0^inf r^{z-1} u(r) dr = int e^{zt} u(e^t) dt; the d-th
-    derivative inserts a factor t^d.
+    derivative inserts a factor t^d.  exp(z t) is evaluated on the support
+    of the samples only; the product is the dense one, bit for bit.
     """
     t = u.grid.t
     w = u.values * u.grid.dt
     if derivative:
         w = w * t**derivative
     zarr = np.atleast_1d(np.asarray(z, dtype=complex))
+    e = np.zeros((zarr.size, t.size), dtype=complex)
+    nz = np.flatnonzero(w)
+    sl = slice(nz[0], nz[-1] + 1) if nz.size else slice(0)
     with np.errstate(over="ignore", invalid="ignore"):  # reported below
-        out = np.exp(np.outer(zarr, t)) @ w
-    bad = ~np.isfinite(out)
+        np.exp(np.outer(zarr, t[sl]), out=e[:, sl])
+        out = e @ w
+    # exp(z t) overflows somewhere on the grid iff it does at an end
+    over = np.outer(zarr.real, t[[0, -1]]) > np.log(np.finfo(float).max)
+    bad = over.any(axis=1) | ~np.isfinite(out)
     if bad.any():
         raise InsufficientDecay(
             "Mellin quadrature not finite at z = %s: exp(z t) overflows "

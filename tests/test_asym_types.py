@@ -20,7 +20,7 @@ from mellin_edge.asym_types import (
     type_of_family,
     union,
 )
-from mellin_edge.errors import EmptyDomain, WrongKind
+from mellin_edge.errors import CoveringFailed, EmptyDomain, WrongKind
 from mellin_edge.symbols import track_branches
 
 from conftest import double_pole, simple_pole
@@ -161,3 +161,19 @@ def test_type_json_roundtrip():
     r2 = AsymptoticType.from_json(json.loads(json.dumps(r.to_json())))
     assert set_equal(r, r2)
     assert r2.weight == w
+
+
+def test_build_covering_fails_on_poles_accumulating_at_the_strip():
+    # poles at 0.75 eps / 2^k below the strip edge, k = 0..8: every halving
+    # of eps leaves one in the ambiguous annulus [eps/2, eps)
+    c, eps = -0.4, 0.1
+    r = AsymptoticType(np.array([0.0]),
+                       [[(c - 0.75 * eps / 2 ** k, 0) for k in range(9)]])
+    with pytest.raises(CoveringFailed) as err:
+        build_covering(r, strip=(c, 0.4), u_box=(-0.5, 0.5), eps_target=eps)
+    assert err.value.y_interval == (0.0, 0.0)
+    # one pole fewer and the ninth eps classifies every pole
+    r8 = AsymptoticType(np.array([0.0]), [r.pairs[0][1:]])
+    cov = build_covering(r8, strip=(c, 0.4), u_box=(-0.5, 0.5),
+                         eps_target=eps)
+    assert len(cov.sets) == 1

@@ -10,6 +10,7 @@ import pytest
 
 from mellin_edge import cone, symbols
 from mellin_edge.cli import main
+from mellin_edge.errors import CertificationFailed
 from mellin_edge.edge_spaces import EdgeField, TorusGrid, field_to_binary
 from mellin_edge.mellin import LogGrid
 
@@ -174,6 +175,28 @@ def test_solve_branching_failure_precedes_solution(tmp_path, capsys):
     assert run("solve", write_cfg(tmp_path, "c.json", cfg), out) == 3
     assert json.loads(capsys.readouterr().err)["error"] == "PoleOnWeightLine"
     assert os.listdir(out) == []
+
+
+def test_solve_failure_leaves_no_solution_csv(tmp_path, monkeypatch,
+                                             capsys):
+    """A numeric failure after some rows were streamed leaves no
+    solution.csv and no temporary file; coefficients.csv is complete."""
+    split = cone.split_flat_singular
+    calls = []
+
+    def fail_second(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 2:
+            raise CertificationFailed("planted", clause="flatness")
+        return split(*args, **kwargs)
+
+    monkeypatch.setattr(cone, "split_flat_singular", fail_second)
+    out = tmp_path / "out"
+    assert run("solve", write_cfg(tmp_path, "c.json", solve_config()),
+               out) == 3
+    assert json.loads(capsys.readouterr().err)["error"] == \
+        "CertificationFailed"
+    assert os.listdir(out) == ["coefficients.csv"]
 
 
 def test_verify_subset_passes(tmp_path):

@@ -23,6 +23,7 @@ from mellin_edge.errors import (
     CertificationFailed,
     PoleOnHarvestBoundary,
     PoleOnWeightLine,
+    ResidualTooLarge,
 )
 from mellin_edge.mellin import CutoffFunction, HalfLineFunction
 from mellin_edge.symbols import ConormalSymbol
@@ -157,3 +158,19 @@ def test_coefficients_csv_format():
     lines = buf.getvalue().splitlines()
     assert lines[0] == "y,re_p,im_p,k,re_c,im_c,branch_id"
     assert lines[1] == "0.5,0.25,0.5,1,2,-1,3"
+
+
+def test_solve_residual_too_large(grid_short):
+    # a = 1 + z^4: the residual pass multiplies the line samples by up to
+    # (pi/dt)^4 ~ 4e10, which lifts rounding in u past SOLVE_TOL;
+    # a = 1 + z^2 on the same grid passes
+    def problem(k):
+        coeffs = [np.array([1.0])] + [np.array([0.0])] * (k - 1) + \
+            [np.array([1.0])]
+        return ConeProblem(ConormalSymbol(coeffs), 0, 0.0,
+                           bump_rhs(grid_short), np.array([0.0]))
+
+    assert solve(problem(2), 0.0).residual <= 1e-7
+    with pytest.raises(ResidualTooLarge) as err:
+        solve(problem(4), 0.0)
+    assert err.value.residual > err.value.tol == 1e-7

@@ -8,6 +8,8 @@ from mellin_edge.errors import (
     CarrierTooFarRight,
     NotDiscrete,
     PoleOnContour,
+    RepresentationInvalid,
+    WindingMismatch,
 )
 from mellin_edge.functionals import (
     AnalyticFunctional,
@@ -185,3 +187,19 @@ def test_contour_winding():
     rect = Contour("rectangle", c=0.0, c_prime=1.0, m=2.0, eps=0.1)
     assert rect.winding(0.5 + 0j) == 1
     assert rect.winding(-1.0 + 0j) == 0
+
+
+def test_contour_winding_twice_rejected():
+    # a square around the pole traversed twice winds 2 times
+    square = [0.65 + v for v in (1.0, 1j, -1.0, -1j)]
+    contour = Contour("polygon", 256, vertices=square * 2)
+    assert contour.winding(0.65) == 2
+    with pytest.raises(WindingMismatch, match="winding 2"):
+        from_symbol(simple_pole(0.65), 0.0, contour)
+
+
+def test_functional_needs_masses_or_contour_and_density():
+    with pytest.raises(RepresentationInvalid):
+        AnalyticFunctional()
+    with pytest.raises(RepresentationInvalid):
+        AnalyticFunctional(contour=unit_circle())     # no density

@@ -1,6 +1,7 @@
 """The shared numerical kernels against closed forms."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -11,6 +12,8 @@ from mellin_edge.kernels import (
     CERT_T_FLOOR,
     cert_shifts,
     circle_moments,
+    circle_nodes,
+    contour_synthesis,
     mass_ratios,
     point_mass_synthesis,
     residue_weights,
@@ -83,3 +86,28 @@ def test_mass_ratios_at_cert_shifts():
     ratios = mass_ratios(lambda g: np.exp(-g), 0.5, shifts)
     assert np.allclose(ratios, np.exp(-np.array(shifts)), rtol=1e-15)
     assert all(r <= CERT_FACTOR for r in ratios)
+
+
+@pytest.mark.parametrize("t_min, n", [(-1.0, 16), (-1.0, 32), (-15.0, 4096),
+                                      (-30.0, 32768)])
+def test_contour_synthesis_matches_dense(t_min, n):
+    # the factored product against the dense table exp(outer(-t, z)) @ f_dz,
+    # for odd and even log2 n
+    grid = make_grid(t_min, n)
+    _theta, z, dz = circle_nodes(0.3 + 0.1j, 0.15, 256)
+    f_dz = np.exp(z) / (z - 0.3 - 0.1j) ** 2 * dz
+    dense = (np.exp(np.outer(-grid.t, z)) @ f_dz) / (2j * np.pi)
+    got = contour_synthesis(grid, z, f_dz)
+    assert np.max(np.abs(got - dense)) <= 1e-12 * np.max(np.abs(dense))
+
+
+def test_contour_synthesis_simple_pole_residue(grid_green):
+    # Gamma(1+z)/(z - p) on a circle around p synthesizes Gamma(1+p) r^{-p}
+    from scipy.special import gamma
+
+    for p in (0.25, 0.3 + 0.2j):
+        _theta, z, dz = circle_nodes(p, 0.1, 256)
+        got = contour_synthesis(grid_green, z, gamma(1 + z) / (z - p) * dz)
+        exact = gamma(1 + p) * np.exp(-grid_green.t * p)
+        err = np.linalg.norm(got - exact) / np.linalg.norm(exact)
+        assert err <= 1e-12

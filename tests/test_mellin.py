@@ -1,5 +1,6 @@
 """Weighted Mellin transform, dilations, cut-offs, kernel cut-off."""
 
+import itertools
 from dataclasses import replace
 
 import numpy as np
@@ -134,6 +135,23 @@ def test_mellin_eval_derivative(grid_short):
     h = 1e-5
     fd = (mellin_eval(u, z + h) - mellin_eval(u, z - h)) / (2 * h)
     assert mellin_eval(u, z, derivative=1) == pytest.approx(fd, rel=1e-8)
+
+
+@pytest.mark.parametrize("name", ["bump", "r_exp", "zero"])
+def test_mellin_eval_equals_dense_table(grid_green, name):
+    # evaluating exp(z t) on the support only gives, bit for bit, the dense
+    # exp(outer(z, t)) @ w: support in the middle, a prefix, and empty
+    r = grid_green.r
+    vals = {"bump": bump(grid_green).values, "r_exp": r * np.exp(-r),
+            "zero": np.zeros_like(r)}[name]
+    u = HalfLineFunction(grid_green, vals)
+    z_arr = 0.3 + 0.2 * np.exp(2j * np.pi * np.arange(9) / 9)
+    for z, d in itertools.product([z_arr, z_arr[1]], range(3)):
+        w = u.values * grid_green.dt * grid_green.t ** d
+        dense = np.exp(np.outer(z, grid_green.t)) @ w
+        got = mellin_eval(u, z, derivative=d)
+        assert np.shape(got) == np.shape(z)
+        assert np.array_equal(np.atleast_1d(got), dense)
 
 
 @pytest.mark.filterwarnings("error")

@@ -12,6 +12,7 @@ from mellin_edge.errors import (
     DegenerateDenominator,
     DomainMismatch,
     EllipticityViolated,
+    NonDifferentiableCoefficients,
     NotAPole,
     PoleTooClose,
 )
@@ -248,3 +249,15 @@ def test_branches_csv_format():
     row = lines[1].split(",")
     assert float(row[1]) == pytest.approx(0.25, abs=1e-12)
     assert row[3] == "1" and row[4] == "0"
+
+
+def test_non_polynomial_coefficients_rejected():
+    # a coefficient a_j(y) must be a 1-D array of y-polynomial coefficients
+    with pytest.raises(NonDifferentiableCoefficients, match="1-D"):
+        ConormalSymbol([np.ones((2, 2))])
+    # split_by_weight works in exact arithmetic: a coefficient 3e-12 away
+    # from 1/7 has no rational within 1e-12 of denominator <= 10^9
+    f = MeromorphicSymbol(np.ones((1, 1)),
+                          np.array([[-(1 / 7 + 3e-12)], [1.0]]))
+    with pytest.raises(NonDifferentiableCoefficients, match="rational"):
+        split_by_weight(f, 0.0, 0.5, 0.1)
