@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CoveringFailed, EmptyDomain, WrongKind
-from .symbols import CLUSTER_TOL, locate_poles, same_pole, track_branches
+from .symbols import CLUSTER_TOL, locate_poles, same_pole
 
 PAD_TOL = 1e-3
 MAX_HALVINGS = 8
@@ -113,19 +113,11 @@ def set_equal(r1, r2):
     return True
 
 
-def type_of_family(f, y_grid=None, spectral=None):
+def type_of_family(spectral):
     """The Mellin asymptotic type of a symbol family: its actual pole data,
-    from `spectral` (SpectralData of f) when given, else tracked over
-    y_grid."""
-    if spectral is not None:
-        sd = spectral
-    elif y_grid is not None:
-        sd = track_branches(f, y_grid, with_laurent=False)
-    else:
-        raise ValueError("type_of_family needs y_grid or spectral")
-    pairs = [[(p, m - 1) for p, m in sd.pairs_at(k)]
-             for k in range(len(sd.y_nodes))]
-    return AsymptoticType(sd.y_nodes, pairs)
+    from its SpectralData (multiplicity m is log-order m - 1)."""
+    pairs = [[(p, m - 1) for p, m in rec.pairs] for rec in spectral.poles]
+    return AsymptoticType(spectral.y_nodes, pairs)
 
 
 def restrict(r, region=None, u_box=None):
@@ -213,7 +205,7 @@ def subordinate(f, r, y_samples):
     violations = []
     for yv in np.asarray(y_samples, dtype=float):
         pl = r.pairs[r.node_index(yv)]
-        for p, mult in locate_poles(f, yv):
+        for p, mult in locate_poles(f, yv).pairs:
             i = _match(pl, p)
             if i is None:
                 violations.append((float(yv), p, "missing"))

@@ -102,7 +102,7 @@ def cmd_poles(cfg, out_dir, seed):
     check_keys(cfg, {"symbol", "y", "seed"}, "config")
     f = mero_from_config(cfg.get("symbol", {}))
     ys = y_grid_from_config(cfg.get("y", {}))
-    sd = symbols.track_branches(f, ys, with_laurent=False)
+    sd = symbols.track_branches(f, ys)
     with open(os.path.join(out_dir, "branches.csv"), "w",
               encoding="utf-8", newline="") as fh:
         symbols.branches_to_csv(sd, fh)
@@ -114,7 +114,7 @@ def cmd_poles(cfg, out_dir, seed):
         fh.write("# y re_p im_p multiplicity branch_id\n")
         for b in sd.branches:
             for k in b.nodes():
-                p, m, _l = b.samples[k]
+                p, m = b.samples[k]
                 fh.write("%.17g %.17g %.17g %d %d\n"
                          % (sd.y_nodes[k], p.real, p.imag, m, b.branch_id))
             fh.write("\n")
@@ -167,8 +167,8 @@ def cmd_solve(cfg, out_dir, seed):
     with open(part, "w", encoding="utf-8") as fh:
         try:
             fh.write("y,r,re_u,im_u\n")
-            for y, ex in zip(ys, br.expansions):
-                u = cone.solve(problem, y)
+            for y, ex, poles in zip(ys, br.expansions, br.poles):
+                u = cone.solve(problem, y, poles)
                 y_col = "%.17g," % y
                 fh.writelines("%s%s%.17g,%.17g\n" % (y_col, r_col, re, im)
                               for r_col, re, im in zip(

@@ -9,7 +9,6 @@ type branches with the parameter y.
 """
 
 from dataclasses import dataclass, field
-from math import factorial
 
 import numpy as np
 
@@ -28,23 +27,16 @@ from .kernels import (
     CERT_MARGIN,
     cert_shifts,
     mass_ratios,
-    residue_weights,
     windowed_mass,
 )
 from .mellin import (
     CutoffFunction,
     HalfLineFunction,
     check_line_clearance,
-    mellin_eval,
     op_mellin,
+    residue_masses,
 )
-from .symbols import (
-    MeromorphicSymbol,
-    invert_symbol,
-    laurent_expand,
-    locate_poles,
-    track_branches,
-)
+from .symbols import MeromorphicSymbol, invert_symbol, track_branches
 from .asym_types import AsymptoticType
 
 SOLVE_TOL = 1e-7
@@ -112,12 +104,13 @@ class ConeProblem:
                                  self.symbol.y_domain, reduce=False)
 
 
-def solve(problem, y):
+def solve(problem, y, poles):
     """u = op_M^gamma(sigma_c^{-1})(r^mu f), with the residual verified by
-    applying the discrete operator A."""
+    applying the discrete operator A; `poles` is the PoleRecord of
+    sigma_c^{-1}(y, .)."""
     gamma = problem.gamma
     ft = problem.scaled_rhs_at(y)
-    u = op_mellin(problem.inverse_symbol, y, gamma, ft)
+    u = op_mellin(problem.inverse_symbol, y, gamma, ft, poles=poles)
     # residual: A u = r^{-mu} op_M^gamma(sigma_c) u vs f.  The solution decays
     # only algebraically at r -> infinity, so the tail precondition is waived
     # for this same-grid verification pass.
@@ -137,9 +130,8 @@ class AsymptoticExpansion:
     """Harvested singular terms c * r^{-p} log^k r in a weight strip."""
 
     terms: list                 # (p: complex, k: int, c: complex)
-    weight_front: float         # beta: flatness order of the remainder
+    depth_used: float           # harvest depth: flatness order of the remainder
     y: float = 0.0
-    depth_used: float = None
     notes: list = field(default_factory=list)
 
     def evaluate(self, r):
@@ -158,9 +150,10 @@ class FlatRemainder:
     mass_ratios: list = field(default_factory=list)  # one per shifted weight
 
 
-def extract_asymptotics(problem, y, depth, strict_boundary=False):
+def extract_asymptotics(problem, y, poles, depth, strict_boundary=False):
     """Harvest poles of g(z) = sigma_c^{-1}(y,z) M(r^mu f)(z) in the strip
-    {1/2 - gamma - depth < Re z < 1/2 - gamma}.
+    {1/2 - gamma - depth < Re z < 1/2 - gamma}; `poles` is the PoleRecord
+    of sigma_c^{-1}(y, .).
 
     At a pole p of order m with principal coefficients d_i (coefficient of
     (z-p)^{-(i+1)}) and Taylor data T_j = (M f~)^(j)(p)/j!, the product g has
@@ -170,13 +163,11 @@ def extract_asymptotics(problem, y, depth, strict_boundary=False):
     gamma = problem.gamma
     line_re = 0.5 - gamma
     ft = problem.scaled_rhs_at(y)
-    finv = problem.inverse_symbol
-    check_line_clearance(finv, y, gamma)
+    check_line_clearance(poles, gamma)
 
     notes = []
     depth_used = float(depth)
-    poles = locate_poles(finv, y)
-    for p, _m in poles:
+    for p, _m in poles.pairs:
         if abs(p.real - (line_re - depth_used)) < BOUNDARY_TOL:
             if strict_boundary:
                 raise PoleOnHarvestBoundary(p, depth_used)
@@ -185,23 +176,17 @@ def extract_asymptotics(problem, y, depth, strict_boundary=False):
                 "pole %s within %.1e of the harvest boundary; depth shrunk "
                 "to %.6g" % (p, BOUNDARY_TOL, depth_used)
             )
-    left_re = line_re - depth_used
 
     terms = []
-    for p, m in poles:
-        if not (left_re < p.real < line_re):
-            continue
-        d = laurent_expand(finv, y, p, order=m - 1)
-        taylor = np.array([
-            mellin_eval(ft, p, derivative=j) / factorial(j) for j in range(m)
-        ])
-        for k, w in enumerate(residue_weights(d, taylor)):
+    for p, weights in residue_masses(problem.inverse_symbol, y, poles, ft,
+                                     line_re - depth_used, line_re):
+        for k, w in enumerate(weights):
             c = (-1) ** k * w
             if c != 0:
                 terms.append((complex(p), int(k), complex(c)))
     terms.sort(key=lambda t: (t[0].real, t[0].imag, t[1]))
-    return AsymptoticExpansion(terms=terms, weight_front=depth_used,
-                               y=float(y), depth_used=depth_used, notes=notes)
+    return AsymptoticExpansion(terms=terms, depth_used=depth_used, y=float(y),
+                               notes=notes)
 
 
 def expansion_to_functional(expansion):
@@ -247,7 +232,7 @@ def split_flat_singular(u, expansion, omega, gamma=None):
     grid = u.grid
     sing = singular_part(expansion, omega, grid)
     flat = HalfLineFunction(grid, u.values - sing.values)
-    shifts = cert_shifts(expansion.weight_front)
+    shifts = cert_shifts(expansion.depth_used)
     ratios = mass_ratios(_windowed_mass(flat), gamma, shifts)
     for beta_p, ratio in zip(shifts, ratios):
         if not ratio <= CERT_FACTOR:
@@ -257,7 +242,7 @@ def split_flat_singular(u, expansion, omega, gamma=None):
                 % (beta_p, ratio),
                 clause="flatness",
             )
-    beta = expansion.weight_front - CERT_MARGIN
+    beta = expansion.depth_used - CERT_MARGIN
     return FlatRemainder(values=flat, certified_weight=gamma + beta,
                          mass_ratios=ratios), sing
 
@@ -273,7 +258,8 @@ class BranchingResult:
     events: list
     table: list                 # rows (y, p, k, c, branch_id)
     continuity_defect: float
-    expansions: list = field(default_factory=list)
+    expansions: list            # AsymptoticExpansion per y node
+    poles: list                 # PoleRecord of sigma_c^{-1} per y node
 
 
 def detect_branching(problem, depth, radii=(0.05, 0.1, 0.2)):
@@ -284,10 +270,9 @@ def detect_branching(problem, depth, radii=(0.05, 0.1, 0.2)):
     synthesized singular part is continuous in y across each event.
     """
     y_grid = problem.y_grid
-    expansions = [extract_asymptotics(problem, y, depth) for y in y_grid]
-
-    spectral = track_branches(problem.inverse_symbol, y_grid,
-                              with_laurent=False)
+    spectral = track_branches(problem.inverse_symbol, y_grid)
+    expansions = [extract_asymptotics(problem, y, poles, depth)
+                  for y, poles in zip(y_grid, spectral.poles)]
     line_re = 0.5 - problem.gamma
     events = []
     for ye in spectral.collision_events:
@@ -326,7 +311,8 @@ def detect_branching(problem, depth, radii=(0.05, 0.1, 0.2)):
             clause="continuity",
         )
     return BranchingResult(asym_type=atype, events=events, table=table,
-                           continuity_defect=defect, expansions=expansions)
+                           continuity_defect=defect, expansions=expansions,
+                           poles=spectral.poles)
 
 
 def _branch_id_for(spectral, node_index, p):

@@ -7,8 +7,6 @@ commutators, formal adjoints, finite-rank Green symbols, convention
 differences, eta-derivatives, and asymptotic summation with excision.
 """
 
-from math import factorial
-
 import numpy as np
 
 from .errors import (
@@ -22,7 +20,6 @@ from .kernels import (
     circle_nodes,
     contour_synthesis,
     point_mass_synthesis,
-    residue_weights,
 )
 from .mellin import (
     SHIFTED_TAIL_TOL,
@@ -35,13 +32,9 @@ from .mellin import (
     line_transform,
     mellin_eval,
     op_mellin,
+    residue_masses,
 )
-from .symbols import (
-    MeromorphicSymbol,
-    laurent_expand,
-    locate_poles,
-    p2_reflect_conj,
-)
+from .symbols import MeromorphicSymbol, locate_poles, p2_reflect_conj
 
 GREEN_TOL = 1e-7
 SLOPE_TOL = 0.1
@@ -115,7 +108,7 @@ def mellin_edge_rows(m, ys, etas, modes, grid, tail_tol=TAIL_TOL):
     r, rho = grid.r, grid.rho
     for y in ys:
         for _j, _a, f, gj in m.terms:
-            check_line_clearance(f, y, gj)
+            check_line_clearance(locate_poles(f, y), gj)
     fz = [[f(y, (0.5 - gj) + 1j * rho) for _j, _a, f, gj in m.terms]
           for y in ys]
     rps = [r ** (-m.mu + j) for j, _a, _f, _gj in m.terms]
@@ -205,20 +198,18 @@ def weight_shift_green(f, y, delta, beta, u, tail_tol=TAIL_TOL):
     """
     if beta <= 0:
         raise ValueError("beta must be positive")
+    poles = locate_poles(f, y)
     # op_mellin checks each line's clearance; the delta line goes first
-    b = op_mellin(f, y, delta, u, tail_tol=tail_tol)
-    a = op_mellin(f, y, delta + beta, u, tail_tol=tail_tol)
+    b = op_mellin(f, y, delta, u, tail_tol=tail_tol, poles=poles)
+    a = op_mellin(f, y, delta + beta, u, tail_tol=tail_tol, poles=poles)
     diff = HalfLineFunction(u.grid, a.values - b.values)
 
     lo, hi = 0.5 - delta - beta, 0.5 - delta
-    poles = locate_poles(f, y)
     vals = np.zeros(u.grid.n_points, dtype=complex)
-    for p, _mm in poles:
+    for (p, _mm), gap in zip(poles.pairs, poles.gaps):
         if not lo < p.real < hi:
             continue
-        others = [abs(q - p) for q, _m in poles if q != p]
-        radius = min(p.real - lo, hi - p.real,
-                     min(others, default=np.inf) / 2) * 0.9
+        radius = min(p.real - lo, hi - p.real, gap / 2) * 0.9
         _theta, z, dz = circle_nodes(p, radius, GREEN_N_CONTOUR)
         fz = f(y, z) * mellin_eval(u, z)
         # clockwise orientation: minus the ccw integral
@@ -242,14 +233,8 @@ def _op_singular_values(f, y, gamma, w, depth=8.0):
     """Singular part of op_M^gamma(f) w near r = 0: residue synthesis of
     r^{-z} f(z) Mw(z) over the poles of f left of the weight line."""
     line_re = 0.5 - gamma
-    masses = []
-    for p, mm in locate_poles(f, y):
-        if not (line_re - depth < p.real < line_re):
-            continue
-        d = laurent_expand(f, y, p, order=mm - 1)
-        taylor = [mellin_eval(w, p, derivative=jj) / factorial(jj)
-                  for jj in range(mm)]
-        masses.append((p, residue_weights(d, taylor)))
+    masses = residue_masses(f, y, locate_poles(f, y), w, line_re - depth,
+                            line_re)
     return point_mass_synthesis(w.grid.t, masses)
 
 

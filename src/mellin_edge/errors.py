@@ -48,14 +48,6 @@ class DegenerateDenominator(MellinEdgeError):
     pass
 
 
-class PoleTooClose(MellinEdgeError):
-    pass
-
-
-class NotAPole(MellinEdgeError):
-    pass
-
-
 class DomainMismatch(MellinEdgeError):
     pass
 

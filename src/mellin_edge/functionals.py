@@ -26,9 +26,10 @@ from .kernels import (
     point_mass_synthesis,
 )
 from .mellin import CutoffFunction, HalfLineFunction
-from .symbols import LAURENT_TOL
+from .symbols import locate_poles
 
 CONTOUR_CLEARANCE = 1e-6
+LAURENT_TOL = 1e-10
 MAX_MASS_ORDER = 8
 STABILIZE_TOL = 1e-8
 POTENTIAL_N_QUAD = 400
@@ -149,7 +150,7 @@ def from_symbol(f, y, contour):
     """zeta(y): h -> oint f(y, z) h(z) dz/(2 pi i) along the contour."""
     z, _dz = contour.nodes()
     enclosed = []
-    for p, _m in f.poles(y):
+    for p, _m in locate_poles(f, y).pairs:
         d = np.min(np.abs(z - p))
         if d < CONTOUR_CLEARANCE:
             raise PoleOnContour("pole %s at distance %.3e from contour" % (p, d))

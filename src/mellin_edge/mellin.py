@@ -7,6 +7,7 @@ so an FFT gives spectral accuracy for smooth decaying data.
 """
 
 from dataclasses import dataclass
+from math import factorial
 
 import numpy as np
 
@@ -18,6 +19,8 @@ from .errors import (
     PoleOnWeightLine,
     TailTooLarge,
 )
+from .kernels import residue_weights
+from .symbols import laurent_expand, locate_poles
 
 TAIL_TOL = 1e-10
 SHIFTED_TAIL_TOL = 1e-6     # for inputs a dilation moved toward a grid end
@@ -248,23 +251,41 @@ def mellin_eval(u, z, derivative=0):
     return out[0] if np.isscalar(z) or np.asarray(z).ndim == 0 else out
 
 
-def check_line_clearance(f, y, gamma):
-    """Raise PoleOnWeightLine when a pole of the MeromorphicSymbol f(y, .)
-    is within LINE_CLEARANCE_TOL of the weight line Re z = 1/2 - gamma."""
+def check_line_clearance(poles, gamma):
+    """Raise PoleOnWeightLine when a pole of the PoleRecord is within
+    LINE_CLEARANCE_TOL of the weight line Re z = 1/2 - gamma."""
     line_re = 0.5 - gamma
-    for p, _m in f.poles(y):
+    for p, _m in poles.pairs:
         d = abs(p.real - line_re)
         if d < LINE_CLEARANCE_TOL:
             raise PoleOnWeightLine(p, d, line_re)
 
 
-def op_mellin(f, y, gamma, u, tail_tol=TAIL_TOL):
+def op_mellin(f, y, gamma, u, tail_tol=TAIL_TOL, poles=None):
     """Mellin pseudo-differential action op_M^gamma(f) u = M^{-1}[f . M u]
-    for a MeromorphicSymbol f, after the line-clearance check."""
-    check_line_clearance(f, y, gamma)
+    for a MeromorphicSymbol f, after the line-clearance check against
+    `poles`, the PoleRecord of f(y, .) (located here when not given)."""
+    check_line_clearance(locate_poles(f, y) if poles is None else poles,
+                         gamma)
     g = mellin_transform(u, gamma, tail_tol=tail_tol)
     g.values = g.values * f(y, g.z_nodes)
     return _inverse_mellin_raw(g, u.grid)
+
+
+def residue_masses(f, y, poles, u, lo, hi):
+    """[(p, w)] over the poles lo < Re p < hi of the PoleRecord of f(y, .):
+    w = residue_weights of f's Laurent data at p against the Taylor data of
+    M u at p, so the residue of r^{-z} f(y, z) M u(z) at p is
+    sum_k w_k (-log r)^k r^{-p}."""
+    masses = []
+    for i, (p, m) in enumerate(poles.pairs):
+        if not lo < p.real < hi:
+            continue
+        d = laurent_expand(f, y, poles, i)
+        taylor = [mellin_eval(u, p, derivative=j) / factorial(j)
+                  for j in range(m)]
+        masses.append((p, residue_weights(d, taylor)))
+    return masses
 
 
 def _shift_weighted(u, a, interpolation):

@@ -21,15 +21,12 @@ from .errors import (
     DomainMismatch,
     EllipticityViolated,
     NonDifferentiableCoefficients,
-    NotAPole,
-    PoleTooClose,
 )
-from .kernels import circle_moments, circle_nodes
+from .kernels import circle_moments
 
 CLUSTER_TOL = 1e-6
 N_CONTOUR = 256
 RADIUS_CAP = 1.0
-LAURENT_TOL = 1e-10
 MATCH_TIE_TOL = 1e-9
 ELLIPTICITY_TOL = 1e-8
 ELLIPTICITY_SAMPLES = 33
@@ -200,9 +197,6 @@ class MeromorphicSymbol:
     def den_at(self, y):
         return _trim1d(p2_at_y(self.den, 0.0 if y is None else y))
 
-    def poles(self, y):
-        return locate_poles(self, y)
-
     def __add__(self, other):
         num = p2_add(p2_mul(self.num, other.den), p2_mul(other.num, self.den))
         return MeromorphicSymbol(num, p2_mul(self.den, other.den),
@@ -330,6 +324,16 @@ def _cluster(roots):
     return out
 
 
+@dataclass(frozen=True)
+class PoleRecord:
+    """The poles of f(y, .) from one search: `pairs` holds (p, m) sorted by
+    (Re p, Im p); `gaps[i]` is the distance from pole i to the nearest
+    other pole that is not the same pole (inf when alone)."""
+
+    pairs: tuple
+    gaps: tuple
+
+
 def locate_poles(f, y):
     """Poles of f(y, .) with multiplicities via companion-matrix roots.
 
@@ -338,12 +342,12 @@ def locate_poles(f, y):
     """
     den = f.den_at(y)
     if den.size <= 1:
-        return []
+        return PoleRecord((), ())
     droots = np.roots(den[::-1])
     clusters = _cluster(list(droots))
     num = f.num_at(y)
     nroots = list(np.roots(num[::-1])) if num.size > 1 else []
-    out = []
+    pairs = []
     for p, m in clusters:
         cancel = 0
         remaining = []
@@ -354,43 +358,30 @@ def locate_poles(f, y):
                 remaining.append(nr)
         nroots = remaining
         if m - cancel >= 1:
-            out.append((p, m - cancel))
-    return out
+            pairs.append((p, m - cancel))
+    gaps = [min((abs(q - p) for q, _n in pairs if not same_pole(q, p)),
+                default=np.inf) for p, _m in pairs]
+    return PoleRecord(tuple(pairs), tuple(gaps))
 
 
-def strip_bound(poles, c, c_prime):
+def strip_bound(pairs, c, c_prime):
     """Certified M with D(y) in {c < Re z < c'} contained in {|Im z| <= M}."""
-    ims = [abs(p.imag) for p, _m in poles if c < p.real < c_prime]
+    ims = [abs(p.imag) for p, _m in pairs if c < p.real < c_prime]
     return max(ims) if ims else 0.0
 
 
-def laurent_expand(f, y, pole, order, contour_radius=None):
-    """Laurent coefficients d_0..d_order at `pole`:
+def laurent_expand(f, y, poles, i):
+    """Laurent coefficients d_0..d_{m-1} at pole i, (p, m), of the record:
 
-    d_k = (2 pi i)^{-1} oint f(y,z) (z - pole)^k dz
+    d_k = (2 pi i)^{-1} oint f(y,z) (z - p)^k dz
 
     over a circle of half the distance to the nearest other pole (capped),
     trapezoid rule (geometric convergence for rational f).
     """
-    poles = locate_poles(f, y)
-    dists = [abs(p - pole) for p, _m in poles if not same_pole(p, pole)]
-    dmin = min(dists) if dists else np.inf
-    radius = (contour_radius if contour_radius is not None
-              else min(RADIUS_CAP, dmin / 2))
-    if not np.isfinite(radius) or radius <= 0:
-        radius = RADIUS_CAP
-    if dmin < 2 * radius * (1 - 1e-12):
-        raise PoleTooClose(
-            "nearest other pole at %.3e < 2 x contour radius %.3e" % (dmin, radius)
-        )
-    d = circle_moments(lambda z: f(y, z), pole, radius, np.arange(order + 1),
-                       N_CONTOUR)
-    if not any(same_pole(p, pole) for p, _m in poles):
-        fv = f(y, circle_nodes(pole, radius, N_CONTOUR)[1])
-        scale = max(1.0, float(np.max(np.abs(fv))) * radius)
-        if np.all(np.abs(d) <= LAURENT_TOL * scale):
-            raise NotAPole("contour moments below LAURENT_TOL at %s" % pole)
-    return d
+    p, m = poles.pairs[i]
+    radius = min(RADIUS_CAP, poles.gaps[i] / 2)
+    return circle_moments(lambda z: f(y, z), p, radius, np.arange(m),
+                          N_CONTOUR)
 
 
 # ----------------------------------------------------------------------
@@ -399,7 +390,7 @@ def laurent_expand(f, y, pole, order, contour_radius=None):
 @dataclass
 class PoleBranch:
     branch_id: int
-    samples: dict = field(default_factory=dict)  # node index -> (p, mult, laurent)
+    samples: dict = field(default_factory=dict)  # node index -> (p, mult)
     collision_events: list = field(default_factory=list)
 
     def nodes(self):
@@ -411,32 +402,11 @@ class SpectralData:
     y_nodes: np.ndarray
     branches: list
     collision_events: list            # y values where the multiplicity pattern changes
+    poles: list                       # one PoleRecord per node
     ambiguities: list = field(default_factory=list)
-    symbol: MeromorphicSymbol = None
-
-    def pairs_at(self, k):
-        out = []
-        for b in self.branches:
-            if k in b.samples:
-                p, m, _l = b.samples[k]
-                out.append((p, m))
-        out.sort(key=lambda pm: (pm[0].real, pm[0].imag))
-        return out
-
-    def remainder(self, k, z):
-        """Holomorphic part of the symbol at node k: f minus all singular parts."""
-        y = self.y_nodes[k]
-        val = np.asarray(self.symbol(y, z), dtype=complex)
-        for b in self.branches:
-            if k not in b.samples:
-                continue
-            p, m, laur = b.samples[k]
-            for i in range(m):
-                val = val - laur[i] / (np.asarray(z) - p) ** (i + 1)
-        return val
 
 
-def track_branches(f, y_grid, with_laurent=True):
+def track_branches(f, y_grid):
     """Locate poles at each y node and stitch them into branches.
 
     Adjacent nodes are matched by Hungarian assignment on |delta p|; nodes
@@ -446,6 +416,7 @@ def track_branches(f, y_grid, with_laurent=True):
     from scipy.optimize import linear_sum_assignment
 
     y_grid = np.asarray(y_grid, dtype=float)
+    records = []
     branches = []
     patterns = []         # sorted multiplicity tuple per node
     ambiguities = []
@@ -453,14 +424,13 @@ def track_branches(f, y_grid, with_laurent=True):
     prev_ids = []         # branch id per prev cluster
     closed = {}           # branch id -> (last node, last position)
     for k, yv in enumerate(y_grid):
-        cur = locate_poles(f, yv)
-        laur = [laurent_expand(f, yv, p, m - 1) if with_laurent else None
-                for p, m in cur]
+        records.append(locate_poles(f, yv))
+        cur = records[-1].pairs
         if prev is None:
             ids = []
-            for (p, m), d in zip(cur, laur):
+            for p, m in cur:
                 b = PoleBranch(branch_id=len(branches))
-                b.samples[k] = (p, m, d)
+                b.samples[k] = (p, m)
                 branches.append(b)
                 ids.append(b.branch_id)
         else:
@@ -482,7 +452,7 @@ def track_branches(f, y_grid, with_laurent=True):
                 matched_rows = set()
                 for r_, c_ in zip(rows, cols):
                     bid = prev_ids[r_]
-                    branches[bid].samples[k] = (cur[c_][0], cur[c_][1], laur[c_])
+                    branches[bid].samples[k] = cur[c_]
                     ids[c_] = bid
                     matched_rows.add(r_)
                 for r_ in range(len(prev)):
@@ -506,7 +476,7 @@ def track_branches(f, y_grid, with_laurent=True):
                     b = PoleBranch(branch_id=len(branches))
                     branches.append(b)
                     bid = b.branch_id
-                branches[bid].samples[k] = (cur[c_][0], cur[c_][1], laur[c_])
+                branches[bid].samples[k] = cur[c_]
                 ids[c_] = bid
         patterns.append(tuple(sorted(m for _p, m in cur)))
         prev, prev_ids = cur, ids
@@ -526,10 +496,9 @@ def track_branches(f, y_grid, with_laurent=True):
         k += 1
     for b in branches:
         b.collision_events = list(events)
-    sd = SpectralData(y_nodes=y_grid, branches=branches,
-                      collision_events=events, ambiguities=ambiguities,
-                      symbol=f)
-    return sd
+    return SpectralData(y_nodes=y_grid, branches=branches,
+                        collision_events=events, poles=records,
+                        ambiguities=ambiguities)
 
 
 # ----------------------------------------------------------------------
@@ -574,17 +543,15 @@ def split_by_weight(f, y_region, beta, eps):
         ys = np.array([float(y_region)])
     else:
         ys = np.linspace(y_region[0], y_region[1], SPLIT_SAMPLES)
-    left_gap, right_gap = np.inf, np.inf
+    right_gap = np.inf
     for yv in ys:
-        for p, _m in locate_poles(f, yv):
+        for p, _m in locate_poles(f, yv).pairs:
             if beta < p.real < beta + eps:
                 raise BandOccupied(
                     "pole %s inside the band (%g, %g) at y = %g"
                     % (p, beta, beta + eps, yv)
                 )
-            if p.real <= beta:
-                left_gap = min(left_gap, beta - p.real)
-            else:
+            if p.real > beta:
                 right_gap = min(right_gap, p.real - beta)
     ns = _arr_to_sympy(f.num)
     ds = _arr_to_sympy(f.den)
@@ -640,6 +607,6 @@ def branches_to_csv(spectral, fileobj):
     w.writerow(["y", "Re p", "Im p", "multiplicity", "branch_id"])
     for b in spectral.branches:
         for k in b.nodes():
-            p, m, _l = b.samples[k]
+            p, m = b.samples[k]
             w.writerow(["%.17g" % spectral.y_nodes[k], "%.17g" % p.real,
                         "%.17g" % p.imag, m, b.branch_id])

@@ -1,5 +1,7 @@
 """Shared grids, corpora, and independent quadrature oracles."""
 
+import sys
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -55,6 +57,25 @@ def double_pole(p, scale=1.0):
     return MeromorphicSymbol([np.array([scale])],
                              [np.array([p * p]), np.array([-2.0 * p]),
                               np.array([1.0])])
+
+
+def count_pole_searches(monkeypatch):
+    """Route every mellin_edge binding of symbols.locate_poles through a
+    counter; returns the list that gets the (num, den, y) of each call."""
+    from mellin_edge import symbols
+
+    search = symbols.locate_poles
+    calls = []
+
+    def counted(f, y):
+        calls.append((f.num.tobytes(), f.den.tobytes(), y))
+        return search(f, y)
+
+    for name, mod in list(sys.modules.items()):
+        if (name.partition(".")[0] == "mellin_edge"
+                and getattr(mod, "locate_poles", None) is search):
+            monkeypatch.setattr(mod, "locate_poles", counted)
+    return calls
 
 
 def quad_mellin(f, z, a, b, derivative=0, epsabs=1e-12, epsrel=1e-12):

@@ -52,6 +52,7 @@ from mellin_edge.functionals import (
     from_symbol,
     to_point_masses,
 )
+from mellin_edge.kernels import circle_moments
 from mellin_edge.mellin import (
     CutoffFunction,
     HalfLineFunction,
@@ -60,6 +61,7 @@ from mellin_edge.mellin import (
     mellin_transform,
 )
 from mellin_edge.symbols import (
+    N_CONTOUR,
     ConormalSymbol,
     MeromorphicSymbol,
     laurent_expand,
@@ -207,21 +209,20 @@ def test_acceptance_residue_oracle():
         f = MeromorphicSymbol(_poly_to_array(num), _poly_to_array(den),
                               reduce=False)
         oracle = _apart_oracle(num, den)
-        pole_list = symbols.locate_poles(f, 0.0)
-        assert len(pole_list) == len(oracle)
+        poles = symbols.locate_poles(f, 0.0)
+        assert len(poles.pairs) == len(oracle)
         scale = max(np.max(np.abs(arr)) for arr in oracle.values())
-        for p, m in pole_list:
+        for i, (p, m) in enumerate(poles.pairs):
             key = min(oracle, key=lambda k: abs(complex(*k) - p))
             exact = oracle[key][:m]
-            d = laurent_expand(f, 0.0, complex(*key), order=m - 1)
+            d = laurent_expand(f, 0.0, poles, i)
             assert np.max(np.abs(d - exact)) <= 1e-10 * scale
             # contour-radius independence
             others = [abs(complex(*k2) - p) for k2 in oracle if k2 != key]
             rmax = min(others, default=1.0) / 2
-            d1 = laurent_expand(f, 0.0, complex(*key), order=m - 1,
-                                contour_radius=0.9 * rmax)
-            d2 = laurent_expand(f, 0.0, complex(*key), order=m - 1,
-                                contour_radius=0.45 * rmax)
+            d1, d2 = (circle_moments(lambda z: f(0.0, z), complex(*key),
+                                     frac * rmax, np.arange(m), N_CONTOUR)
+                      for frac in (0.9, 0.45))
             assert np.max(np.abs(d1 - d2)) <= 1e-10 * scale
         # functional path: contour around all poles -> point masses
         pts = [complex(*k) for k in oracle]
@@ -271,7 +272,8 @@ def test_acceptance_branching_benchmark(grid_deep):
     prob = _benchmark_problem(grid_deep, np.array(sorted(ys_coarse)))
     # coefficients at |y| >= 0.05: c = M f(p) / (2p) at p = +-y
     for y in ys_coarse:
-        exp = cone.extract_asymptotics(prob, y, depth=1.0)
+        exp = cone.extract_asymptotics(
+            prob, y, symbols.locate_poles(prob.inverse_symbol, y), depth=1.0)
         assert len(exp.terms) == 2
         for p, k, c in exp.terms:
             assert k == 0
@@ -280,7 +282,8 @@ def test_acceptance_branching_benchmark(grid_deep):
     # y = 0: double pole; in the r^{-p} log^k r normalization the log
     # coefficient is -M f(0) (equivalently +M f(0) in powers of log(1/r))
     # and the constant term is (M f)'(0)
-    exp0 = cone.extract_asymptotics(prob, 0.0, depth=1.0)
+    exp0 = cone.extract_asymptotics(
+        prob, 0.0, symbols.locate_poles(prob.inverse_symbol, 0.0), depth=1.0)
     mf0 = quad_mellin(f, 0.0, 1.0, 3.0)
     dmf0 = quad_mellin(f, 0.0, 1.0, 3.0, derivative=1)
     got = {k: c for p, k, c in exp0.terms}

@@ -54,7 +54,7 @@ def test_weighted_ctor_validates_strip():
 def test_type_of_family_log_orders():
     # pole multiplicity m corresponds to log-order m - 1
     f = double_pole(0.25) + simple_pole(-0.75)
-    r = type_of_family(f, np.array([0.0]))
+    r = type_of_family(track_branches(f, np.array([0.0])))
     got = sorted(r.pairs_at(0.0), key=lambda pm: pm[0].real)
     assert got[0][0] == pytest.approx(-0.75) and got[0][1] == 0
     assert got[1][0] == pytest.approx(0.25) and got[1][1] == 1
@@ -63,10 +63,12 @@ def test_type_of_family_log_orders():
 def test_type_of_family_takes_spectral_data_explicitly():
     f = double_pole(0.25) + simple_pole(-0.75)
     ys = np.linspace(-0.5, 0.5, 5)
-    sd = track_branches(f, ys, with_laurent=False)
-    assert set_equal(type_of_family(f, spectral=sd), type_of_family(f, ys))
-    with pytest.raises(ValueError):
-        type_of_family(f)
+    sd = track_branches(f, ys)
+    r = type_of_family(sd)
+    assert np.array_equal(r.y_nodes, ys)
+    # one node's pairs are its record's, multiplicity m as log-order m - 1
+    for k, rec in enumerate(sd.poles):
+        assert r.pairs[k] == [(p, m - 1) for p, m in rec.pairs]
 
 
 def test_restrict_idempotent():

@@ -14,7 +14,7 @@ from mellin_edge.errors import CertificationFailed
 from mellin_edge.edge_spaces import EdgeField, TorusGrid, field_to_binary
 from mellin_edge.mellin import LogGrid
 
-from conftest import DT, make_grid
+from conftest import DT, count_pole_searches, make_grid
 
 
 def write_cfg(tmp_path, name, obj):
@@ -146,7 +146,8 @@ def test_solve_artifact_and_one_solve_per_node(tmp_path, monkeypatch):
     problem = cone.ConeProblem(a, 0, 0.0, cone.bump_rhs(grid), ys)
     want = ["y,r,re_u,im_u\n"]
     for y in ys:
-        u = cone.solve(problem, y)
+        u = cone.solve(problem, y,
+                       symbols.locate_poles(problem.inverse_symbol, y))
         for rr, uv in zip(grid.r, u.values):
             want.append("%.17g,%.17g,%.17g,%.17g\n"
                         % (y, rr, uv.real, uv.imag))
@@ -155,14 +156,25 @@ def test_solve_artifact_and_one_solve_per_node(tmp_path, monkeypatch):
     calls = []
     solve = cone.solve
 
-    def counted(problem, y):
+    def counted(problem, y, poles):
         calls.append((float(y), (out / "coefficients.csv").exists()))
-        return solve(problem, y)
+        return solve(problem, y, poles)
 
     monkeypatch.setattr(cone, "solve", counted)
     assert run("solve", write_cfg(tmp_path, "c.json", cfg), out) == 0
     assert (out / "solution.csv").read_bytes() == "".join(want).encode()
     assert calls == [(float(y), True) for y in ys]
+
+
+def test_solve_one_pole_search_per_symbol_and_node(tmp_path, monkeypatch):
+    """The inverse symbol's record at each y node serves branch tracking,
+    the harvest and the solve; the residual pass searches the forward
+    symbol once per node: 2 x n_y searches, none repeated."""
+    calls = count_pole_searches(monkeypatch)
+    cfg = write_cfg(tmp_path, "c.json", solve_config())
+    assert run("solve", cfg, tmp_path / "out") == 0
+    assert len(calls) == 2 * 5
+    assert len(set(calls)) == len(calls)
 
 
 def test_solve_branching_failure_precedes_solution(tmp_path, capsys):

@@ -26,7 +26,7 @@ from mellin_edge.errors import (
     ResidualTooLarge,
 )
 from mellin_edge.mellin import CutoffFunction, HalfLineFunction
-from mellin_edge.symbols import ConormalSymbol
+from mellin_edge.symbols import ConormalSymbol, locate_poles
 
 from conftest import bump_callable, quad_mellin
 
@@ -42,23 +42,28 @@ def make_problem(grid, y_grid=(0.0,)):
                        rhs=bump_rhs(grid), y_grid=np.asarray(y_grid))
 
 
+def poles_at(prob, y):
+    return locate_poles(prob.inverse_symbol, y)
+
+
 def test_solve_residual(grid_deep):
     prob = make_problem(grid_deep)
-    u = solve(prob, 0.3)
+    u = solve(prob, 0.3, poles_at(prob, 0.3))
     assert u.residual <= 1e-7
 
 
 def test_solve_pole_on_line(grid_deep):
     prob = make_problem(grid_deep)
     with pytest.raises(PoleOnWeightLine):
-        solve(prob, 0.5)      # pole z = y sits on the weight line Re z = 1/2
+        # pole z = y sits on the weight line Re z = 1/2
+        solve(prob, 0.5, poles_at(prob, 0.5))
 
 
 def test_harvest_simple_poles_oracle(grid_deep):
     # residues of 1/(z^2 - y^2) give c_+- = M f(+-y) / (+-2y)
     prob = make_problem(grid_deep)
     y = 0.3
-    exp = extract_asymptotics(prob, y, depth=0.9)
+    exp = extract_asymptotics(prob, y, poles_at(prob, y), depth=0.9)
     assert len(exp.terms) == 2
     f = bump_callable()
     for p, k, c in exp.terms:
@@ -71,7 +76,7 @@ def test_harvest_double_pole_log_term(grid_deep):
     # at y = 0 the poles merge: 1/z^2 contributes
     # -M f(0) r^0 log r + (M f)'(0)
     prob = make_problem(grid_deep)
-    exp = extract_asymptotics(prob, 0.0, depth=0.75)
+    exp = extract_asymptotics(prob, 0.0, poles_at(prob, 0.0), depth=0.75)
     f = bump_callable()
     mf0 = quad_mellin(f, 0.0, 1.0, 3.0)
     dmf0 = quad_mellin(f, 0.0, 1.0, 3.0, derivative=1)
@@ -84,18 +89,19 @@ def test_harvest_double_pole_log_term(grid_deep):
 def test_boundary_auto_shrink(grid_deep):
     # pole at -0.3 sits exactly on the harvest boundary 0.5 - 0.8
     prob = make_problem(grid_deep)
-    exp = extract_asymptotics(prob, 0.3, depth=0.8)
+    exp = extract_asymptotics(prob, 0.3, poles_at(prob, 0.3), depth=0.8)
     assert exp.depth_used < 0.8
     assert exp.notes
     assert len(exp.terms) == 1        # the boundary pole is excluded
     with pytest.raises(PoleOnHarvestBoundary):
-        extract_asymptotics(prob, 0.3, depth=0.8, strict_boundary=True)
+        extract_asymptotics(prob, 0.3, poles_at(prob, 0.3), depth=0.8,
+                            strict_boundary=True)
 
 
 def test_expansion_to_functional():
     exp = AsymptoticExpansion(terms=[(0.2 + 0j, 0, 1.5 + 0j),
                                      (0.2 + 0j, 1, -2.0 + 0j)],
-                              weight_front=1.0)
+                              depth_used=1.0)
     zeta = expansion_to_functional(exp)
     [m] = zeta.masses
     assert m.p == 0.2 + 0j and m.order == 1
@@ -107,8 +113,8 @@ def test_expansion_to_functional():
 def test_split_flat_singular_certifies(grid_deep):
     prob = make_problem(grid_deep)
     y = 0.3
-    u = solve(prob, y)
-    exp = extract_asymptotics(prob, y, depth=0.75)
+    u = solve(prob, y, poles_at(prob, y))
+    exp = extract_asymptotics(prob, y, poles_at(prob, y), depth=0.75)
     omega = CutoffFunction()
     flat, sing = split_flat_singular(u, exp, omega, gamma=0.0)
     assert flat.certified_weight == pytest.approx(0.75 - 0.1)
@@ -121,11 +127,11 @@ def test_split_negative_control(grid_deep):
     # dropping the rightmost singular term must break the flatness check
     prob = make_problem(grid_deep)
     y = 0.3
-    u = solve(prob, y)
-    exp = extract_asymptotics(prob, y, depth=0.75)
+    u = solve(prob, y, poles_at(prob, y))
+    exp = extract_asymptotics(prob, y, poles_at(prob, y), depth=0.75)
     truncated = AsymptoticExpansion(
         terms=[t for t in exp.terms if t[0].real < 0],
-        weight_front=exp.weight_front, y=y, depth_used=exp.depth_used)
+        depth_used=exp.depth_used, y=y)
     with pytest.raises(CertificationFailed):
         split_flat_singular(u, truncated, CutoffFunction(), gamma=0.0)
     # quantitative version: the weighted-mass ratio blows up
@@ -170,7 +176,8 @@ def test_solve_residual_too_large(grid_short):
         return ConeProblem(ConormalSymbol(coeffs), 0, 0.0,
                            bump_rhs(grid_short), np.array([0.0]))
 
-    assert solve(problem(2), 0.0).residual <= 1e-7
+    ok, bad = problem(2), problem(4)
+    assert solve(ok, 0.0, poles_at(ok, 0.0)).residual <= 1e-7
     with pytest.raises(ResidualTooLarge) as err:
-        solve(problem(4), 0.0)
+        solve(bad, 0.0, poles_at(bad, 0.0))
     assert err.value.residual > err.value.tol == 1e-7

@@ -33,7 +33,14 @@ from mellin_edge.errors import (
 from mellin_edge.functionals import AnalyticFunctional, PointMass
 from mellin_edge.mellin import CutoffFunction, HalfLineFunction, LogGrid
 
-from conftest import DT, bump, double_pole, make_grid, simple_pole
+from conftest import (
+    DT,
+    bump,
+    count_pole_searches,
+    double_pole,
+    make_grid,
+    simple_pole,
+)
 
 # Gamma(0.2) frozen from independent high-precision evaluation
 GAMMA_02 = 4.5908437119988026
@@ -98,6 +105,14 @@ def test_weight_shift_green_simple_pole(grid_green):
     r0 = grid_green.r[idx]
     exact = -1.5 * r0 ** (-0.2) * 0.2 * GAMMA_02        # Gamma(1.2)
     assert diff.values[idx] == pytest.approx(exact, rel=1e-8)
+
+
+def test_weight_shift_green_one_pole_search(grid_green, monkeypatch):
+    # both line-clearance checks and the contour radii use one record
+    calls = count_pole_searches(monkeypatch)
+    u = HalfLineFunction(grid_green, grid_green.r * np.exp(-grid_green.r))
+    weight_shift_green(simple_pole(0.2), 0.0, 0.0, 0.6, u)
+    assert len(calls) == 1
 
 
 def test_weight_shift_green_gamma_oracle():

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from mellin_edge.asym_types import AsymptoticType
-from mellin_edge import edge_ops, symbols
+from mellin_edge import edge_ops
 from mellin_edge.edge_ops import (
     MellinEdgeSymbol,
     eta_bracket,
@@ -286,8 +286,8 @@ def test_apply_edge_operator_call_counts(grid_short, monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(symbols, "locate_poles",
-                        counted("locate_poles", symbols.locate_poles))
+    monkeypatch.setattr(edge_ops, "locate_poles",
+                        counted("locate_poles", edge_ops.locate_poles))
     monkeypatch.setattr(edge_ops, "line_transform",
                         counted("line_transform", edge_ops.line_transform))
     n = 8

@@ -31,6 +31,7 @@ from mellin_edge.mellin import (
     mellin_transform,
     op_mellin,
 )
+from mellin_edge.symbols import locate_poles
 
 from conftest import DT, bump, make_grid, random_bump_field, simple_pole
 
@@ -90,6 +91,17 @@ def test_op_volterra_closed_form(grid_deep):
     # discrete-vs-continuum quadrature of the C-infinity bump limits the
     # match to ~1e-8 at this step size
     assert au.values[idx] == pytest.approx(r0 ** (-p) * oracle, rel=1e-7)
+
+
+def test_op_mellin_takes_pole_record(grid_deep, monkeypatch):
+    # a given record replaces the pole search; the output is the same array
+    f = simple_pole(0.2) + simple_pole(-0.7, scale=2.0)
+    u = bump(grid_deep)
+    searched = op_mellin(f, None, 0.0, u)
+    poles = locate_poles(f, None)
+    monkeypatch.setattr(mellin, "locate_poles", None)
+    given = op_mellin(f, None, 0.0, u, poles=poles)
+    assert np.array_equal(given.values, searched.values)
 
 
 def test_op_pole_on_line(grid_deep):

@@ -13,9 +13,8 @@ from mellin_edge.errors import (
     DomainMismatch,
     EllipticityViolated,
     NonDifferentiableCoefficients,
-    NotAPole,
-    PoleTooClose,
 )
+from mellin_edge.kernels import circle_moments
 from mellin_edge.symbols import (
     ConormalSymbol,
     MeromorphicSymbol,
@@ -50,7 +49,7 @@ def test_reduce_cancels_common_factor():
     den = np.array([[-1.0], [1.0]])
     f = MeromorphicSymbol(num, den)
     assert f.den.shape == (1, 1)
-    assert locate_poles(f, 0.0) == []
+    assert locate_poles(f, 0.0).pairs == ()
 
 
 def test_locate_poles_quadratic_oracle():
@@ -58,7 +57,7 @@ def test_locate_poles_quadratic_oracle():
     den = np.array([[0.0, -1.0], [-1.0, 1.0], [1.0, 0.0]])
     f = MeromorphicSymbol(np.ones((1, 1)), den, reduce=False)
     for y in (0.3, -0.7, 2.0):
-        got = sorted(locate_poles(f, y), key=lambda pm: pm[0].real)
+        got = sorted(locate_poles(f, y).pairs, key=lambda pm: pm[0].real)
         exact = sorted([-y, 1.0])
         assert len(got) == 2
         for (p, m), e in zip(got, exact):
@@ -68,7 +67,7 @@ def test_locate_poles_quadratic_oracle():
 
 def test_locate_poles_multiplicity():
     f = double_pole(0.25)
-    [(p, m)] = locate_poles(f, 0.0)
+    [(p, m)] = locate_poles(f, 0.0).pairs
     assert p == pytest.approx(0.25, abs=1e-9)
     assert m == 2
 
@@ -77,28 +76,35 @@ def test_laurent_expand_partial_fraction_oracle():
     # (3z + 2)/(z - 1)^2 = 3/(z - 1) + 5/(z - 1)^2  (sympy apart)
     f = MeromorphicSymbol(np.array([[2.0], [3.0]]),
                           np.array([[1.0], [-2.0], [1.0]]), reduce=False)
-    d = laurent_expand(f, 0.0, 1.0 + 0j, 1)
+    poles = locate_poles(f, 0.0)
+    assert [m for _p, m in poles.pairs] == [2]
+    d = laurent_expand(f, 0.0, poles, 0)
     assert abs(d[0] - 3.0) <= 1e-10
     assert abs(d[1] - 5.0) <= 1e-10
 
 
 def test_laurent_radius_independent():
     f = simple_pole(0.3, scale=2.0) + double_pole(-0.5, scale=0.7)
+    poles = locate_poles(f, 0.0)
+    assert [m for _p, m in poles.pairs] == [2, 1]
+    assert poles.gaps == pytest.approx((0.8, 0.8), abs=1e-9)
+    # the record's circle (radius 0.4) and smaller ones give one residue
+    assert abs(laurent_expand(f, 0.0, poles, 1)[0] - 2.0) <= 1e-10
     for radius in (0.1, 0.2, 0.35):
-        d = laurent_expand(f, 0.0, 0.3 + 0j, 0, contour_radius=radius)
+        d = circle_moments(lambda z: f(0.0, z), poles.pairs[1][0], radius,
+                           [0], 256)
         assert abs(d[0] - 2.0) <= 1e-10
 
 
-def test_laurent_not_a_pole():
-    f = simple_pole(2.0)
-    with pytest.raises(NotAPole):
-        laurent_expand(f, 0.0, 0.0 + 0j, 0, contour_radius=0.25)
-
-
-def test_laurent_pole_too_close():
-    f = simple_pole(0.0) + simple_pole(0.1)
-    with pytest.raises(PoleTooClose):
-        laurent_expand(f, 0.0, 0.0 + 0j, 0, contour_radius=0.3)
+def test_locate_poles_gaps():
+    # gaps[i]: distance to the nearest other pole, inf for a lone pole
+    f = simple_pole(0.0) + simple_pole(0.1) + double_pole(1.0)
+    poles = locate_poles(f, 0.0)
+    assert [m for _p, m in poles.pairs] == [1, 1, 2]
+    assert poles.gaps == pytest.approx((0.1, 0.1, 0.9), abs=1e-9)
+    assert locate_poles(simple_pole(0.25), 0.0).gaps == (np.inf,)
+    assert locate_poles(MeromorphicSymbol(np.ones((1, 1)), np.ones((1, 1))),
+                        0.0).gaps == ()
 
 
 def test_strip_bound():
@@ -116,12 +122,14 @@ def test_track_branches_branching_pair():
     assert sd.collision_events[0] == pytest.approx(0.0, abs=1e-12)
     # residues at y != 0: 1/(z^2 - y^2) has residue 1/(2y) at z = y
     k = 40          # y = 0.5 node
-    for b in sd.branches:
-        p, m, laur = b.samples[k]
+    assert ({b.samples[k] for b in sd.branches}
+            == set(sd.poles[k].pairs))
+    for i, (p, m) in enumerate(sd.poles[k].pairs):
         assert m == 1
+        laur = laurent_expand(f, ys[k], sd.poles[k], i)
         assert abs(laur[0] - 1.0 / (2.0 * p)) <= 1e-10
     # double pole exactly at the collision node
-    mults = sorted(m for _p, m in sd.pairs_at(20))
+    mults = sorted(m for _p, m in sd.poles[20].pairs)
     assert mults == [2]
 
 
@@ -143,17 +151,21 @@ def test_track_branches_pole_free():
 def test_spectral_remainder_holomorphic():
     f = simple_pole(0.3) + MeromorphicSymbol(np.array([[5.0]]), np.ones((1, 1)))
     sd = track_branches(f, np.array([0.0]))
-    # subtracting the singular part leaves the constant 5
+    # subtracting the singular parts of the node's record leaves the constant 5
     zs = 0.3 + 0.05 * np.exp(1j * np.linspace(0, 2 * np.pi, 7))
-    assert np.max(np.abs(sd.remainder(0, zs) - 5.0)) <= 1e-9
+    rem = f(0.0, zs)
+    for i, (p, m) in enumerate(sd.poles[0].pairs):
+        laur = laurent_expand(f, 0.0, sd.poles[0], i)
+        rem = rem - sum(laur[j] / (zs - p) ** (j + 1) for j in range(m))
+    assert np.max(np.abs(rem - 5.0)) <= 1e-9
 
 
 def test_split_by_weight_convention():
     f = branching_symbol()
     res = split_by_weight(f, 0.3, 0.0, 0.2)
     # at y = 0.3 > 0 the pole -y sits left of beta = 0, +y to the right
-    p0 = locate_poles(res.f0, 0.3)
-    p1 = locate_poles(res.f1, 0.3)
+    p0 = locate_poles(res.f0, 0.3).pairs
+    p1 = locate_poles(res.f1, 0.3).pairs
     assert len(p0) == 1 and p0[0][0] == pytest.approx(-0.3, abs=1e-9)
     assert len(p1) == 1 and p1[0][0] == pytest.approx(0.3, abs=1e-9)
     assert 0.0 < res.eps1 < res.eps0 < 0.2
@@ -177,7 +189,7 @@ def test_multiply_and_translate():
     assert h(0.0, z) == pytest.approx(f(0.0, z) * g(0.0, z), rel=1e-12)
     # translation moves the pole by -sigma
     t = translate(f, 0.75)
-    [(p, m)] = locate_poles(t, 0.0)
+    [(p, m)] = locate_poles(t, 0.0).pairs
     assert p == pytest.approx(0.5 - 0.75, abs=1e-10)
 
 
