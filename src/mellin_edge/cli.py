@@ -9,6 +9,7 @@ import argparse
 import json
 import os
 import sys
+from itertools import groupby
 
 import numpy as np
 
@@ -107,16 +108,15 @@ def cmd_poles(cfg, out_dir, seed):
               encoding="utf-8", newline="") as fh:
         symbols.branches_to_csv(sd, fh)
     write_json({"events": ["%.17g" % e for e in sd.collision_events],
-                "n_branches": len(sd.branches)},
+                "n_branches": sd.n_branches},
                os.path.join(out_dir, "events.json"))
     with open(os.path.join(out_dir, "branches.dat"), "w",
               encoding="utf-8") as fh:
         fh.write("# y re_p im_p multiplicity branch_id\n")
-        for b in sd.branches:
-            for k in b.nodes():
-                p, m = b.samples[k]
+        for _b, rows in groupby(sd.branch_rows(), key=lambda row: row[0]):
+            for b, k, (p, m) in rows:
                 fh.write("%.17g %.17g %.17g %d %d\n"
-                         % (sd.y_nodes[k], p.real, p.imag, m, b.branch_id))
+                         % (sd.y_nodes[k], p.real, p.imag, m, b))
             fh.write("\n")
     return 0
 

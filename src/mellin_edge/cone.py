@@ -87,7 +87,7 @@ class ConeProblem:
     def rhs_at(self, y):
         f = self.rhs(y) if callable(self.rhs) else self.rhs
         if self.support_radius is not None:
-            far = CutoffFunction("shifted", scale=2.0 * self.support_radius)
+            far = CutoffFunction(scale=2.0 * self.support_radius)
             f = HalfLineFunction(f.grid, f.values * far(f.grid.r))
         return f
 
@@ -131,7 +131,6 @@ class AsymptoticExpansion:
 
     terms: list                 # (p: complex, k: int, c: complex)
     depth_used: float           # harvest depth: flatness order of the remainder
-    y: float = 0.0
     notes: list = field(default_factory=list)
 
     def evaluate(self, r):
@@ -185,8 +184,7 @@ def extract_asymptotics(problem, y, poles, depth, strict_boundary=False):
             if c != 0:
                 terms.append((complex(p), int(k), complex(c)))
     terms.sort(key=lambda t: (t[0].real, t[0].imag, t[1]))
-    return AsymptoticExpansion(terms=terms, depth_used=depth_used, y=float(y),
-                               notes=notes)
+    return AsymptoticExpansion(terms=terms, depth_used=depth_used, notes=notes)
 
 
 def expansion_to_functional(expansion):
@@ -218,7 +216,7 @@ def _windowed_mass(u):
     return lambda gamma: windowed_mass(u.grid.t, u.values, gamma, u.grid.dt)
 
 
-def split_flat_singular(u, expansion, omega, gamma=None):
+def split_flat_singular(u, expansion, omega, gamma):
     """(flat remainder, singular part): u = flat + omega * sum of terms.
 
     The flat part is certified in the gamma+beta' weight classes at three
@@ -227,8 +225,6 @@ def split_flat_singular(u, expansion, omega, gamma=None):
     blow up by many orders of magnitude on the left end of the grid).  The
     mass ratios are returned on the FlatRemainder.
     """
-    if gamma is None:
-        gamma = getattr(u, "weight_hint", 0.0) or 0.0
     grid = u.grid
     sing = singular_part(expansion, omega, grid)
     flat = HalfLineFunction(grid, u.values - sing.values)
@@ -292,9 +288,11 @@ def detect_branching(problem, depth, radii=(0.05, 0.1, 0.2)):
 
     table = []
     for i, exp in enumerate(expansions):
+        # each harvested p is a pole of the node's record
+        bid = {p: b for (p, _m), b in zip(spectral.poles[i].pairs,
+                                         spectral.branch_ids[i])}
         for p, k, c in exp.terms:
-            bid = _branch_id_for(spectral, i, p)
-            table.append((float(y_grid[i]), p, k, c, bid))
+            table.append((float(y_grid[i]), p, k, c, bid[p]))
 
     # the check is done in the omega == 1 region; radii must sit there
     rr = np.asarray(radii, dtype=float)
@@ -313,17 +311,6 @@ def detect_branching(problem, depth, radii=(0.05, 0.1, 0.2)):
     return BranchingResult(asym_type=atype, events=events, table=table,
                            continuity_defect=defect, expansions=expansions,
                            poles=spectral.poles)
-
-
-def _branch_id_for(spectral, node_index, p):
-    best, best_d = -1, np.inf
-    for b in spectral.branches:
-        if node_index in b.samples:
-            q = b.samples[node_index][0]
-            d = abs(q - p)
-            if d < best_d:
-                best, best_d = b.branch_id, d
-    return best
 
 
 def coefficients_to_csv(table, fileobj):

@@ -40,13 +40,16 @@ GREEN_TOL = 1e-7
 SLOPE_TOL = 0.1
 FD_ETA_REL = 1e-3
 GREEN_N_CONTOUR = 256
+# harvest depth left of the weight line in the cut-off flatness clause of
+# mellin_convention_difference
+SINGULAR_DEPTH = 8.0
 # |eta| fan on which eta_derivative_green_check measures the order drop
 ETA_DERIVATIVE_FAN = (1.5, 3.0, 6.0, 12.0)
 # modes per stacked inverse FFT in mellin_edge_rows: each extra mode keeps
 # about six more N-point rows alive, and 4 ran no faster than 2 at N = 4096
 MODE_BLOCK = 2
 
-_omega0 = CutoffFunction("canonical")
+_omega0 = CutoffFunction()
 
 
 def eta_bracket(eta):
@@ -79,9 +82,9 @@ class MellinEdgeSymbol:
                       for j, alpha, f, gj in terms]
         self.mu = float(mu)
         self.gamma = float(gamma)
-        self.omega = omega if omega is not None else CutoffFunction("canonical")
+        self.omega = omega if omega is not None else CutoffFunction()
         self.omega_prime = (omega_prime if omega_prime is not None
-                            else CutoffFunction("canonical"))
+                            else CutoffFunction())
         self.r_power_right = bool(r_power_right)
         if validate:
             for j, alpha, _f, gj in self.terms:
@@ -141,7 +144,7 @@ def eval_mellin_edge_symbol(m, y, eta, u, tail_tol=TAIL_TOL):
     """Apply m(y, eta) to u on the log grid."""
     _j, _k, out = next(mellin_edge_rows(m, [y], [eta], u.values[None],
                                         u.grid, tail_tol))
-    return HalfLineFunction(u.grid, out, weight_hint=m.gamma)
+    return HalfLineFunction(u.grid, out)
 
 
 def _require_grid_aligned(lam, dt):
@@ -229,12 +232,13 @@ def green_agreement(diff, cont, gamma):
     return d.norm(gamma) / max(diff.norm(gamma), cont.norm(gamma), 1e-300)
 
 
-def _op_singular_values(f, y, gamma, w, depth=8.0):
+def _op_singular_values(f, y, gamma, w):
     """Singular part of op_M^gamma(f) w near r = 0: residue synthesis of
-    r^{-z} f(z) Mw(z) over the poles of f left of the weight line."""
+    r^{-z} f(z) Mw(z) over the poles of f within SINGULAR_DEPTH left of the
+    weight line."""
     line_re = 0.5 - gamma
-    masses = residue_masses(f, y, locate_poles(f, y), w, line_re - depth,
-                            line_re)
+    masses = residue_masses(f, y, locate_poles(f, y), w,
+                            line_re - SINGULAR_DEPTH, line_re)
     return point_mass_synthesis(w.grid.t, masses)
 
 
@@ -272,11 +276,10 @@ class GreenSymbolFiniteRank:
     and amplitude a scalar (or callable of eta) of declared order `order_m`.
     """
 
-    def __init__(self, rank_terms, order_m, weights=None, omega=None):
+    def __init__(self, rank_terms, order_m, omega=None):
         self.rank_terms = list(rank_terms)
         self.order_m = float(order_m)
-        self.weights = weights
-        self.omega = omega if omega is not None else CutoffFunction("canonical")
+        self.omega = omega if omega is not None else CutoffFunction()
 
 
 def green_apply(g, y, eta, u):
@@ -491,7 +494,6 @@ def asymptotic_sum(gs, y, u, eta_fan, margin=10.0, c_max=2.0**24):
                     return float(excision(np.abs(eta) / c0)) * base
                 return amp
             rank_terms.append((zeta_out, trace_in, make_amp(amplitude, cj)))
-    out = GreenSymbolFiniteRank(rank_terms, order_m=m0,
-                                weights=gs[0].weights, omega=gs[0].omega)
+    out = GreenSymbolFiniteRank(rank_terms, order_m=m0, omega=gs[0].omega)
     out.schedule = list(cs)
     return out

@@ -12,7 +12,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .asym_types import AsymptoticType
 from .edge_ops import (
     GreenSymbolFiniteRank,
     MellinEdgeSymbol,
@@ -163,13 +162,12 @@ def inverse_potential_op(u):
 
 @dataclass
 class SingularEdgeData:
-    """Per-mode analytic functionals (point masses), cut-off, type."""
+    """Per-mode analytic functionals (point masses), cut-off, weight."""
 
     y_grid: TorusGrid
     r_grid: object
     mode_functionals: list          # one AnalyticFunctional per eta mode
     cutoff: CutoffFunction = field(default_factory=CutoffFunction)
-    asym_type: AsymptoticType = None
     gamma: float = 0.0
 
 
@@ -231,7 +229,7 @@ def decompose_flat_singular_edge(u, asym_type, depth):
     the canonical cut-off."""
     if u.q != 1:
         raise ValueError("decomposition implemented for q = 1")
-    cutoff = CutoffFunction("canonical")
+    cutoff = CutoffFunction()
     line_re = 0.5 - u.gamma
     # candidate (p, m) pairs: union of the declared type over its nodes
     cand = {}
@@ -270,7 +268,7 @@ def decompose_flat_singular_edge(u, asym_type, depth):
     flat = u.copy(values=u.values - sing.values)
     _certify_flat_edge(flat, u, u.gamma, depth)
     data = SingularEdgeData(u.y_grids[0], u.r_grid, functionals,
-                            cutoff=cutoff, asym_type=asym_type, gamma=u.gamma)
+                            cutoff=cutoff, gamma=u.gamma)
     return flat, data
 
 

@@ -41,7 +41,6 @@ class Contour:
     def __init__(self, kind, n_nodes=256, **params):
         self.kind = kind
         self.n_nodes = int(n_nodes)
-        self.params = params
         if kind == "circle":
             self.center = complex(params["center"])
             self.radius = float(params["radius"])
@@ -266,7 +265,7 @@ class MellinPotential:
         x, w = np.polynomial.legendre.leggauss(POTENTIAL_N_QUAD)
         self._r = 0.75 + 0.25 * x
         self._w = 0.25 * w
-        canonical = CutoffFunction("canonical")
+        canonical = CutoffFunction()
         self._f = (canonical(self._r) - 1.0) * self._w / self._r
 
     def _entire(self, z, derivative=0):

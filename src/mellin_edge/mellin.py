@@ -72,11 +72,10 @@ class LogGrid:
 
 @dataclass
 class HalfLineFunction:
-    """Samples of u(r) on a LogGrid with a weight-class hint."""
+    """Samples of u(r) on a LogGrid."""
 
     grid: LogGrid
     values: np.ndarray
-    weight_hint: float = 0.0
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=complex)
@@ -85,10 +84,8 @@ class HalfLineFunction:
         if not np.all(np.isfinite(self.values)):
             raise NonFiniteInput("HalfLineFunction values must be finite")
 
-    def norm(self, gamma=None):
+    def norm(self, gamma):
         """Norm in r^{-gamma}L^2(R_+) by the trapezoid rule in t."""
-        if gamma is None:
-            gamma = self.weight_hint
         v = _weighted(self.values, self.grid, gamma)
         return float(np.sqrt(self.grid.dt * np.sum(np.abs(v) ** 2)))
 
@@ -125,18 +122,15 @@ class VerticalLineFunction:
 class CutoffFunction:
     """Smooth cut-off: 1 on (0, a], 0 on [b, inf), monotone in between.
 
-    canonical: a = 1/2, b = 1, with the exponential bump formula
-    w(r) = 1/(1 + exp(1/(1-r) - 1/(r-1/2))) on (1/2, 1).
-    shifted(scale): canonical evaluated at r/scale.
+    scale = 1 (canonical): a = 1/2, b = 1, with the exponential bump formula
+    w(r) = 1/(1 + exp(1/(1-r) - 1/(r-1/2))) on (1/2, 1); otherwise the
+    canonical cut-off evaluated at r/scale.
     """
 
-    def __init__(self, descriptor="canonical", scale=1.0):
-        if descriptor not in ("canonical", "shifted"):
-            raise ValueError("descriptor must be 'canonical' or 'shifted'")
+    def __init__(self, scale=1.0):
         if scale <= 0:
             raise ValueError("scale must be positive")
-        self.descriptor = descriptor
-        self.scale = 1.0 if descriptor == "canonical" else float(scale)
+        self.scale = float(scale)
 
     @property
     def a(self):
@@ -204,8 +198,7 @@ def mellin_transform(u, gamma, tail_tol=TAIL_TOL):
 
 def _inverse_mellin_raw(g, grid):
     invert = line_inverse(np.fft.ifftshift(g.rho_nodes), grid, g.gamma)
-    return HalfLineFunction(grid, invert(np.fft.ifftshift(g.values)),
-                            weight_hint=g.gamma)
+    return HalfLineFunction(grid, invert(np.fft.ifftshift(g.values)))
 
 
 def inverse_mellin(g, tail_tol=TAIL_TOL):
@@ -312,7 +305,7 @@ def _shift_weighted(u, a, interpolation):
             )
         nu = 2 * np.pi * np.fft.fftfreq(grid.n_points, d=grid.dt)
         out = np.fft.ifft(np.fft.fft(w) * np.exp(1j * nu * a))
-    return HalfLineFunction(grid, np.exp(-0.5 * grid.t) * out, u.weight_hint)
+    return HalfLineFunction(grid, np.exp(-0.5 * grid.t) * out)
 
 
 def dilate(u, lam, interpolation=True):
@@ -348,7 +341,7 @@ def dilation_commutation_defect(f, gamma, u, lam):
                     tail_tol=SHIFTED_TAIL_TOL)
     num = (lhs.values - rhs.values)
     scale = max(lhs.norm(gamma), 1e-300)
-    diff = HalfLineFunction(u.grid, num, gamma)
+    diff = HalfLineFunction(u.grid, num)
     return diff.norm(gamma) / scale
 
 
@@ -360,10 +353,8 @@ class EntireKernel:
     because the integrand is compactly supported.
     """
 
-    def __init__(self, w, line):
+    def __init__(self, w):
         self.w = w                # HalfLineFunction psi_1 * M^{-1} l
-        self.line = line          # VerticalLineFunction: k restricted to Gamma
-        self.gamma = line.gamma
 
     def __call__(self, z):
         return mellin_eval(self.w, z)
@@ -391,14 +382,14 @@ def kernel_cutoff(l, psi):
     u = _inverse_mellin_raw(l, grid)     # may ring for slowly decaying l; fine
     s = np.exp(CUTOFF_PLATEAU)
     psi1 = psi(grid.r / s) * (1.0 - psi(grid.r * s))
-    w = HalfLineFunction(grid, psi1 * u.values, weight_hint=l.gamma)
+    w = HalfLineFunction(grid, psi1 * u.values)
     # k on the line via the same discrete transform => defect is exactly
     # the transform of (1 - psi_1) M^{-1} l
     k_line = mellin_transform(w, l.gamma, tail_tol=np.inf)
     defect = VerticalLineFunction(
         l.gamma, l.rho_nodes, l.values - k_line.values, grid
     )
-    return EntireKernel(w, k_line), defect
+    return EntireKernel(w), defect
 
 
 def decay_constants(defect, orders=(2, 4, 6), window=None):

@@ -8,7 +8,7 @@ admits exact partial-fraction oracles.
 """
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 from typing import NamedTuple
@@ -27,7 +27,6 @@ from .kernels import circle_moments
 CLUSTER_TOL = 1e-6
 N_CONTOUR = 256
 RADIUS_CAP = 1.0
-MATCH_TIE_TOL = 1e-9
 ELLIPTICITY_TOL = 1e-8
 ELLIPTICITY_SAMPLES = 33
 SPLIT_SAMPLES = 9
@@ -364,12 +363,6 @@ def locate_poles(f, y):
     return PoleRecord(tuple(pairs), tuple(gaps))
 
 
-def strip_bound(pairs, c, c_prime):
-    """Certified M with D(y) in {c < Re z < c'} contained in {|Im z| <= M}."""
-    ims = [abs(p.imag) for p, _m in pairs if c < p.real < c_prime]
-    return max(ims) if ims else 0.0
-
-
 def laurent_expand(f, y, poles, i):
     """Laurent coefficients d_0..d_{m-1} at pole i, (p, m), of the record:
 
@@ -388,96 +381,68 @@ def laurent_expand(f, y, poles, i):
 # branch tracking
 
 @dataclass
-class PoleBranch:
-    branch_id: int
-    samples: dict = field(default_factory=dict)  # node index -> (p, mult)
-    collision_events: list = field(default_factory=list)
-
-    def nodes(self):
-        return sorted(self.samples)
-
-
-@dataclass
 class SpectralData:
     y_nodes: np.ndarray
-    branches: list
     collision_events: list            # y values where the multiplicity pattern changes
     poles: list                       # one PoleRecord per node
-    ambiguities: list = field(default_factory=list)
+    branch_ids: list                  # branch_ids[k][i]: branch of poles[k].pairs[i]
+
+    @property
+    def n_branches(self):
+        return 1 + max((b for ids in self.branch_ids for b in ids), default=-1)
+
+    def branch_rows(self):
+        """(branch id, node, (p, m)) ordered by branch, then node."""
+        rows = [(b, k, pm) for k, (rec, ids)
+                in enumerate(zip(self.poles, self.branch_ids))
+                for pm, b in zip(rec.pairs, ids)]
+        rows.sort(key=lambda row: row[0])     # stable: nodes stay ascending
+        return rows
 
 
 def track_branches(f, y_grid):
     """Locate poles at each y node and stitch them into branches.
 
-    Adjacent nodes are matched by Hungarian assignment on |delta p|; nodes
-    where the clustered multiplicity pattern changes are collision events.
-    Near-tie matchings are recorded (lexicographic order breaks them).
+    Adjacent nodes are matched by Hungarian assignment on |delta p|; a pole
+    left unmatched takes back the nearest branch closed within 2 nodes, or
+    else a new id.  Nodes where the clustered multiplicity pattern changes
+    are collision events.
     """
     from scipy.optimize import linear_sum_assignment
 
     y_grid = np.asarray(y_grid, dtype=float)
     records = []
-    branches = []
+    branch_ids = []
+    n_branches = 0
     patterns = []         # sorted multiplicity tuple per node
-    ambiguities = []
-    prev = None           # list of (p, m)
-    prev_ids = []         # branch id per prev cluster
+    prev, prev_ids = (), []
     closed = {}           # branch id -> (last node, last position)
     for k, yv in enumerate(y_grid):
         records.append(locate_poles(f, yv))
         cur = records[-1].pairs
-        if prev is None:
-            ids = []
-            for p, m in cur:
-                b = PoleBranch(branch_id=len(branches))
-                b.samples[k] = (p, m)
-                branches.append(b)
-                ids.append(b.branch_id)
-        else:
-            ids = [-1] * len(cur)
-            if prev and cur:
-                cost = np.array([[abs(pp - cp) for cp, _cm in cur]
-                                 for pp, _pm in prev])
-                rows, cols = linear_sum_assignment(cost)
-                # near-tie report: any transposition of the chosen matching
-                # that changes total cost by less than MATCH_TIE_TOL
-                for a in range(len(rows)):
-                    for b_ in range(a + 1, len(rows)):
-                        ra, rb = rows[a], rows[b_]
-                        ca, cb = cols[a], cols[b_]
-                        delta = (cost[ra, cb] + cost[rb, ca]
-                                 - cost[ra, ca] - cost[rb, cb])
-                        if abs(delta) < MATCH_TIE_TOL:
-                            ambiguities.append((float(yv), int(ra), int(rb)))
-                matched_rows = set()
-                for r_, c_ in zip(rows, cols):
-                    bid = prev_ids[r_]
-                    branches[bid].samples[k] = cur[c_]
-                    ids[c_] = bid
-                    matched_rows.add(r_)
-                for r_ in range(len(prev)):
-                    if r_ not in matched_rows:
-                        closed[prev_ids[r_]] = (k - 1, prev[r_][0])
-            for c_, bid in enumerate(ids):
-                if bid != -1:
-                    continue
-                # a cluster (re)appears: prefer resurrecting a branch that
-                # just closed at a nearby position (split after a merge)
-                best = None
-                for cb, (kc, pc) in closed.items():
-                    if k - kc <= 2:
-                        d = abs(pc - cur[c_][0])
-                        if best is None or d < best[1]:
-                            best = (cb, d)
-                if best is not None:
-                    bid = best[0]
-                    del closed[bid]
-                else:
-                    b = PoleBranch(branch_id=len(branches))
-                    branches.append(b)
-                    bid = b.branch_id
-                branches[bid].samples[k] = cur[c_]
-                ids[c_] = bid
+        ids = [-1] * len(cur)
+        if prev and cur:
+            cost = np.array([[abs(pp - cp) for cp, _cm in cur]
+                             for pp, _pm in prev])
+            rows, cols = linear_sum_assignment(cost)
+            for r_, c_ in zip(rows, cols):
+                ids[c_] = prev_ids[r_]
+            for r_ in sorted(set(range(len(prev))) - set(rows)):
+                closed[prev_ids[r_]] = (k - 1, prev[r_][0])
+        for c_, (p, _m) in enumerate(cur):
+            if ids[c_] != -1:
+                continue
+            # a cluster (re)appears: prefer resurrecting a branch that
+            # just closed at a nearby position (split after a merge)
+            near = [(abs(pc - p), cb) for cb, (kc, pc) in closed.items()
+                    if k - kc <= 2]
+            if near:
+                ids[c_] = min(near, key=lambda dc: dc[0])[1]
+                del closed[ids[c_]]
+            else:
+                ids[c_] = n_branches
+                n_branches += 1
+        branch_ids.append(ids)
         patterns.append(tuple(sorted(m for _p, m in cur)))
         prev, prev_ids = cur, ids
     # collision events: nodes where the multiplicity pattern changes; an
@@ -494,11 +459,8 @@ def track_branches(f, y_grid):
                 continue
             events.append(float(y_grid[k]))
         k += 1
-    for b in branches:
-        b.collision_events = list(events)
-    return SpectralData(y_nodes=y_grid, branches=branches,
-                        collision_events=events, poles=records,
-                        ambiguities=ambiguities)
+    return SpectralData(y_nodes=y_grid, collision_events=events,
+                        poles=records, branch_ids=branch_ids)
 
 
 # ----------------------------------------------------------------------
@@ -605,8 +567,6 @@ def symbol_from_json(obj):
 def branches_to_csv(spectral, fileobj):
     w = csv.writer(fileobj, lineterminator="\n")
     w.writerow(["y", "Re p", "Im p", "multiplicity", "branch_id"])
-    for b in spectral.branches:
-        for k in b.nodes():
-            p, m = b.samples[k]
-            w.writerow(["%.17g" % spectral.y_nodes[k], "%.17g" % p.real,
-                        "%.17g" % p.imag, m, b.branch_id])
+    for b, k, (p, m) in spectral.branch_rows():
+        w.writerow(["%.17g" % spectral.y_nodes[k], "%.17g" % p.real,
+                    "%.17g" % p.imag, m, b])

@@ -370,7 +370,7 @@ def test_acceptance_convention_independence(grid_deep):
                               gamma=0.0)
         m2 = MellinEdgeSymbol([(0, 0, simple_pole(p), 0.0)], mu=0.0,
                               gamma=0.0,
-                              omega_prime=CutoffFunction("shifted", scale=2.0))
+                              omega_prime=CutoffFunction(scale=2.0))
         rep = mellin_convention_difference(m1, m2, 0.0, u, etas=[1.0, 1.5])
         assert rep["max_defect"] <= 1e-7
         assert all(c["clause"] == "cut-off flatness" for c in rep["clauses"])
@@ -443,7 +443,7 @@ def test_acceptance_edge_suite():
     g_full = GreenSymbolFiniteRank(list(zip(zetas, [trace, trace], amps)),
                                    order_m=1.0)
     v = bump(r_grid, a=1.0, b=3.0)
-    omega0 = CutoffFunction("canonical")
+    omega0 = CutoffFunction()
     for eta in (0.0, 1.5, 4.0):
         got = green_apply(g_full, 0.0, eta, v).values
         s = eta_bracket(eta)

@@ -60,6 +60,27 @@ def test_poles_branching(tmp_path):
         assert (out / name).read_bytes() == (out2 / name).read_bytes()
 
 
+def test_poles_dat_rows_are_csv_rows(tmp_path):
+    cfg = write_cfg(tmp_path, "c.json", {
+        "symbol": BRANCHING_SYMBOL,
+        "y": {"min": -0.5, "max": 0.5, "n": 21},
+    })
+    out = tmp_path / "out"
+    assert run("poles", cfg, out) == 0
+    csv_rows = [line.split(",") for line in
+                (out / "branches.csv").read_text().splitlines()[1:]]
+    dat = (out / "branches.dat").read_text()
+    header, _, body = dat.partition("\n")
+    assert header == "# y re_p im_p multiplicity branch_id"
+    assert body.endswith("\n\n")
+    blocks = [[line.split(" ") for line in block.splitlines()]
+              for block in body[:-2].split("\n\n")]
+    assert [row for block in blocks for row in block] == csv_rows
+    # one block per branch, in id order
+    assert [{row[4] for row in block} for block in blocks] \
+        == [{str(b)} for b in range(len(blocks))]
+
+
 def test_poles_pole_free(tmp_path):
     cfg = write_cfg(tmp_path, "c.json", {
         "symbol": {"num": [[[1.0, 0.0]], [[2.0, 0.0]]],

@@ -26,7 +26,7 @@ from mellin_edge.errors import (
     ResidualTooLarge,
 )
 from mellin_edge.mellin import CutoffFunction, HalfLineFunction
-from mellin_edge.symbols import ConormalSymbol, locate_poles
+from mellin_edge.symbols import ConormalSymbol, locate_poles, track_branches
 
 from conftest import bump_callable, quad_mellin
 
@@ -131,7 +131,7 @@ def test_split_negative_control(grid_deep):
     exp = extract_asymptotics(prob, y, poles_at(prob, y), depth=0.75)
     truncated = AsymptoticExpansion(
         terms=[t for t in exp.terms if t[0].real < 0],
-        depth_used=exp.depth_used, y=y)
+        depth_used=exp.depth_used)
     with pytest.raises(CertificationFailed):
         split_flat_singular(u, truncated, CutoffFunction(), gamma=0.0)
     # quantitative version: the weighted-mass ratio blows up
@@ -155,6 +155,18 @@ def test_detect_branching_event(grid_deep):
     assert len(res.asym_type.pairs_at(0.004)) == 2
     pairs0 = res.asym_type.pairs_at(0.0)
     assert len(pairs0) == 1 and pairs0[0][1] == 1
+
+
+def test_detect_branching_table_ids_are_the_branch_table(grid_deep):
+    ys = np.array([-0.004, -0.002, 0.0, 0.002, 0.004])
+    prob = make_problem(grid_deep, y_grid=ys)
+    res = detect_branching(prob, depth=0.75)
+    sd = track_branches(prob.inverse_symbol, ys)
+    assert {row[4] for row in res.table} == {0, 1}
+    for y, p, _k, _c, bid in res.table:
+        i = int(np.flatnonzero(ys == y)[0])
+        [j] = [j for j, (q, _m) in enumerate(sd.poles[i].pairs) if q == p]
+        assert bid == sd.branch_ids[i][j]
 
 
 def test_coefficients_csv_format():

@@ -156,7 +156,7 @@ def test_formal_adjoint_involution():
     m = MellinEdgeSymbol(
         [(1, 1, simple_pole(0.3 + 0.4j), -0.7), (2, 0, double_pole(-0.5), -1.0)],
         mu=2.0, gamma=0.0,
-        omega=CutoffFunction(), omega_prime=CutoffFunction("shifted", scale=2.0))
+        omega=CutoffFunction(), omega_prime=CutoffFunction(scale=2.0))
     mss = formal_adjoint(formal_adjoint(m))
     assert mss.mu == m.mu and mss.gamma == m.gamma
     assert mss.r_power_right == m.r_power_right
@@ -192,7 +192,7 @@ def test_green_apply_closed_form():
     # T = int trace u dr; output = omega(r) (r^{0.4} + 0.5 (-log r) r^{0.4}) T
     tval = grid.dt * np.sum(g.rank_terms[0][1].values * u.values * grid.r)
     lr = np.log(grid.r)
-    exact = (CutoffFunction("canonical")(grid.r)
+    exact = (CutoffFunction()(grid.r)
              * (1.0 + 0.5 * (-lr)) * grid.r ** 0.4 * tval)
     assert np.max(np.abs(out.values - exact)) <= 1e-12 * np.max(np.abs(exact))
 
@@ -266,7 +266,7 @@ def test_convention_difference_cutoffs(grid_deep):
     f = simple_pole(-0.5)
     m1 = MellinEdgeSymbol([(0, 0, f, 0.0)], mu=0.0, gamma=0.0)
     m2 = MellinEdgeSymbol([(0, 0, f, 0.0)], mu=0.0, gamma=0.0,
-                          omega_prime=CutoffFunction("shifted", scale=2.0))
+                          omega_prime=CutoffFunction(scale=2.0))
     report = mellin_convention_difference(m1, m2, 0.0, u, etas=[1.0, 1.5])
     assert report["max_defect"] <= 1e-7
     assert all(c["clause"] == "cut-off flatness" for c in report["clauses"])
@@ -309,7 +309,7 @@ def test_convention_difference_clauses_use_green_tol(grid_deep, kind):
         f = simple_pole(-0.5)
         m1 = MellinEdgeSymbol([(0, 0, f, 0.0)], mu=0.0, gamma=0.0)
         m2 = MellinEdgeSymbol([(0, 0, f, 0.0)], mu=0.0, gamma=0.0,
-                              omega_prime=CutoffFunction("shifted", scale=2.0))
+                              omega_prime=CutoffFunction(scale=2.0))
     report = mellin_convention_difference(m1, m2, 0.0, u, etas=[1.0])
     assert [c["clause"] for c in report["clauses"]] == [kind]
     assert all(c["tolerance"] == GREEN_TOL for c in report["clauses"])

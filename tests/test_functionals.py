@@ -153,7 +153,7 @@ def test_mellin_potential_scaled_cutoff():
     # via the defining integral int_0^s omega(r/s) r^{z-1} dr at a point
     from scipy.integrate import quad
     s = 4.0
-    omega = CutoffFunction("shifted", scale=s)
+    omega = CutoffFunction(scale=s)
     phi = MellinPotential(omega)
     z = 1.5
     oracle, _ = quad(lambda r: omega(r) * r ** (z - 1), 0.0, s,

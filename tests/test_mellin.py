@@ -205,7 +205,7 @@ def test_cutoff_profile():
     assert np.all(vals[r <= 0.5] == 1.0)
     assert np.all(vals[r >= 1.0] == 0.0)
     assert np.all(np.diff(vals) <= 1e-12)
-    ws = CutoffFunction("shifted", scale=4.0)
+    ws = CutoffFunction(scale=4.0)
     assert ws(1.9) == 1.0 and ws(4.1) == 0.0
 
 

@@ -24,8 +24,8 @@ from mellin_edge.symbols import (
     laurent_expand,
     locate_poles,
     multiply,
+    p2_mul,
     split_by_weight,
-    strip_bound,
     symbol_from_json,
     track_branches,
     translate,
@@ -107,22 +107,16 @@ def test_locate_poles_gaps():
                         0.0).gaps == ()
 
 
-def test_strip_bound():
-    poles = [(0.2 + 3.0j, 1), (0.2 - 5.0j, 1), (2.0 + 99.0j, 1)]
-    assert strip_bound(poles, 0.0, 1.0) == 5.0
-    assert strip_bound(poles, 3.0, 4.0) == 0.0
-
-
 def test_track_branches_branching_pair():
     f = branching_symbol()
     ys = np.linspace(-0.5, 0.5, 41)
     sd = track_branches(f, ys)
-    assert len(sd.branches) == 2
+    assert sd.n_branches == 2
     assert len(sd.collision_events) == 1
     assert sd.collision_events[0] == pytest.approx(0.0, abs=1e-12)
     # residues at y != 0: 1/(z^2 - y^2) has residue 1/(2y) at z = y
     k = 40          # y = 0.5 node
-    assert ({b.samples[k] for b in sd.branches}
+    assert ({pm for _b, kk, pm in sd.branch_rows() if kk == k}
             == set(sd.poles[k].pairs))
     for i, (p, m) in enumerate(sd.poles[k].pairs):
         assert m == 1
@@ -135,17 +129,81 @@ def test_track_branches_branching_pair():
 
 def test_track_branches_constant_pole():
     sd = track_branches(simple_pole(0.25), np.linspace(-1, 1, 11))
-    assert len(sd.branches) == 1
+    assert sd.n_branches == 1
     assert sd.collision_events == []
-    ks = sd.branches[0].nodes()
+    ks = [k for b, k, _pm in sd.branch_rows() if b == 0]
     assert ks == list(range(11))
 
 
 def test_track_branches_pole_free():
     f = MeromorphicSymbol(np.array([[1.0], [2.0]]), np.ones((1, 1)))
     sd = track_branches(f, np.linspace(0, 1, 5))
-    assert sd.branches == []
+    assert sd.n_branches == 0
+    assert sd.branch_ids == [[]] * 5 and sd.branch_rows() == []
     assert sd.collision_events == []
+
+
+def linear_poles(*ab):
+    """f(y, z) = 1 / prod (z - a - b y): poles on the lines a + b y."""
+    den = np.ones((1, 1), dtype=complex)
+    for a, b in ab:
+        den = p2_mul(den, np.array([[-a, -b], [1.0, 0.0]]))
+    return MeromorphicSymbol(np.ones((1, 1)), den, reduce=False)
+
+
+@pytest.mark.parametrize("f", [
+    branching_symbol(),
+    # two pairs crossing at y = -0.2 and y = -0.3, at distinct heights
+    linear_poles((0.2 - 0.5j, 1.0), (-0.2 - 0.5j, -1.0),
+                 (0.6 + 0.5j, 2.0), (-0.3 + 0.5j, -1.0)),
+], ids=["merge", "crossings"])
+def test_branch_ids_distinct_per_node(f):
+    ys = np.linspace(-0.5, 0.5, 51)
+    sd = track_branches(f, ys)
+    assert len(sd.branch_ids) == len(sd.poles) == len(ys)
+    for rec, ids in zip(sd.poles, sd.branch_ids):
+        assert len(ids) == len(rec.pairs)
+        assert len(set(ids)) == len(ids)
+    assert sorted({b for ids in sd.branch_ids for b in ids}) \
+        == list(range(sd.n_branches))
+
+
+def test_branch_ids_survive_a_merge():
+    # z^2 - y^2: the poles +-y merge into a double pole at y = 0 and split
+    # again; the split takes back both ids and no third one appears
+    ys = np.linspace(-0.5, 0.5, 41)
+    sd = track_branches(branching_symbol(), ys)
+    assert sd.n_branches == 2
+    for k, ids in enumerate(sd.branch_ids):
+        if k == 20:
+            assert sd.poles[k].pairs[0][1] == 2 and ids in ([0], [1])
+        else:
+            assert sorted(ids) == [0, 1]
+
+
+def test_vanished_pole_returns_with_new_id():
+    # f = 1 / ((c(y) z - 1)(z - i/2)): the pole 1/c(y) leaves the finite
+    # plane where c(y) = 0, while the pole i/2 keeps every node occupied
+    ys = np.linspace(-0.5, 0.5, 11)            # step 0.1
+
+    def moving_ids(c):                          # c: ascending y-coefficients
+        fac = np.zeros((2, len(c)), dtype=complex)
+        fac[0, 0], fac[1] = -1.0, c
+        den = p2_mul(fac, np.array([[-0.5j], [1.0]]))
+        sd = track_branches(
+            MeromorphicSymbol(np.ones((1, 1)), den, reduce=False), ys)
+        return sd, [[b for (p, _m), b in zip(rec.pairs, ids)
+                     if abs(p.imag) < 0.25]
+                    for rec, ids in zip(sd.poles, sd.branch_ids)]
+
+    # c = y: gone at y = 0 only; it comes back within 2 nodes of its
+    # closing and takes its id back
+    sd, ids = moving_ids([0.0, 1.0])
+    assert ids == [[0]] * 5 + [[]] + [[0]] * 5 and sd.n_branches == 2
+    # c = y (y - 0.1)(y + 0.1): gone at y = -0.1, 0, 0.1; it comes back
+    # 4 nodes after its closing, as a new branch
+    sd, ids = moving_ids([0.0, -0.01, 0.0, 1.0])
+    assert ids == [[0]] * 4 + [[]] * 3 + [[2]] * 4 and sd.n_branches == 3
 
 
 def test_spectral_remainder_holomorphic():
