@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CoveringFailed, EmptyDomain, WrongKind
-from .symbols import CLUSTER_TOL, locate_poles, same_pole
+from .symbols import CLUSTER_TOL, pole_records, same_pole
 
 PAD_TOL = 1e-3
 MAX_HALVINGS = 8
@@ -203,9 +203,10 @@ def shadow_closure(pairs, weight):
 def subordinate(f, r, y_samples):
     """Is every pole of f(y, .) matched in R(y) with multiplicity <= m+1?"""
     violations = []
-    for yv in np.asarray(y_samples, dtype=float):
+    ys = np.asarray(y_samples, dtype=float)
+    for yv, rec in zip(ys, pole_records(f, ys)):
         pl = r.pairs[r.node_index(yv)]
-        for p, mult in locate_poles(f, yv).pairs:
+        for p, mult in rec.pairs:
             i = _match(pl, p)
             if i is None:
                 violations.append((float(yv), p, "missing"))

@@ -104,19 +104,18 @@ def cmd_poles(cfg, out_dir, seed):
     f = mero_from_config(cfg.get("symbol", {}))
     ys = y_grid_from_config(cfg.get("y", {}))
     sd = symbols.track_branches(f, ys)
+    lines = symbols.branch_lines(sd)
     with open(os.path.join(out_dir, "branches.csv"), "w",
               encoding="utf-8", newline="") as fh:
-        symbols.branches_to_csv(sd, fh)
+        symbols.branches_to_csv(lines, fh)
     write_json({"events": ["%.17g" % e for e in sd.collision_events],
                 "n_branches": sd.n_branches},
                os.path.join(out_dir, "events.json"))
     with open(os.path.join(out_dir, "branches.dat"), "w",
               encoding="utf-8") as fh:
         fh.write("# y re_p im_p multiplicity branch_id\n")
-        for _b, rows in groupby(sd.branch_rows(), key=lambda row: row[0]):
-            for b, k, (p, m) in rows:
-                fh.write("%.17g %.17g %.17g %d %d\n"
-                         % (sd.y_nodes[k], p.real, p.imag, m, b))
+        for _b, rows in groupby(lines, key=lambda bl: bl[0]):
+            fh.writelines(line for _b, line in rows)
             fh.write("\n")
     return 0
 

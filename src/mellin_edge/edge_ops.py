@@ -34,7 +34,12 @@ from .mellin import (
     op_mellin,
     residue_masses,
 )
-from .symbols import MeromorphicSymbol, locate_poles, p2_reflect_conj
+from .symbols import (
+    MeromorphicSymbol,
+    locate_poles,
+    p2_reflect_conj,
+    pole_records,
+)
 
 GREEN_TOL = 1e-7
 SLOPE_TOL = 0.1
@@ -109,9 +114,10 @@ def mellin_edge_rows(m, ys, etas, modes, grid, tail_tol=TAIL_TOL):
     node, before any transform.  Each mode is transformed once per term;
     at each node, blocks of MODE_BLOCK modes share one stacked inverse FFT."""
     r, rho = grid.r, grid.rho
-    for y in ys:
-        for _j, _a, f, gj in m.terms:
-            check_line_clearance(locate_poles(f, y), gj)
+    records = [pole_records(f, ys) for _j, _a, f, _gj in m.terms]
+    for k in range(len(ys)):
+        for (_j, _a, _f, gj), recs in zip(m.terms, records):
+            check_line_clearance(recs[k], gj)
     fz = [[f(y, (0.5 - gj) + 1j * rho) for _j, _a, f, gj in m.terms]
           for y in ys]
     rps = [r ** (-m.mu + j) for j, _a, _f, _gj in m.terms]

@@ -7,7 +7,6 @@ multiplication, y-differentiation, translation and weight splitting, and
 admits exact partial-fraction oracles.
 """
 
-import csv
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
@@ -190,12 +189,6 @@ class MeromorphicSymbol:
     def __call__(self, y, z):
         return p2_eval(self.num, y, z) / p2_eval(self.den, y, z)
 
-    def num_at(self, y):
-        return _trim1d(p2_at_y(self.num, 0.0 if y is None else y))
-
-    def den_at(self, y):
-        return _trim1d(p2_at_y(self.den, 0.0 if y is None else y))
-
     def __add__(self, other):
         num = p2_add(p2_mul(self.num, other.den), p2_mul(other.num, self.den))
         return MeromorphicSymbol(num, p2_mul(self.den, other.den),
@@ -209,17 +202,6 @@ class MeromorphicSymbol:
 
     def __repr__(self):
         return "MeromorphicSymbol(num %s, den %s)" % (self.num.shape, self.den.shape)
-
-
-def _trim1d(c, rel=1e-12):
-    c = np.asarray(c, dtype=complex)
-    scale = np.max(np.abs(c)) if c.size else 0.0
-    if scale == 0.0:
-        return c[:1]
-    n = c.size
-    while n > 1 and abs(c[n - 1]) <= rel * scale:
-        n -= 1
-    return c[:n]
 
 
 def _domain_meet(a, b):
@@ -299,9 +281,16 @@ def invert_symbol(a):
 # ----------------------------------------------------------------------
 # pole location / Laurent data
 
+def _modulus(z):
+    """|z| elementwise through hypot: on arrays the same bits as abs() of
+    each element as a Python complex, which np.abs does not promise."""
+    return np.hypot(np.real(z), np.imag(z))
+
+
 def same_pole(q, p):
-    """Whether q is the pole p: within CLUSTER_TOL relative to max(1, |p|)."""
-    return abs(q - p) <= CLUSTER_TOL * max(1.0, abs(p))
+    """Whether q is the pole p: within CLUSTER_TOL relative to max(1, |p|).
+    Elementwise on arrays."""
+    return _modulus(q - p) <= CLUSTER_TOL * np.maximum(1.0, _modulus(p))
 
 
 def _cluster(roots):
@@ -323,29 +312,52 @@ def _cluster(roots):
     return out
 
 
-@dataclass(frozen=True)
-class PoleRecord:
-    """The poles of f(y, .) from one search: `pairs` holds (p, m) sorted by
-    (Re p, Im p); `gaps[i]` is the distance from pole i to the nearest
-    other pole that is not the same pole (inf when alone)."""
+def _coef_rows(a, ys):
+    """Ascending z-coefficients of a at each y (one p2_at_y each), and each
+    row's length once trailing entries at most 1e-12 times the row's
+    largest are trimmed (at least 1)."""
+    c = np.array([p2_at_y(a, 0.0 if y is None else y) for y in ys],
+                 dtype=complex).reshape(len(ys), p2(a).shape[0])
+    mag = np.abs(c)
+    keep = ~(mag <= 1e-12 * mag.max(axis=1, initial=0.0, keepdims=True))
+    n = np.where(keep.any(axis=1),
+                 c.shape[1] - np.argmax(keep[:, ::-1], axis=1), 1)
+    return c, n
 
-    pairs: tuple
-    gaps: tuple
+
+def _root_groups(c, n):
+    """Roots of the rows c[k, :n[k]] with n[k] >= 2, as np.roots gives them:
+    yields (rows, roots), roots[i] being those of row rows[i].  A group
+    shares the degree and the count of exactly-zero low coefficients,
+    which are zero roots; the others are the eigenvalues of the group's
+    stacked companion matrices, from one eigvals call."""
+    low = np.argmax(c != 0, axis=1)
+    cand = np.flatnonzero(n >= 2)
+    keys, inv = np.unique(np.stack([n[cand], low[cand]], axis=1), axis=0,
+                          return_inverse=True)
+    for g, (nk, t) in enumerate(keys.tolist()):
+        rows = cand[inv.ravel() == g]
+        roots = np.zeros((len(rows), nk - 1), dtype=complex)
+        p = c[rows, t:nk][:, ::-1]        # descending, leading entry nonzero
+        m = nk - 1 - t
+        if m > 0:
+            comp = np.zeros((len(rows), m, m), dtype=complex)
+            comp[:, 0, :] = -p[:, 1:] / p[:, :1]
+            comp[:, np.arange(1, m), np.arange(m - 1)] = 1.0
+            roots[:, :m] = np.linalg.eigvals(comp)
+        yield rows, roots
 
 
-def locate_poles(f, y):
-    """Poles of f(y, .) with multiplicities via companion-matrix roots.
+def _gaps(p):
+    """For each row of pole locations p (rows x n), each pole's distance to
+    the nearest pole of its row that is not the same pole (inf if none)."""
+    q, p = p[:, None, :], p[:, :, None]
+    dist = np.where(same_pole(q, p), np.inf, _modulus(q - p))
+    return dist.min(axis=2, initial=np.inf)
 
-    Denominator roots matched by numerator roots (same_pole) are cancelled,
-    so unreduced representations still report the true poles.
-    """
-    den = f.den_at(y)
-    if den.size <= 1:
-        return PoleRecord((), ())
-    droots = np.roots(den[::-1])
-    clusters = _cluster(list(droots))
-    num = f.num_at(y)
-    nroots = list(np.roots(num[::-1])) if num.size > 1 else []
+
+def _cancel(clusters, nroots):
+    """Clusters (p, m) less the numerator roots that are the same pole."""
     pairs = []
     for p, m in clusters:
         cancel = 0
@@ -358,9 +370,54 @@ def locate_poles(f, y):
         nroots = remaining
         if m - cancel >= 1:
             pairs.append((p, m - cancel))
-    gaps = [min((abs(q - p) for q, _n in pairs if not same_pole(q, p)),
-                default=np.inf) for p, _m in pairs]
-    return PoleRecord(tuple(pairs), tuple(gaps))
+    return pairs
+
+
+@dataclass(frozen=True)
+class PoleRecord:
+    """The poles of f(y, .) from one search: `pairs` holds (p, m) sorted by
+    (Re p, Im p); `gaps[i]` is the distance from pole i to the nearest
+    other pole that is not the same pole (inf when alone)."""
+
+    pairs: tuple
+    gaps: tuple
+
+
+def pole_records(f, ys):
+    """One PoleRecord per y in ys: the poles of f(y, .) with multiplicities,
+    from companion-matrix eigenvalues batched over the nodes.
+
+    Denominator roots matched by numerator roots (same_pole) are cancelled,
+    so unreduced representations still report the true poles.  A node
+    whose roots hold no two that are the same pole has only simple poles;
+    the roots of a crowded node are clustered by _cluster.
+    """
+    records = [PoleRecord((), ())] * len(ys)
+    nroots = {}
+    for rows, roots in _root_groups(*_coef_rows(f.num, ys)):
+        nroots.update(zip(rows.tolist(), roots))
+    for rows, roots in _root_groups(*_coef_rows(f.den, ys)):
+        order = np.lexsort((roots.imag, roots.real), axis=-1)
+        srt = np.take_along_axis(roots, order, axis=-1)
+        crowded = (same_pole(srt[:, :, None], srt[:, None, :])
+                   & ~np.eye(srt.shape[1], dtype=bool)).any(axis=(1, 2))
+        # a singleton's centroid, as _cluster's complex(np.mean([r]))
+        cent = np.mean(srt[:, :, None], axis=-1)
+        for k, r, busy, ps, gs in zip(rows.tolist(), roots, crowded.tolist(),
+                                      cent.tolist(), _gaps(cent).tolist()):
+            pairs = _cluster(list(r)) if busy else [(p, 1) for p in ps]
+            if k in nroots:
+                pairs = _cancel(pairs, list(nroots[k]))
+            if busy or k in nroots:
+                gs = _gaps(np.array([[p for p, _m in pairs]],
+                                    dtype=complex))[0].tolist()
+            records[k] = PoleRecord(tuple(pairs), tuple(gs))
+    return records
+
+
+def locate_poles(f, y):
+    """The PoleRecord of f(y, .) (see pole_records)."""
+    return pole_records(f, [y])[0]
 
 
 def laurent_expand(f, y, poles, i):
@@ -403,28 +460,28 @@ class SpectralData:
 def track_branches(f, y_grid):
     """Locate poles at each y node and stitch them into branches.
 
-    Adjacent nodes are matched by Hungarian assignment on |delta p|; a pole
-    left unmatched takes back the nearest branch closed within 2 nodes, or
-    else a new id.  Nodes where the clustered multiplicity pattern changes
-    are collision events.
+    Adjacent nodes are matched by Hungarian assignment on |delta p|; a
+    branch of the previous node left unmatched is closed (also at a node
+    without poles), and a pole left unmatched takes back the nearest
+    branch closed within 2 nodes, or else a new id.  Nodes where the
+    clustered multiplicity pattern changes are collision events.
     """
     from scipy.optimize import linear_sum_assignment
 
     y_grid = np.asarray(y_grid, dtype=float)
-    records = []
+    records = pole_records(f, y_grid)
     branch_ids = []
     n_branches = 0
     patterns = []         # sorted multiplicity tuple per node
-    prev, prev_ids = (), []
+    prev, prev_p, prev_ids = (), None, []
     closed = {}           # branch id -> (last node, last position)
-    for k, yv in enumerate(y_grid):
-        records.append(locate_poles(f, yv))
-        cur = records[-1].pairs
+    for k, rec in enumerate(records):
+        cur = rec.pairs
+        cur_p = np.array([p for p, _m in cur], dtype=complex)
         ids = [-1] * len(cur)
-        if prev and cur:
-            cost = np.array([[abs(pp - cp) for cp, _cm in cur]
-                             for pp, _pm in prev])
-            rows, cols = linear_sum_assignment(cost)
+        if prev:
+            rows, cols = linear_sum_assignment(
+                _modulus(prev_p[:, None] - cur_p))
             for r_, c_ in zip(rows, cols):
                 ids[c_] = prev_ids[r_]
             for r_ in sorted(set(range(len(prev))) - set(rows)):
@@ -444,7 +501,7 @@ def track_branches(f, y_grid):
                 n_branches += 1
         branch_ids.append(ids)
         patterns.append(tuple(sorted(m for _p, m in cur)))
-        prev, prev_ids = cur, ids
+        prev, prev_p, prev_ids = cur, cur_p, ids
     # collision events: nodes where the multiplicity pattern changes; an
     # isolated one-node excursion (merge immediately followed by the reverse
     # split) is recorded once, at the excursion node
@@ -506,8 +563,8 @@ def split_by_weight(f, y_region, beta, eps):
     else:
         ys = np.linspace(y_region[0], y_region[1], SPLIT_SAMPLES)
     right_gap = np.inf
-    for yv in ys:
-        for p, _m in locate_poles(f, yv).pairs:
+    for yv, rec in zip(ys, pole_records(f, ys)):
+        for p, _m in rec.pairs:
             if beta < p.real < beta + eps:
                 raise BandOccupied(
                     "pole %s inside the band (%g, %g) at y = %g"
@@ -529,11 +586,10 @@ def split_by_weight(f, y_region, beta, eps):
         if sp.degree(td, z) == 0:
             f1_expr += term          # polynomial (entire) part
             continue
-        sides, td_arr = set(), _sympy_to_arr(td)
-        for yv in ys:
-            dcoef = _trim1d(p2_at_y(td_arr, yv))
-            for root in np.roots(dcoef[::-1]):
-                sides.add("L" if root.real <= beta else "R")
+        sides = set()
+        for _rows, roots in _root_groups(*_coef_rows(_sympy_to_arr(td), ys)):
+            sides.update("L" if x <= beta else "R"
+                         for x in roots.real.ravel().tolist())
         if sides == {"L"}:
             f0_expr += term
         elif sides == {"R"}:
@@ -564,9 +620,15 @@ def symbol_from_json(obj):
                              tuple(dom) if dom else None, reduce=False)
 
 
-def branches_to_csv(spectral, fileobj):
-    w = csv.writer(fileobj, lineterminator="\n")
-    w.writerow(["y", "Re p", "Im p", "multiplicity", "branch_id"])
-    for b, k, (p, m) in spectral.branch_rows():
-        w.writerow(["%.17g" % spectral.y_nodes[k], "%.17g" % p.real,
-                    "%.17g" % p.imag, m, b])
+def branch_lines(spectral):
+    """branch_rows() formatted once: (branch id, "y re_p im_p m id" line)
+    with %.17g floats.  No field holds a space or a comma, so the CSV row is
+    the line with its spaces turned into commas."""
+    y = spectral.y_nodes.tolist()
+    return [(b, "%.17g %.17g %.17g %d %d\n" % (y[k], p.real, p.imag, m, b))
+            for b, k, (p, m) in spectral.branch_rows()]
+
+
+def branches_to_csv(lines, fileobj):
+    fileobj.write("y,Re p,Im p,multiplicity,branch_id\n")
+    fileobj.writelines(line.replace(" ", ",") for _b, line in lines)

@@ -4,11 +4,18 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import settings
 from scipy.integrate import quad
 
 from mellin_edge.cone import bump_rhs as bump, random_bump_field  # noqa: F401
 from mellin_edge.mellin import LogGrid
 from mellin_edge.symbols import MeromorphicSymbol
+
+# property tests draw the same examples on every run, without the
+# .hypothesis/ example database and without per-example deadlines
+settings.register_profile("tier1", derandomize=True, database=None,
+                          deadline=None)
+settings.load_profile("tier1")
 
 # dt = ln2/96 keeps lambda in {2, 4} grid-aligned (log 2 = 96 dt)
 DT = np.log(2.0) / 96.0
@@ -60,21 +67,22 @@ def double_pole(p, scale=1.0):
 
 
 def count_pole_searches(monkeypatch):
-    """Route every mellin_edge binding of symbols.locate_poles through a
-    counter; returns the list that gets the (num, den, y) of each call."""
+    """Route every mellin_edge binding of symbols.pole_records, which
+    locate_poles calls too, through a counter; returns the list that gets
+    the (num, den, y) of each node searched."""
     from mellin_edge import symbols
 
-    search = symbols.locate_poles
+    search = symbols.pole_records
     calls = []
 
-    def counted(f, y):
-        calls.append((f.num.tobytes(), f.den.tobytes(), y))
-        return search(f, y)
+    def counted(f, ys):
+        calls.extend((f.num.tobytes(), f.den.tobytes(), y) for y in ys)
+        return search(f, ys)
 
     for name, mod in list(sys.modules.items()):
         if (name.partition(".")[0] == "mellin_edge"
-                and getattr(mod, "locate_poles", None) is search):
-            monkeypatch.setattr(mod, "locate_poles", counted)
+                and getattr(mod, "pole_records", None) is search):
+            monkeypatch.setattr(mod, "pole_records", counted)
     return calls
 
 

@@ -190,7 +190,8 @@ def test_solve_artifact_and_one_solve_per_node(tmp_path, monkeypatch):
 def test_solve_one_pole_search_per_symbol_and_node(tmp_path, monkeypatch):
     """The inverse symbol's record at each y node serves branch tracking,
     the harvest and the solve; the residual pass searches the forward
-    symbol once per node: 2 x n_y searches, none repeated."""
+    symbol once per node: 2 x n_y (symbol, y) rows searched through
+    pole_records, none repeated."""
     calls = count_pole_searches(monkeypatch)
     cfg = write_cfg(tmp_path, "c.json", solve_config())
     assert run("solve", cfg, tmp_path / "out") == 0

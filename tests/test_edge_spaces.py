@@ -277,26 +277,30 @@ def test_apply_edge_operator_clearance_precedes_tail_check(grid_short):
 
 
 def test_apply_edge_operator_call_counts(grid_short, monkeypatch):
-    # one pole search per torus node and one forward transform per mode
-    calls = {"locate_poles": 0, "line_transform": 0}
+    # one pole search per torus node, all nodes in one pole_records call,
+    # and one forward transform per mode
+    calls = {"pole_records": 0, "searched_nodes": 0, "line_transform": 0}
+    search, transform = edge_ops.pole_records, edge_ops.line_transform
 
-    def counted(name, fn):
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
-        return wrapper
+    def counted_search(f, ys):
+        calls["pole_records"] += 1
+        calls["searched_nodes"] += len(ys)
+        return search(f, ys)
 
-    monkeypatch.setattr(edge_ops, "locate_poles",
-                        counted("locate_poles", edge_ops.locate_poles))
-    monkeypatch.setattr(edge_ops, "line_transform",
-                        counted("line_transform", edge_ops.line_transform))
+    def counted_transform(*args, **kwargs):
+        calls["line_transform"] += 1
+        return transform(*args, **kwargs)
+
+    monkeypatch.setattr(edge_ops, "pole_records", counted_search)
+    monkeypatch.setattr(edge_ops, "line_transform", counted_transform)
     n = 8
     u = decaying_field(grid_short, n)
     f = MeromorphicSymbol(np.ones((1, 1)), [[1.2, 0.3], [1.0, 0.0]],
                           reduce=False)
     m = MellinEdgeSymbol([(0, 0, f, 0.0)], mu=0.0, gamma=0.0)
     apply_edge_operator(m, u, y_dependent=True)
-    assert calls == {"locate_poles": n, "line_transform": n}
+    assert calls == {"pole_records": 1, "searched_nodes": n,
+                     "line_transform": n}
 
 
 def test_nonfinite_field_rejected(r_grid):

@@ -6,7 +6,10 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from mellin_edge import cli, symbols
 from mellin_edge.errors import (
     BandOccupied,
     DegenerateDenominator,
@@ -18,13 +21,19 @@ from mellin_edge.kernels import circle_moments
 from mellin_edge.symbols import (
     ConormalSymbol,
     MeromorphicSymbol,
+    PoleRecord,
+    _cluster,
+    branch_lines,
     branches_to_csv,
     differentiate_y,
     invert_symbol,
     laurent_expand,
     locate_poles,
     multiply,
+    p2_at_y,
     p2_mul,
+    pole_records,
+    same_pole,
     split_by_weight,
     symbol_from_json,
     track_branches,
@@ -206,6 +215,154 @@ def test_vanished_pole_returns_with_new_id():
     assert ids == [[0]] * 4 + [[]] * 3 + [[2]] * 4 and sd.n_branches == 3
 
 
+def test_pole_free_node_closes_its_branches():
+    # the pole 1/y of 1/(y z - 1) is gone at y = 0 only; it keeps one id
+    # across that node whether or not another pole occupies it
+    ys = np.linspace(-0.5, 0.5, 11)
+    moving = np.array([[-1.0, 0.0], [0.0, 1.0]])
+    for den in (moving, p2_mul(moving, np.array([[-0.5j], [1.0]]))):
+        sd = track_branches(
+            MeromorphicSymbol(np.ones((1, 1)), den, reduce=False), ys)
+        ids = [b for rec, ids in zip(sd.poles, sd.branch_ids)
+               for (p, _m), b in zip(rec.pairs, ids) if abs(p.imag) < 0.25]
+        assert len(ids) == 10 and set(ids) == {0}
+
+
+def _trim1d(c, rel=1e-12):
+    c = np.asarray(c, dtype=complex)
+    scale = np.max(np.abs(c)) if c.size else 0.0
+    if scale == 0.0:
+        return c[:1]
+    n = c.size
+    while n > 1 and abs(c[n - 1]) <= rel * scale:
+        n -= 1
+    return c[:n]
+
+
+def _reference_locate_poles(f, y):
+    """The per-y pole search that pole_records batches: np.roots of the
+    trimmed denominator, _cluster, numerator cancellation and gaps, one
+    node and one root at a time."""
+    yv = 0.0 if y is None else y
+    den = _trim1d(p2_at_y(f.den, yv))
+    if den.size <= 1:
+        return PoleRecord((), ())
+    clusters = _cluster(list(np.roots(den[::-1])))
+    num = _trim1d(p2_at_y(f.num, yv))
+    nroots = list(np.roots(num[::-1])) if num.size > 1 else []
+    pairs = []
+    for p, m in clusters:
+        cancel = 0
+        remaining = []
+        for nr in nroots:
+            if cancel < m and same_pole(nr, p):
+                cancel += 1
+            else:
+                remaining.append(nr)
+        nroots = remaining
+        if m - cancel >= 1:
+            pairs.append((p, m - cancel))
+    gaps = [min((abs(q - p) for q, _n in pairs if not same_pole(q, p)),
+                default=np.inf) for p, _m in pairs]
+    return PoleRecord(tuple(pairs), tuple(gaps))
+
+
+ORACLE_YS = [float(y) for y in np.linspace(-0.5, 0.5, 11)] + [None]
+coef = st.complex_numbers(max_magnitude=2.0, allow_nan=False,
+                          allow_infinity=False)
+
+
+@st.composite
+def pole_families(draw):
+    """Denominators whose degree drops at a node, with zero roots, planted
+    double and triple roots, cancelling numerator factors and pole-free
+    nodes, over ORACLE_YS."""
+    nz, ny = draw(st.integers(1, 3)), draw(st.integers(1, 2))
+    den = np.array([[draw(coef) for _j in range(ny)] for _i in range(nz)])
+    den[-1, 0] = den[-1, 0] or 1.0
+    y0 = draw(st.sampled_from(ORACLE_YS[:-1]))
+    lead = draw(st.sampled_from(["generic", "vanishes", "constant"]))
+    if lead == "vanishes":           # leading coefficient y - y0
+        den = p2_mul(den, np.array([[0.0, 0.0], [-y0, 1.0]]))
+    elif lead == "constant":         # y z - 1 alone: no pole at y = 0
+        den = np.array([[-1.0, 0.0], [0.0, 1.0]])
+    if draw(st.booleans()):          # zero roots
+        den = p2_mul(den, np.array([[0.0]] * draw(st.integers(1, 2))
+                                   + [[1.0]]))
+    k = draw(st.sampled_from([1, 2, 3]))
+    if k > 1:                        # (z - r0 - r1 y)^k
+        fac = np.array([[-draw(coef), -draw(coef)], [1.0, 0.0]])
+        for _i in range(k):
+            den = p2_mul(den, fac)
+    num = np.array([[draw(coef) or 1.0]])
+    if draw(st.booleans()):          # a factor cancelling in f
+        fac = np.array([[-draw(coef), -draw(coef)], [1.0, 0.0]])
+        num, den = p2_mul(num, fac), p2_mul(den, fac)
+    return MeromorphicSymbol(num, den, reduce=False)
+
+
+@settings(max_examples=150)
+@given(f=pole_families())
+def test_pole_records_match_the_per_y_search(f):
+    got = pole_records(f, ORACLE_YS)
+    want = [_reference_locate_poles(f, y) for y in ORACLE_YS]
+    assert [r.pairs for r in got] == [r.pairs for r in want]
+    assert [r.gaps for r in got] == [r.gaps for r in want]
+
+
+def _crossing_family(n):
+    """Two pairs of linear pole branches, each pair crossing on a node."""
+    ys = np.linspace(-0.5, 0.5, n)
+    f = linear_poles(*[(x - s * ys[k] + 1j * im, s) for k, x, im, slopes
+                       in ((n // 3, 0.3, -0.5, (1.5, -0.7)),
+                           (2 * n // 3, -0.2, 0.6, (0.8, -1.9)))
+                       for s in slopes])
+    return {"num": [[[1.0, 0.0]]],
+            "den": [[[c.real, c.imag] for c in row] for row in f.den],
+            "y_domain": [-0.5, 0.5]}
+
+
+@pytest.mark.parametrize("symbol, n", [
+    ({"num": [[[1.0, 0.0]]],
+      "den": [[[0.0, 0.0], [0.0, 0.0], [-1.0, 0.0]],
+              [[0.0, 0.0], [0.0, 0.0], [0.0, 0.0]],
+              [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]]],
+      "y_domain": [-0.5, 0.5]}, 21),
+    (_crossing_family(301), 301),
+], ids=["readme", "crossings"])
+def test_poles_artifacts_match_the_per_y_search(tmp_path, monkeypatch,
+                                               symbol, n):
+    cfg = tmp_path / "poles.json"
+    cfg.write_text(json.dumps({"symbol": symbol,
+                               "y": {"min": -0.5, "max": 0.5, "n": n}}))
+    assert cli.main(["poles", "--config", str(cfg),
+                     "--out", str(tmp_path / "batched")]) == 0
+    monkeypatch.setattr(symbols, "pole_records", lambda f, ys: [
+        _reference_locate_poles(f, y) for y in ys])
+    assert cli.main(["poles", "--config", str(cfg),
+                     "--out", str(tmp_path / "per_y")]) == 0
+    for name in ("branches.csv", "branches.dat", "events.json"):
+        assert ((tmp_path / "batched" / name).read_bytes()
+                == (tmp_path / "per_y" / name).read_bytes())
+
+
+def test_track_branches_one_eigvals_call_per_degree(monkeypatch):
+    # 1001 nodes of one degree and no zero root: one stacked eigvals call
+    shapes = []
+    eigvals = np.linalg.eigvals
+
+    def counted(a):
+        shapes.append(a.shape)
+        return eigvals(a)
+
+    monkeypatch.setattr(np.linalg, "eigvals", counted)
+    f = linear_poles((0.2 - 0.5j, 1.0), (-0.2 - 0.5j, -1.0),
+                     (0.6 + 0.5j, 2.0), (-0.3 + 0.5j, -1.0))
+    sd = track_branches(f, np.linspace(-0.5, 0.5, 1001))
+    assert shapes == [(1001, 4, 4)]
+    assert sd.n_branches == 4
+
+
 def test_spectral_remainder_holomorphic():
     f = simple_pole(0.3) + MeromorphicSymbol(np.array([[5.0]]), np.ones((1, 1)))
     sd = track_branches(f, np.array([0.0]))
@@ -312,7 +469,7 @@ def test_conormal_json_roundtrip():
 def test_branches_csv_format():
     sd = track_branches(simple_pole(0.25), np.array([0.0, 1.0]))
     buf = io.StringIO()
-    branches_to_csv(sd, buf)
+    branches_to_csv(branch_lines(sd), buf)
     lines = buf.getvalue().splitlines()
     assert lines[0] == "y,Re p,Im p,multiplicity,branch_id"
     assert len(lines) == 3
