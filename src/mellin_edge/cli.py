@@ -198,7 +198,7 @@ def cmd_solve(cfg, out_dir, seed):
 # ----------------------------------------------------------------------
 # verify
 
-def _check_plancherel(rng, tol):
+def _check_plancherel(rng):
     grid = mellin.LogGrid(-15.0, -15.0 + 4096 * DT_DEFAULT, 4096)
     worst = 0.0
     for _ in range(20):
@@ -210,7 +210,7 @@ def _check_plancherel(rng, tol):
     return worst, None
 
 
-def _check_dilation(rng, tol):
+def _check_dilation(rng):
     grid = mellin.LogGrid(-50.0, -50.0 + 8192 * DT_DEFAULT, 8192)
     u = cone.random_bump_field(grid, rng)
     worst = 0.0
@@ -229,7 +229,7 @@ def _check_dilation(rng, tol):
     return worst, note
 
 
-def _check_homogeneity(rng, tol):
+def _check_homogeneity(rng):
     grid = mellin.LogGrid(-50.0, -50.0 + 8192 * DT_DEFAULT, 8192)
     u = mellin.HalfLineFunction(
         grid, cone.bump_rhs(grid, a=0.02, b=0.2).values)
@@ -246,7 +246,7 @@ def _check_homogeneity(rng, tol):
     return worst, None
 
 
-def _check_green(rng, tol):
+def _check_green(rng):
     grid = mellin.LogGrid(-30.0, -30.0 + 32768 * DT_DEFAULT, 32768)
     u = mellin.HalfLineFunction(grid, grid.r * np.exp(-grid.r))
     p = 0.25
@@ -257,7 +257,7 @@ def _check_green(rng, tol):
     return edge_ops.green_agreement(diff, cont, delta + beta), None
 
 
-def _check_adjoint(rng, tol):
+def _check_adjoint(rng):
     grid = mellin.LogGrid(-50.0, -50.0 + 8192 * DT_DEFAULT, 8192)
     f = symbols.MeromorphicSymbol([np.array([1.0])],
                                   [np.array([0.2]), np.array([1.0])])
@@ -286,13 +286,13 @@ def _random_edge_field(rng):
         tg, grid, ay[:, None] * (grid.r**2 * np.exp(-grid.r))[None, :])
 
 
-def _check_edge_w0(rng, tol):
+def _check_edge_w0(rng):
     u = _random_edge_field(rng)
     return (abs(edge_spaces.edge_norm(u, 0.0) - u.l2_norm())
             / u.l2_norm()), None
 
 
-def _check_edge_roundtrip(rng, tol):
+def _check_edge_roundtrip(rng):
     u = _random_edge_field(rng)
     back = edge_spaces.inverse_potential_op(edge_spaces.potential_op(u))
     d = back.copy(values=back.values - u.values)
@@ -329,7 +329,7 @@ def cmd_verify(cfg, out_dir, seed):
         tol = number(float, overrides.get(name, default_tol),
                      "tolerances." + name)
         rng = np.random.default_rng(seed)
-        defect, note = fn(rng, tol)
+        defect, note = fn(rng)
         ok = bool(defect <= tol)
         all_pass = all_pass and ok
         row = {"check_name": name, "max_defect": "%.17g" % defect,

@@ -17,16 +17,11 @@ from .errors import (
     PoleOnHarvestBoundary,
     ResidualTooLarge,
 )
-from .functionals import (
-    AnalyticFunctional,
-    masses_from_orders,
-    singular_function,
-)
 from .kernels import (
-    CERT_FACTOR,
     CERT_MARGIN,
-    cert_shifts,
-    mass_ratios,
+    certify_flat,
+    point_mass_synthesis,
+    scaled_singular,
     windowed_mass,
 )
 from .mellin import (
@@ -127,19 +122,24 @@ def solve(problem, y, poles):
 
 @dataclass
 class AsymptoticExpansion:
-    """Harvested singular terms c * r^{-p} log^k r in a weight strip."""
+    """Harvested singular part in a weight strip, as the point masses
+    [(p, w)] of mellin.residue_masses: sum_k w_k (-log r)^k r^{-p}."""
 
-    terms: list                 # (p: complex, k: int, c: complex)
+    masses: list
     depth_used: float           # harvest depth: flatness order of the remainder
     notes: list = field(default_factory=list)
 
+    @property
+    def terms(self):
+        """(p, k, c) for the terms c r^{-p} log^k r, c = (-1)^k w_k != 0,
+        in harvest order."""
+        return [(complex(p), k, complex((-1) ** k * w))
+                for p, weights in self.masses
+                for k, w in enumerate(weights) if w != 0]
+
     def evaluate(self, r):
-        r = np.asarray(r, dtype=float)
-        out = np.zeros(r.shape, dtype=complex)
-        lr = np.log(r)
-        for p, k, c in self.terms:
-            out += c * r ** (-p) * lr**k
-        return out
+        return point_mass_synthesis(np.log(np.asarray(r, dtype=float)),
+                                    self.masses)
 
 
 @dataclass
@@ -176,37 +176,16 @@ def extract_asymptotics(problem, y, poles, depth, strict_boundary=False):
                 "to %.6g" % (p, BOUNDARY_TOL, depth_used)
             )
 
-    terms = []
-    for p, weights in residue_masses(problem.inverse_symbol, y, poles, ft,
-                                     line_re - depth_used, line_re):
-        for k, w in enumerate(weights):
-            c = (-1) ** k * w
-            if c != 0:
-                terms.append((complex(p), int(k), complex(c)))
-    terms.sort(key=lambda t: (t[0].real, t[0].imag, t[1]))
-    return AsymptoticExpansion(terms=terms, depth_used=depth_used, notes=notes)
-
-
-def expansion_to_functional(expansion):
-    """Point-mass representation of the expansion's singular part.
-
-    c r^{-p} log^k r = c (-1)^k (-log r)^k r^{-p}: the mass at p gets weight
-    c (-1)^k at derivative order k.
-    """
-    by_pole = {}
-    for p, k, c in expansion.terms:
-        key = complex(p)
-        by_pole.setdefault(key, {})[k] = by_pole.get(key, {}).get(k, 0) \
-            + c * (-1) ** k
-    return AnalyticFunctional(masses=masses_from_orders(by_pole))
+    masses = residue_masses(problem.inverse_symbol, y, poles, ft,
+                            line_re - depth_used, line_re)
+    return AsymptoticExpansion(masses=masses, depth_used=depth_used,
+                               notes=notes)
 
 
 def singular_part(expansion, omega, grid):
-    """omega(r) * sum of the expansion terms, as a grid function."""
-    if not expansion.terms:
-        return HalfLineFunction(grid, np.zeros(grid.n_points, dtype=complex))
-    zeta = expansion_to_functional(expansion)
-    return singular_function(zeta, omega, grid)
+    """omega(r) * the expansion's singular part, as a grid function."""
+    return HalfLineFunction(grid, scaled_singular(expansion.masses, grid.t,
+                                                  1.0, omega))
 
 
 def _windowed_mass(u):
@@ -228,24 +207,11 @@ def split_flat_singular(u, expansion, omega, gamma):
     grid = u.grid
     sing = singular_part(expansion, omega, grid)
     flat = HalfLineFunction(grid, u.values - sing.values)
-    shifts = cert_shifts(expansion.depth_used)
-    ratios = mass_ratios(_windowed_mass(flat), gamma, shifts)
-    for beta_p, ratio in zip(shifts, ratios):
-        if not ratio <= CERT_FACTOR:
-            raise CertificationFailed(
-                "flat remainder fails the weight check at beta'=%.4g "
-                "(mass ratio %.3e); a deeper harvest is likely needed"
-                % (beta_p, ratio),
-                clause="flatness",
-            )
+    ratios = certify_flat(_windowed_mass(flat), gamma, expansion.depth_used,
+                          "flat remainder", "flatness")
     beta = expansion.depth_used - CERT_MARGIN
     return FlatRemainder(values=flat, certified_weight=gamma + beta,
                          mass_ratios=ratios), sing
-
-
-def flatness_ratio(flat, gamma, beta_p):
-    """Weighted-mass ratio used by the certification (negative-control aid)."""
-    return mass_ratios(_windowed_mass(flat.values), gamma, [beta_p])[0]
 
 
 @dataclass

@@ -20,6 +20,7 @@ from .kernels import (
     circle_nodes,
     contour_synthesis,
     point_mass_synthesis,
+    scaled_singular,
 )
 from .mellin import (
     SHIFTED_TAIL_TOL,
@@ -177,24 +178,26 @@ def twisted_homogeneity_defect(m, y, eta, lam, u):
 
 
 def twisted_norm(m, y, eta, u):
-    """||kappa_{[eta]}^{-1} m(y, eta) kappa_{[eta]} u|| in L^2(dr)."""
+    """||kappa_{[eta]}^{-1} m(y, eta) kappa_{[eta]} u|| in L^2(dr), for a
+    MellinEdgeSymbol, a GreenSymbolFiniteRank or a callable m(y, eta, u)."""
     s = eta_bracket(eta)
     w = kappa(u, s)
-    mv = (eval_mellin_edge_symbol(m, y, eta, w)
-          if isinstance(m, MellinEdgeSymbol) else m(y, eta, w))
+    if isinstance(m, MellinEdgeSymbol):
+        mv = eval_mellin_edge_symbol(m, y, eta, w)
+    elif isinstance(m, GreenSymbolFiniteRank):
+        mv = green_apply(m, y, eta, w)
+    else:
+        mv = m(y, eta, w)
     return kappa(mv, 1.0 / s).norm(0.0)
 
 
-def _loglog_slope(ns, etas):
-    """(slope of log ns against log [eta], the (scale, norm) samples)."""
+def measured_order(m, y, u, etas):
+    """Log-log slope of the twisted norm over an |eta| fan (symbol order),
+    and the ([eta], norm) samples it was fitted to."""
+    ns = [twisted_norm(m, y, e, u) for e in etas]
     ss = [eta_bracket(e) for e in etas]
     slope = np.polyfit(np.log(ss), np.log(ns), 1)[0]
     return float(slope), list(zip(ss, ns))
-
-
-def measured_order(m, y, u, etas):
-    """Log-log slope of the twisted norm over an |eta| fan (symbol order)."""
-    return _loglog_slope([twisted_norm(m, y, e, u) for e in etas], etas)
 
 
 def weight_shift_green(f, y, delta, beta, u, tail_tol=TAIL_TOL):
@@ -212,7 +215,13 @@ def weight_shift_green(f, y, delta, beta, u, tail_tol=TAIL_TOL):
     b = op_mellin(f, y, delta, u, tail_tol=tail_tol, poles=poles)
     a = op_mellin(f, y, delta + beta, u, tail_tol=tail_tol, poles=poles)
     diff = HalfLineFunction(u.grid, a.values - b.values)
+    return diff, _shift_contour(f, y, delta, beta, u, poles)
 
+
+def _shift_contour(f, y, delta, beta, u, poles):
+    """Contour form of the weight-shift Green operator: the clockwise circle
+    integrals of r^{-z} f(y, z) M u(z) / (2 pi i) around the poles of the
+    PoleRecord `poles` strictly between the two weight lines."""
     lo, hi = 0.5 - delta - beta, 0.5 - delta
     vals = np.zeros(u.grid.n_points, dtype=complex)
     for (p, _mm), gap in zip(poles.pairs, poles.gaps):
@@ -223,8 +232,7 @@ def weight_shift_green(f, y, delta, beta, u, tail_tol=TAIL_TOL):
         fz = f(y, z) * mellin_eval(u, z)
         # clockwise orientation: minus the ccw integral
         vals -= contour_synthesis(u.grid, z, fz * dz)
-    contour_form = HalfLineFunction(u.grid, vals)
-    return diff, contour_form
+    return HalfLineFunction(u.grid, vals)
 
 
 def green_agreement(diff, cont, gamma):
@@ -301,20 +309,9 @@ def green_apply(g, y, eta, u):
         tk = kappa(trace_in, s).values / np.sqrt(s)
         tval = grid.dt * np.sum(tk * u.values * grid.r)
         # output: a [eta]^{1/2} omega(r[eta]) <zeta, (r[eta])^{-z}> T
-        rs = grid.r * s
-        sing = point_mass_synthesis(grid.t + np.log(s), [
-            (mass.p, mass.weights) for mass in zeta_out.masses])
-        out += a * np.sqrt(s) * g.omega(rs) * sing * tval
+        out += a * scaled_singular(zeta_out.mass_pairs(), grid.t, s,
+                                   g.omega) * tval
     return HalfLineFunction(grid, out)
-
-
-def green_twisted_norm(g, y, eta, u):
-    s = eta_bracket(eta)
-    return kappa(green_apply(g, y, eta, kappa(u, s)), 1.0 / s).norm(0.0)
-
-
-def green_measured_order(g, y, u, etas):
-    return _loglog_slope([green_twisted_norm(g, y, e, u) for e in etas], etas)
 
 
 def mellin_convention_difference(m1, m2, y, u, etas):
@@ -347,7 +344,8 @@ def mellin_convention_difference(m1, m2, y, u, etas):
                     continue
                 lo_g, hi_g = min(gj, gj2), max(gj, gj2)
                 v = HalfLineFunction(u.grid, w_in * u.values)
-                _diff, cont = weight_shift_green(f, y, lo_g, hi_g - lo_g, v)
+                cont = _shift_contour(f, y, lo_g, hi_g - lo_g, v,
+                                      locate_poles(f, y))
                 sign = 1.0 if gj > gj2 else -1.0
                 oracle += (sign * eta_power(eta, alpha)
                            * m1.omega(u.grid.r * s)

@@ -19,15 +19,9 @@ from .edge_ops import (
     green_apply,
     mellin_edge_rows,
 )
-from .errors import CertificationFailed, NonFiniteInput
+from .errors import NonFiniteInput
 from .functionals import AnalyticFunctional, masses_from_orders
-from .kernels import (
-    CERT_FACTOR,
-    cert_shifts,
-    mass_ratios,
-    point_mass_synthesis,
-    windowed_mass,
-)
+from .kernels import certify_flat, scaled_singular, windowed_mass
 from .mellin import CutoffFunction, HalfLineFunction, LogGrid, kappa
 
 HARVEST_TOL = 1e-7
@@ -171,13 +165,6 @@ class SingularEdgeData:
     gamma: float = 0.0
 
 
-def _singular_mode(masses, t, br, cutoff):
-    """[eta]^{1/2} omega(r[eta]) <zeta, (r[eta])^{-z}> for point masses."""
-    ts = t + np.log(br)                    # log(r [eta])
-    vals = point_mass_synthesis(ts, [(m.p, m.weights) for m in masses])
-    return np.sqrt(br) * cutoff(np.exp(ts)) * vals
-
-
 def synthesize_singular(data):
     """F^{-1} { [eta]^{1/2} omega(r[eta]) <zeta(eta), (r[eta])^{-z}> }."""
     g = data.r_grid
@@ -189,7 +176,7 @@ def synthesize_singular(data):
         if zeta is None or not zeta.masses:
             continue
         br = eta_bracket(abs(float(etas[k])))
-        modes[k] = _singular_mode(zeta.masses, g.t, br, data.cutoff)
+        modes[k] = scaled_singular(zeta.mass_pairs(), g.t, br, data.cutoff)
     return EdgeField.from_modes(data.y_grid, data.r_grid, modes,
                                 gamma=data.gamma)
 
@@ -259,9 +246,9 @@ def decompose_flat_singular_edge(u, asym_type, depth):
         for (p, l), c in found.items():
             if abs(c) > HARVEST_TOL * scale:
                 masses.setdefault(p, {})[l] = c
-        pm = masses_from_orders(masses)
-        functionals.append(AnalyticFunctional(masses=pm))
-        sing_modes[k] = _singular_mode(pm, g.t, br, cutoff)
+        zeta = AnalyticFunctional(masses=masses_from_orders(masses))
+        functionals.append(zeta)
+        sing_modes[k] = scaled_singular(zeta.mass_pairs(), g.t, br, cutoff)
 
     sing = EdgeField.from_modes(u.y_grids, u.r_grid, sing_modes,
                                 gamma=u.gamma)
@@ -281,7 +268,6 @@ def _certify_flat_edge(flat, reference, gamma, depth):
     the spectral-interpolation noise of an explicit dilation.
     """
     g = flat.r_grid
-    shifts = cert_shifts(depth)
 
     def mass(slc, br):
         ts = g.t + np.log(br)
@@ -298,14 +284,8 @@ def _certify_flat_edge(flat, reference, gamma, depth):
         # certifiable mass; a genuinely missed pole keeps its mode large
         if mode_mass(gamma) <= 1e-6 * ref_base:
             continue
-        ratios = mass_ratios(mode_mass, gamma, shifts)
-        for beta_p, ratio in zip(shifts, ratios):
-            if not ratio <= CERT_FACTOR:
-                raise CertificationFailed(
-                    "edge flat part fails the weight check at mode %s "
-                    "(ratio %.3e at beta'=%.3g)" % (idx, ratio, beta_p),
-                    clause="edge flatness",
-                )
+        certify_flat(mode_mass, gamma, depth,
+                     "edge flat part at mode %s" % (idx,), "edge flatness")
 
 
 def apply_edge_operator(symbol, u, y=0.0, y_dependent=False):

@@ -23,7 +23,7 @@ from .kernels import (
     circle_moments,
     circle_nodes,
     contour_synthesis,
-    point_mass_synthesis,
+    scaled_singular,
 )
 from .mellin import CutoffFunction, HalfLineFunction
 from .symbols import locate_poles
@@ -139,6 +139,10 @@ class AnalyticFunctional:
                 "need either masses or contour+density"
             )
 
+    def mass_pairs(self):
+        """The point masses as [(p, weights)], the kernels' format."""
+        return [(m.p, m.weights) for m in self.masses]
+
     def carrier_max_re(self):
         if self.carrier:
             return max(p.real for p in self.carrier)
@@ -243,13 +247,12 @@ def singular_function(zeta, omega, grid, gamma_target=None):
                 "carrier reaches Re = %g >= %g" % (mre, 0.5 - gamma_target)
             )
     if zeta.rep == "point_mass":
-        vals = point_mass_synthesis(grid.t, [(m.p, m.weights)
-                                             for m in zeta.masses])
-    else:
-        z, dz = zeta.contour.nodes()
-        fv = np.asarray(zeta.density(z), dtype=complex)
-        vals = contour_synthesis(grid, z, fv * dz)
-    return HalfLineFunction(grid, omega(grid.r) * vals)
+        return HalfLineFunction(grid, scaled_singular(zeta.mass_pairs(),
+                                                      grid.t, 1.0, omega))
+    z, dz = zeta.contour.nodes()
+    fv = np.asarray(zeta.density(z), dtype=complex)
+    return HalfLineFunction(grid, omega(grid.r)
+                            * contour_synthesis(grid, z, fv * dz))
 
 
 class MellinPotential:

@@ -1,14 +1,16 @@
 """The numerical kernels shared by the calculus modules, one implementation
 each: circle trapezoid quadrature (geometrically convergent for functions
 analytic on an annulus; Trefethen & Weideman, SIAM Review 56, 2014), factored
-contour synthesis, point-mass synthesis, residue weights, and the windowed
-weighted mass behind the flat-remainder certification.  numpy and the
-standard library only.
+contour synthesis, point-mass synthesis and its scaled singular function,
+residue weights, and the windowed weighted mass with the flat-remainder
+certification built on it.  numpy and the standard library only.
 """
 
 import math
 
 import numpy as np
+
+from .errors import CertificationFailed
 
 # Flat-remainder certification: weighted masses on the window t >=
 # CERT_T_FLOOR (further left, shifted weights amplify rounding noise past
@@ -90,16 +92,29 @@ def windowed_mass(s, values, gamma, dt):
     return float(np.sqrt(dt * np.sum(np.abs(w) ** 2)))
 
 
-def cert_shifts(depth):
-    """The weight shifts frac * (depth - CERT_MARGIN) a flat part is
-    certified at."""
+def scaled_singular(masses, t, s, omega):
+    """s^{1/2} omega(e^t s) point_mass_synthesis(t + log s, masses): the
+    singular function of point masses [(p_j, w_j)] at the scaled argument
+    r s, r = e^t (s = [eta] on an edge mode, s = 1 on the cone)."""
+    ts = t + np.log(s)
+    return np.sqrt(s) * omega(np.exp(ts)) * point_mass_synthesis(ts, masses)
+
+
+def certify_flat(mass, gamma, depth, what, clause):
+    """Ratios mass(gamma + b) / mass(gamma) at the shifts
+    b = frac * (depth - CERT_MARGIN), frac in CERT_FRACS, with mass a
+    callable of the weight.  A certified flat part keeps every ratio <=
+    CERT_FACTOR (a missed pole blows it up by many orders of magnitude);
+    the first ratio above it raises CertificationFailed naming `what`."""
     beta = depth - CERT_MARGIN
-    return [frac * beta for frac in CERT_FRACS]
-
-
-def mass_ratios(mass, gamma, shifts):
-    """mass(gamma + b) / mass(gamma) for each shift b, with mass a callable
-    of the weight; a certified flat part keeps every ratio <= CERT_FACTOR
-    (a missed pole blows it up by many orders of magnitude)."""
+    shifts = [frac * beta for frac in CERT_FRACS]
     base = max(mass(gamma), 1e-300)
-    return [mass(gamma + b) / base for b in shifts]
+    ratios = [mass(gamma + b) / base for b in shifts]
+    for beta_p, ratio in zip(shifts, ratios):
+        if not ratio <= CERT_FACTOR:
+            raise CertificationFailed(
+                "%s fails the weight check at beta'=%.4g (mass ratio %.3e); "
+                "a deeper harvest is likely needed" % (what, beta_p, ratio),
+                clause=clause,
+            )
+    return ratios

@@ -7,6 +7,7 @@ so an FFT gives spectral accuracy for smooth decaying data.
 """
 
 from dataclasses import dataclass
+from functools import partial
 from math import factorial
 
 import numpy as np
@@ -345,21 +346,6 @@ def dilation_commutation_defect(f, gamma, u, lam):
     return diff.norm(gamma) / scale
 
 
-class EntireKernel:
-    """Entire function produced by the kernel cut-off, backed by quadrature.
-
-    k(z) = M(psi_1 . M^{-1} l)(z) where psi_1 is smooth, == 1 on a wide
-    plateau around r = 1, and compactly supported in (0, inf); entire in z
-    because the integrand is compactly supported.
-    """
-
-    def __init__(self, w):
-        self.w = w                # HalfLineFunction psi_1 * M^{-1} l
-
-    def __call__(self, z):
-        return mellin_eval(self.w, z)
-
-
 def kernel_cutoff(l, psi):
     """Kernel cut-off: entire k with (l - k)|_Gamma rapidly decaying.
 
@@ -367,7 +353,9 @@ def kernel_cutoff(l, psi):
     plateau works in exact arithmetic, a wide one keeps the defect
     numerically tiny for inputs concentrated near |Im z| small.
 
-    Returns (k: EntireKernel, defect: VerticalLineFunction).
+    Returns (k, defect: VerticalLineFunction), with k(z) = M(psi_1 .
+    M^{-1} l)(z) by quadrature: entire in z because psi_1 is compactly
+    supported in (0, inf).
     """
     if l.grid is None:
         raise GridMismatch("line function must carry its source grid")
@@ -389,7 +377,7 @@ def kernel_cutoff(l, psi):
     defect = VerticalLineFunction(
         l.gamma, l.rho_nodes, l.values - k_line.values, grid
     )
-    return EntireKernel(w), defect
+    return partial(mellin_eval, w), defect
 
 
 def decay_constants(defect, orders=(2, 4, 6), window=None):

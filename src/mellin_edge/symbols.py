@@ -97,14 +97,11 @@ def p2_shift_z(a, sigma):
 
 
 def p2_reflect_conj(a):
-    """Coefficients of conj(p(1 - conj(z), y)) for real y."""
+    """Coefficients of conj(p(1 - conj(z), y)) for real y: conj(p) with its
+    odd z-powers negated is q(z) = conj(p)(-z), and q(z - 1) is the result."""
     a = np.conj(p2(a))
-    out = np.zeros_like(a)
-    for k in range(a.shape[0]):
-        # (1 - z)^k = sum_i C(k,i) (-1)^i z^i
-        for i in range(k + 1):
-            out[i] += comb(k, i) * (-1) ** i * a[k]
-    return out
+    a[1::2] = -a[1::2]
+    return p2_shift_z(a, -1)
 
 
 # ----------------------------------------------------------------------

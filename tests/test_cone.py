@@ -2,6 +2,7 @@
 oracles, flat/singular splitting with certification, branching."""
 
 import io
+import re
 
 import numpy as np
 import pytest
@@ -12,10 +13,7 @@ from mellin_edge.cone import (
     bump_rhs,
     coefficients_to_csv,
     detect_branching,
-    expansion_to_functional,
     extract_asymptotics,
-    flatness_ratio,
-    singular_part,
     solve,
     split_flat_singular,
 )
@@ -25,7 +23,7 @@ from mellin_edge.errors import (
     PoleOnWeightLine,
     ResidualTooLarge,
 )
-from mellin_edge.mellin import CutoffFunction, HalfLineFunction
+from mellin_edge.mellin import CutoffFunction
 from mellin_edge.symbols import ConormalSymbol, locate_poles, track_branches
 
 from conftest import bump_callable, quad_mellin
@@ -98,16 +96,17 @@ def test_boundary_auto_shrink(grid_deep):
                             strict_boundary=True)
 
 
-def test_expansion_to_functional():
-    exp = AsymptoticExpansion(terms=[(0.2 + 0j, 0, 1.5 + 0j),
-                                     (0.2 + 0j, 1, -2.0 + 0j)],
+def test_expansion_terms_from_masses():
+    # w_k (-log r)^k r^{-p} is the term c r^{-p} log^k r with c = (-1)^k w_k;
+    # zero weights give no term, and the harvest order is kept
+    exp = AsymptoticExpansion(masses=[(0.2 + 0j, np.array([1.5, 2.0, 0.0])),
+                                      (0.5 + 0j, np.array([0.0, 3.0j]))],
                               depth_used=1.0)
-    zeta = expansion_to_functional(exp)
-    [m] = zeta.masses
-    assert m.p == 0.2 + 0j and m.order == 1
-    # weight at order k is c (-1)^k
-    assert m.weights[0] == 1.5
-    assert m.weights[1] == 2.0
+    assert exp.terms == [(0.2 + 0j, 0, 1.5 + 0j), (0.2 + 0j, 1, -2.0 + 0j),
+                         (0.5 + 0j, 1, -3.0j)]
+    r = np.array([0.1, 0.5, 2.0])
+    closed = sum(c * r ** (-p) * np.log(r) ** k for p, k, c in exp.terms)
+    assert np.allclose(exp.evaluate(r), closed, rtol=1e-14, atol=0)
 
 
 def test_split_flat_singular_certifies(grid_deep):
@@ -130,18 +129,18 @@ def test_split_negative_control(grid_deep):
     u = solve(prob, y, poles_at(prob, y))
     exp = extract_asymptotics(prob, y, poles_at(prob, y), depth=0.75)
     truncated = AsymptoticExpansion(
-        terms=[t for t in exp.terms if t[0].real < 0],
+        masses=[m for m in exp.masses if m[0].real < 0],
         depth_used=exp.depth_used)
-    with pytest.raises(CertificationFailed):
+    with pytest.raises(CertificationFailed) as err:
         split_flat_singular(u, truncated, CutoffFunction(), gamma=0.0)
-    # quantitative version: the weighted-mass ratio blows up
-    from mellin_edge.cone import FlatRemainder
-    sing = singular_part(truncated, CutoffFunction(), grid_deep)
-    flat = FlatRemainder(HalfLineFunction(grid_deep, u.values - sing.values),
-                         0.0)
-    # the certification window t >= -12 caps the amplification; a missed
-    # r^{-0.3} pole still exceeds the certification factor by ~3x
-    assert flatness_ratio(flat, 0.0, 0.95 * 0.65) > 1e2
+    # the certification window t >= -12 caps the amplification: only the
+    # last shifted weight, beta' = 0.95 * (0.75 - 0.1), fails, and there a
+    # missed r^{-0.3} pole still exceeds the certification factor by ~3x
+    assert err.value.clause == "flatness"
+    msg = str(err.value)
+    assert msg.startswith(
+        "flat remainder fails the weight check at beta'=0.6175 ")
+    assert float(re.search(r"mass ratio (\S+)\)", msg).group(1)) > 1e2
 
 
 def test_detect_branching_event(grid_deep):

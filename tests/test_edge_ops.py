@@ -5,6 +5,7 @@ asymptotic summation, convention differences."""
 import numpy as np
 import pytest
 
+from mellin_edge import edge_ops
 from mellin_edge.edge_ops import (
     GREEN_TOL,
     GreenSymbolFiniteRank,
@@ -14,11 +15,11 @@ from mellin_edge.edge_ops import (
     eta_bracket,
     eta_derivative,
     eta_derivative_green_check,
+    eval_mellin_edge_symbol,
     excision,
     formal_adjoint,
     green_agreement,
     green_apply,
-    green_measured_order,
     l2_dr_pairing,
     measured_order,
     mellin_convention_difference,
@@ -200,7 +201,7 @@ def test_green_apply_closed_form():
 def test_green_measured_order():
     g, grid = rank_one_green(order_m=1.0)
     u = bump(grid, a=0.5, b=2.0)
-    slope, _ = green_measured_order(g, 0.0, u, [1.0, 2.0, 4.0, 8.0])
+    slope, _ = measured_order(g, 0.0, u, [1.0, 2.0, 4.0, 8.0])
     # the L^2-normalized trace kernel contributes an extra [eta]^{-1/2}
     assert abs(slope - (1.0 - 0.5)) <= 0.1
 
@@ -251,14 +252,33 @@ def test_excision_profile():
     assert 0.0 < excision(0.75) < 1.0
 
 
-def test_convention_difference_weight_shift(grid_deep):
+def test_convention_difference_weight_shift(grid_deep, monkeypatch):
+    # the clause compares against the contour form alone: no op_mellin
+    # call, and the defect of the oracle built from weight_shift_green's
+    # contour form on the same cut-off input
     u = small_bump(grid_deep)
     f = simple_pole(0.8)
     m1 = MellinEdgeSymbol([(1, 0, f, 0.0)], mu=1.0, gamma=0.0)
     m2 = MellinEdgeSymbol([(1, 0, f, -0.6)], mu=1.0, gamma=0.0)
+    calls = []
+    real = edge_ops.op_mellin
+    monkeypatch.setattr(edge_ops, "op_mellin",
+                        lambda *a, **kw: calls.append(a) or real(*a, **kw))
     report = mellin_convention_difference(m1, m2, 0.0, u, etas=[1.0, 2.0])
+    assert calls == []
+    monkeypatch.undo()
     assert report["max_defect"] <= 1e-7
     assert all(c["clause"] == "weight-shift contour" for c in report["clauses"])
+    g = grid_deep
+    for clause in report["clauses"]:
+        s = eta_bracket(clause["eta"])
+        v = HalfLineFunction(g, m1.omega_prime(g.r * s) * u.values)
+        _diff, cont = weight_shift_green(f, 0.0, -0.6, 0.6, v)
+        d = (eval_mellin_edge_symbol(m1, 0.0, clause["eta"], u).values
+             - eval_mellin_edge_symbol(m2, 0.0, clause["eta"], u).values)
+        resid = HalfLineFunction(g, d - m1.omega(g.r * s) * cont.values)
+        assert clause["max_defect"] == pytest.approx(
+            resid.norm(-0.6) / u.norm(-0.6), rel=1e-12)
 
 
 def test_convention_difference_cutoffs(grid_deep):

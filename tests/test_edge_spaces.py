@@ -163,8 +163,12 @@ def test_decompose_negative_control(r_grid):
     data = make_singular_data(r_grid, yg, p=-0.3 + 0j)
     sing = synthesize_singular(data)
     atype = declared_type(yg, [(-0.7 + 0j, 1)])
-    with pytest.raises(CertificationFailed):
+    with pytest.raises(CertificationFailed) as err:
         decompose_flat_singular_edge(sing, atype, depth=1.0)
+    # mode 3 carries the heaviest missed mass; it fails at the last shift
+    assert err.value.clause == "edge flatness"
+    assert str(err.value).startswith(
+        "edge flat part at mode (3,) fails the weight check at beta'=0.855 ")
 
 
 def test_apply_edge_operator_y_modes(r_grid):

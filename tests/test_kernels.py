@@ -10,15 +10,17 @@ from mellin_edge.kernels import (
     CERT_FRACS,
     CERT_MARGIN,
     CERT_T_FLOOR,
-    cert_shifts,
+    certify_flat,
     circle_moments,
     circle_nodes,
     contour_synthesis,
-    mass_ratios,
     point_mass_synthesis,
     residue_weights,
+    scaled_singular,
     windowed_mass,
 )
+from mellin_edge.errors import CertificationFailed
+from mellin_edge.mellin import CutoffFunction
 
 from conftest import make_grid
 
@@ -80,12 +82,45 @@ def test_windowed_mass_window_and_nonfinite():
             assert windowed_mass(s, v_bad, 0.0, dt) == np.inf
 
 
-def test_mass_ratios_at_cert_shifts():
-    shifts = cert_shifts(1.0)
-    assert shifts == [f * (1.0 - CERT_MARGIN) for f in CERT_FRACS]
-    ratios = mass_ratios(lambda g: np.exp(-g), 0.5, shifts)
-    assert np.allclose(ratios, np.exp(-np.array(shifts)), rtol=1e-15)
+def test_certify_flat_ratios_and_failure():
+    shifts = np.array([f * (1.0 - CERT_MARGIN) for f in CERT_FRACS])
+    ratios = certify_flat(lambda g: np.exp(-g), 0.5, 1.0, "x", "flatness")
+    assert np.allclose(ratios, np.exp(-shifts), rtol=1e-15)
     assert all(r <= CERT_FACTOR for r in ratios)
+    # mass growing like e^{10 g}: the first shift whose ratio passes
+    # CERT_FACTOR = 50 is named (e^{10 * 0.225} ~ 9.5, e^{10 * 0.54} ~ 221)
+    with pytest.raises(CertificationFailed) as err:
+        certify_flat(lambda g: np.exp(10 * g), 0.5, 1.0, "what", "clause")
+    assert err.value.clause == "clause"
+    assert str(err.value) == (
+        "what fails the weight check at beta'=0.54 (mass ratio %.3e); "
+        "a deeper harvest is likely needed" % np.exp(10 * 0.54))
+    # a non-finite mass never certifies
+    with pytest.raises(CertificationFailed):
+        certify_flat(lambda g: np.nan if g > 0.5 else 1.0, 0.5, 1.0, "x", "y")
+
+
+def test_scaled_singular_at_unit_scale_is_plain_synthesis():
+    # s = 1: t + log 1 == t and sqrt(1) == 1 exactly, so the bits are those
+    # of omega(e^t) times the point-mass synthesis at t
+    grid = make_grid(-10.0, 1024)
+    omega = CutoffFunction()
+    masses = [(-0.3 + 0.2j, np.array([1.0, 0.5 - 0.25j])),
+              (0.1 + 0j, np.array([0.0, 0.0, 2.0]))]
+    assert np.array_equal(scaled_singular(masses, grid.t, 1.0, omega),
+                          omega(np.exp(grid.t))
+                          * point_mass_synthesis(grid.t, masses))
+
+
+def test_scaled_singular_closed_form():
+    # s^{1/2} omega(r s) c (r s)^{-p} log^k (r s) for weight c (-1)^k at k
+    grid = make_grid(-10.0, 1024)
+    omega = CutoffFunction()
+    p, c, s = -0.2 + 0.3j, 1.5 - 0.5j, 6.0
+    got = scaled_singular([(p, np.array([0.0, -c]))], grid.t, s, omega)
+    rs = grid.r * s
+    exact = np.sqrt(s) * omega(rs) * c * rs ** (-p) * np.log(rs)
+    assert np.max(np.abs(got - exact)) <= 1e-12 * np.max(np.abs(exact))
 
 
 @pytest.mark.parametrize("t_min, n", [(-1.0, 16), (-1.0, 32), (-15.0, 4096),
