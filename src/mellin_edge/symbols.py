@@ -29,6 +29,9 @@ RADIUS_CAP = 1.0
 ELLIPTICITY_TOL = 1e-8
 ELLIPTICITY_SAMPLES = 33
 SPLIT_SAMPLES = 9
+# margin by which each row's minimum must beat its runner-up, relative to
+# max(1, minimum), for the row-minimum matching to be taken without _lsap
+MATCH_TIE_TOL = 1e-12
 
 
 # ----------------------------------------------------------------------
@@ -310,11 +313,15 @@ def _cluster(roots):
 
 
 def _coef_rows(a, ys):
-    """Ascending z-coefficients of a at each y (one p2_at_y each), and each
-    row's length once trailing entries at most 1e-12 times the row's
-    largest are trimmed (at least 1)."""
-    c = np.array([p2_at_y(a, 0.0 if y is None else y) for y in ys],
-                 dtype=complex).reshape(len(ys), p2(a).shape[0])
+    """Ascending z-coefficients of a at each y, and each row's length once
+    trailing entries at most 1e-12 times the row's largest are trimmed (at
+    least 1).  Row k is p2_at_y(a, ys[k]) bit for bit: the power table is
+    the same elementwise power, and matmul over the stack makes, per row,
+    the matrix-vector product that a @ ypow makes."""
+    a = p2(a)
+    yv = np.array([0.0 if y is None else y for y in ys], dtype=complex)
+    ypow = yv[:, None] ** np.arange(a.shape[1])
+    c = np.matmul(a, ypow[:, :, None])[:, :, 0]
     mag = np.abs(c)
     keep = ~(mag <= 1e-12 * mag.max(axis=1, initial=0.0, keepdims=True))
     n = np.where(keep.any(axis=1),
@@ -454,31 +461,130 @@ class SpectralData:
         return rows
 
 
+def _lsap(cost):
+    """Minimum-cost assignment of a finite 2-D cost array, as
+    scipy.optimize.linear_sum_assignment returns it: (rows, cols) with rows
+    ascending.  A port of the shortest augmenting path method (Crouse, IEEE
+    TAES 52(4), 2016) as scipy runs it, so ties break the same way: a tall
+    matrix is transposed, the columns are scanned in reverse order, and on
+    equal path costs an unassigned column wins."""
+    cost = np.asarray(cost, dtype=float)
+    if cost.size == 0:
+        return np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp)
+    transpose = cost.shape[1] < cost.shape[0]
+    c = (cost.T if transpose else cost).tolist()
+    nr, nc = len(c), len(c[0])
+    u, v = [0.0] * nr, [0.0] * nc
+    path, col4row, row4col = [-1] * nc, [-1] * nr, [-1] * nc
+    for cur in range(nr):
+        spc = [np.inf] * nc               # shortest path cost per column
+        seen_rows, seen_cols = [False] * nr, [False] * nc
+        remaining = list(range(nc - 1, -1, -1))
+        min_val, i, sink = 0.0, cur, -1
+        while sink == -1:
+            seen_rows[i] = True
+            index, lowest = -1, np.inf
+            for it, j in enumerate(remaining):
+                r = min_val + c[i][j] - u[i] - v[j]
+                if r < spc[j]:
+                    path[j], spc[j] = i, r
+                if spc[j] < lowest or (spc[j] == lowest and row4col[j] == -1):
+                    lowest, index = spc[j], it
+            min_val = lowest
+            j = remaining[index]
+            if row4col[j] == -1:
+                sink = j
+            else:
+                i = row4col[j]
+            seen_cols[j] = True
+            remaining[index] = remaining[-1]
+            remaining.pop()
+        u[cur] += min_val
+        for i in range(nr):
+            if seen_rows[i] and i != cur:
+                u[i] += min_val - spc[col4row[i]]
+        for j in range(nc):
+            if seen_cols[j]:
+                v[j] -= min_val - spc[j]
+        j = sink
+        while True:                       # augment along the path
+            i = path[j]
+            row4col[j] = i
+            col4row[i], j = j, col4row[i]
+            if i == cur:
+                break
+    col4row = np.array(col4row, dtype=np.intp)
+    if transpose:
+        order = np.argsort(col4row)
+        return col4row[order], order
+    return np.arange(nr, dtype=np.intp), col4row
+
+
+def _node_matchings(points):
+    """matchings[k]: the minimum-cost matching (rows, cols) of the poles
+    points[k - 1] to points[k] on |delta p|, in _lsap's format, for each
+    k >= 1 whose predecessor has poles (None otherwise).  A node without
+    poles gets the empty matching, so every branch before it closes.
+
+    The costs of all node pairs of one shape are built in one broadcast,
+    oriented so that rows are no more than columns.  Where each row's
+    minimum beats its runner-up by more than MATCH_TIE_TOL * max(1, min)
+    and the row argmins are distinct, the argmins reach the lower bound
+    sum of row minima, so they are the unique optimum and what _lsap
+    returns; only the other pairs run _lsap."""
+    matchings = [None] * len(points)
+    groups = {}
+    for k in range(1, len(points)):
+        groups.setdefault((len(points[k - 1]), len(points[k])), []).append(k)
+    for (n_prev, n_cur), ks in groups.items():
+        if n_prev == 0:
+            continue
+        prev = np.array([points[k - 1] for k in ks], dtype=complex)
+        cur = np.array([points[k] for k in ks], dtype=complex)
+        cost = _modulus(prev[:, :, None] - cur[:, None, :])
+        tall = n_prev > n_cur
+        oriented = cost.transpose(0, 2, 1) if tall else cost
+        srt = np.sort(oriented, axis=2)
+        lo = srt[:, :, 0]
+        runner_up = srt[:, :, 1] if srt.shape[2] > 1 else np.inf
+        arg = np.argmin(oriented, axis=2)
+        certified = ((runner_up - lo > MATCH_TIE_TOL * np.maximum(1.0, lo))
+                     .all(axis=1)
+                     & (np.diff(np.sort(arg, axis=1), axis=1) != 0).all(axis=1))
+        for g, k in enumerate(ks):
+            if not certified[g]:
+                matchings[k] = _lsap(cost[g])
+            elif tall:
+                order = np.argsort(arg[g])
+                matchings[k] = (arg[g][order], order)
+            else:
+                matchings[k] = (np.arange(n_prev), arg[g])
+    return matchings
+
+
 def track_branches(f, y_grid):
     """Locate poles at each y node and stitch them into branches.
 
-    Adjacent nodes are matched by Hungarian assignment on |delta p|; a
-    branch of the previous node left unmatched is closed (also at a node
+    Adjacent nodes are matched by minimum total |delta p| (_node_matchings);
+    a branch of the previous node left unmatched is closed (also at a node
     without poles), and a pole left unmatched takes back the nearest
     branch closed within 2 nodes, or else a new id.  Nodes where the
     clustered multiplicity pattern changes are collision events.
     """
-    from scipy.optimize import linear_sum_assignment
-
     y_grid = np.asarray(y_grid, dtype=float)
     records = pole_records(f, y_grid)
+    matchings = _node_matchings([[p for p, _m in rec.pairs]
+                                 for rec in records])
     branch_ids = []
     n_branches = 0
     patterns = []         # sorted multiplicity tuple per node
-    prev, prev_p, prev_ids = (), None, []
+    prev, prev_ids = (), []
     closed = {}           # branch id -> (last node, last position)
     for k, rec in enumerate(records):
         cur = rec.pairs
-        cur_p = np.array([p for p, _m in cur], dtype=complex)
         ids = [-1] * len(cur)
         if prev:
-            rows, cols = linear_sum_assignment(
-                _modulus(prev_p[:, None] - cur_p))
+            rows, cols = matchings[k]
             for r_, c_ in zip(rows, cols):
                 ids[c_] = prev_ids[r_]
             for r_ in sorted(set(range(len(prev))) - set(rows)):
@@ -498,7 +604,7 @@ def track_branches(f, y_grid):
                 n_branches += 1
         branch_ids.append(ids)
         patterns.append(tuple(sorted(m for _p, m in cur)))
-        prev, prev_p, prev_ids = cur, cur_p, ids
+        prev, prev_ids = cur, ids
     # collision events: nodes where the multiplicity pattern changes; an
     # isolated one-node excursion (merge immediately followed by the reverse
     # split) is recorded once, at the excursion node

@@ -1,5 +1,6 @@
 """No unused imports: every name a module in `src/mellin_edge` or `tests`
-imports is used in that module.
+imports is used in that module.  And no module in `src/mellin_edge` imports
+scipy, which only the tests need.
 
 The scan is by name over the AST: an imported name counts as used when a
 `Name` node with its id appears anywhere in the module.  Names imported on
@@ -40,3 +41,19 @@ def test_every_import_is_used():
     unused = [entry for root in ROOTS for path in sorted(root.glob("*.py"))
               for entry in _unused(path)]
     assert unused == [], "imported but never used: " + ", ".join(unused)
+
+
+def _scipy_imports(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    names = [alias.name for node in ast.walk(tree)
+             if isinstance(node, ast.Import) for alias in node.names]
+    names += [node.module for node in ast.walk(tree)
+              if isinstance(node, ast.ImportFrom) and node.module]
+    return ["%s: %s" % (path.name, name) for name in names
+            if name.split(".")[0] == "scipy"]
+
+
+def test_package_never_imports_scipy():
+    found = [entry for path in sorted(ROOTS[0].glob("*.py"))
+             for entry in _scipy_imports(path)]
+    assert found == [], "scipy imported in the package: " + ", ".join(found)

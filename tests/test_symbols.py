@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linear_sum_assignment
 
 from mellin_edge import cli, symbols
 from mellin_edge.errors import (
@@ -361,6 +362,76 @@ def test_track_branches_one_eigvals_call_per_degree(monkeypatch):
     sd = track_branches(f, np.linspace(-0.5, 0.5, 1001))
     assert shapes == [(1001, 4, 4)]
     assert sd.n_branches == 4
+
+
+cost_entries = st.one_of(
+    st.integers(0, 2).map(float),                # dense exact ties
+    st.floats(0.0, 10.0, allow_nan=False))
+
+
+@st.composite
+def cost_matrices(draw):
+    """Cost matrices of every orientation, 1 x n, n x 1 and 0-size
+    included; half of them integer-valued, so ties are frequent."""
+    nr, nc = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+    entries = (st.integers(0, 2).map(float) if draw(st.booleans())
+               else cost_entries)
+    return np.array([[draw(entries) for _j in range(nc)]
+                     for _i in range(nr)]).reshape(nr, nc)
+
+
+@settings(max_examples=200)
+@given(cost=cost_matrices())
+def test_lsap_is_scipys_assignment(cost):
+    want = linear_sum_assignment(cost)
+    got = symbols._lsap(cost)
+    assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+
+# pole positions on a coarse lattice: equal distances, coincident poles
+# and contested argmins are common
+lattice = st.builds(complex, st.integers(-2, 2).map(lambda n: 0.001 * n),
+                    st.integers(-1, 1).map(lambda n: 0.001 * n))
+planes = st.builds(complex, st.floats(-1.0, 1.0), st.floats(-1.0, 1.0))
+
+
+@settings(max_examples=150)
+@given(points=st.lists(st.lists(st.one_of(lattice, planes), max_size=5),
+                       min_size=1, max_size=8))
+def test_node_matchings_are_the_optimal_assignment(points):
+    # certified or not, each node's matching is _lsap's and scipy's on its
+    # cost matrix; a node after a pole-free one has none
+    matchings = symbols._node_matchings(points)
+    assert matchings[0] is None
+    for k in range(1, len(points)):
+        if not points[k - 1]:
+            assert matchings[k] is None
+            continue
+        cost = symbols._modulus(np.array(points[k - 1], dtype=complex)[:, None]
+                                - np.array(points[k], dtype=complex))
+        for want in (symbols._lsap(cost), linear_sum_assignment(cost)):
+            assert all(np.array_equal(g, w)
+                       for g, w in zip(matchings[k], want))
+
+
+@pytest.mark.parametrize("f, ys, costs", [
+    # 4 branches, 2 crossings on nodes: every node is certified
+    (symbol_from_json(_crossing_family(1001)), np.linspace(-0.5, 0.5, 1001),
+     []),
+    # the +-y merge of z^2 - y^2 on solve's README grid: the merged node's
+    # matchings in and out are exact ties
+    (branching_symbol(), np.linspace(-0.004, 0.004, 5), [[[0.002], [0.002]],
+                                                         [[0.002, 0.002]]]),
+], ids=["crossings", "merge"])
+def test_only_contested_nodes_run_lsap(monkeypatch, f, ys, costs):
+    seen = []
+    lsap = symbols._lsap
+    monkeypatch.setattr(symbols, "_lsap",
+                        lambda cost: seen.append(cost) or lsap(cost))
+    track_branches(f, ys)
+    assert len(seen) == len(costs)
+    for got, want in zip(seen, costs):
+        assert got == pytest.approx(np.array(want), abs=1e-15)
 
 
 def test_spectral_remainder_holomorphic():
