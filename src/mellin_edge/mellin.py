@@ -28,6 +28,7 @@ SHIFTED_TAIL_TOL = 1e-6     # for inputs a dilation moved toward a grid end
 LINE_CLEARANCE_TOL = 1e-6
 CUTOFF_PLATEAU = 12.0       # kernel_cutoff plateau half-width in log r
 CUTOFF_DECAY_FLOOR = 0.1    # largest relative line sample at window ends
+EVAL_ROWS = 8               # rows of exp(z t) mellin_eval holds at once
 
 
 def _is_power_of_two(n):
@@ -222,19 +223,28 @@ def mellin_eval(u, z, derivative=0):
 
     Mu(z) = int_0^inf r^{z-1} u(r) dr = int e^{zt} u(e^t) dt; the d-th
     derivative inserts a factor t^d.  exp(z t) is evaluated on the support
-    of the samples only; the product is the dense one, bit for bit.
+    of the samples only, in near-equal blocks of at most EVAL_ROWS rows of
+    one reused zero table (no block has one row unless z does: a one-row
+    product need not match the dense one's bits); the product is the dense
+    one, bit for bit.
     """
     t = u.grid.t
     w = u.values * u.grid.dt
     if derivative:
         w = w * t**derivative
     zarr = np.atleast_1d(np.asarray(z, dtype=complex))
-    e = np.zeros((zarr.size, t.size), dtype=complex)
     nz = np.flatnonzero(w)
     sl = slice(nz[0], nz[-1] + 1) if nz.size else slice(0)
+    blocks = np.array_split(zarr, max(1, -(-zarr.size // EVAL_ROWS)))
+    e = np.zeros((blocks[0].size, t.size), dtype=complex)
+    parts = []
     with np.errstate(over="ignore", invalid="ignore"):  # reported below
-        np.exp(np.outer(zarr, t[sl]), out=e[:, sl])
-        out = e @ w
+        for zb in blocks:
+            eb = e[:zb.size]
+            np.multiply(zb[:, None], t[sl], out=eb[:, sl])
+            np.exp(eb[:, sl], out=eb[:, sl])
+            parts.append(eb @ w)
+    out = np.concatenate(parts)
     # exp(z t) overflows somewhere on the grid iff it does at an end
     over = np.outer(zarr.real, t[[0, -1]]) > np.log(np.finfo(float).max)
     bad = over.any(axis=1) | ~np.isfinite(out)

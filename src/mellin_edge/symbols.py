@@ -522,9 +522,10 @@ def _lsap(cost):
 
 def _node_matchings(points):
     """matchings[k]: the minimum-cost matching (rows, cols) of the poles
-    points[k - 1] to points[k] on |delta p|, in _lsap's format, for each
-    k >= 1 whose predecessor has poles (None otherwise).  A node without
-    poles gets the empty matching, so every branch before it closes.
+    points[k - 1] to points[k] on |delta p|, in _lsap's format but as lists
+    of ints, for each k >= 1 whose predecessor has poles (None otherwise).
+    A node without poles gets the empty matching, so every branch before it
+    closes.
 
     The costs of all node pairs of one shape are built in one broadcast,
     oriented so that rows are no more than columns.  Where each row's
@@ -553,12 +554,13 @@ def _node_matchings(points):
                      & (np.diff(np.sort(arg, axis=1), axis=1) != 0).all(axis=1))
         for g, k in enumerate(ks):
             if not certified[g]:
-                matchings[k] = _lsap(cost[g])
+                rows, cols = _lsap(cost[g])
             elif tall:
-                order = np.argsort(arg[g])
-                matchings[k] = (arg[g][order], order)
+                cols = np.argsort(arg[g])
+                rows = arg[g][cols]
             else:
-                matchings[k] = (np.arange(n_prev), arg[g])
+                rows, cols = np.arange(n_prev), arg[g]
+            matchings[k] = (rows.tolist(), cols.tolist())
     return matchings
 
 
@@ -587,8 +589,9 @@ def track_branches(f, y_grid):
             rows, cols = matchings[k]
             for r_, c_ in zip(rows, cols):
                 ids[c_] = prev_ids[r_]
-            for r_ in sorted(set(range(len(prev))) - set(rows)):
-                closed[prev_ids[r_]] = (k - 1, prev[r_][0])
+            if len(rows) < len(prev):     # some branches end here
+                for r_ in sorted(set(range(len(prev))) - set(rows)):
+                    closed[prev_ids[r_]] = (k - 1, prev[r_][0])
         for c_, (p, _m) in enumerate(cur):
             if ids[c_] != -1:
                 continue

@@ -1,6 +1,6 @@
 """Weighted Mellin transform, dilations, cut-offs, kernel cut-off."""
 
-import itertools
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -151,19 +151,29 @@ def test_mellin_eval_derivative(grid_short):
 
 @pytest.mark.parametrize("name", ["bump", "r_exp", "zero"])
 def test_mellin_eval_equals_dense_table(grid_green, name):
-    # evaluating exp(z t) on the support only gives, bit for bit, the dense
-    # exp(outer(z, t)) @ w: support in the middle, a prefix, and empty
+    # evaluating exp(z t) on the support only, in row blocks of one reused
+    # table, gives bit for bit the dense exp(outer(z, t)) @ w: support in the
+    # middle, a prefix, and empty; K = 1 (the cone harvest), 256
+    # (green-check), and the K next to multiples of the block size, where
+    # fixed blocks would leave a one-row tail.  A row prefix of the dense
+    # table is the dense table of the prefix of z.
     r = grid_green.r
     vals = {"bump": bump(grid_green).values, "r_exp": r * np.exp(-r),
             "zero": np.zeros_like(r)}[name]
     u = HalfLineFunction(grid_green, vals)
-    z_arr = 0.3 + 0.2 * np.exp(2j * np.pi * np.arange(9) / 9)
-    for z, d in itertools.product([z_arr, z_arr[1]], range(3)):
+    rows = mellin.EVAL_ROWS
+    ks = [1, rows - 1, rows + 1, 2 * rows + 1, 255, 256, 257]
+    z_all = 0.3 + 0.2 * np.exp(2j * np.pi * np.arange(max(ks)) / max(ks))
+    table = np.exp(np.outer(z_all, grid_green.t))
+    for d in range(3):
         w = u.values * grid_green.dt * grid_green.t ** d
-        dense = np.exp(np.outer(z, grid_green.t)) @ w
-        got = mellin_eval(u, z, derivative=d)
-        assert np.shape(got) == np.shape(z)
-        assert np.array_equal(np.atleast_1d(got), dense)
+        for k in ks:
+            got = mellin_eval(u, z_all[:k], derivative=d)
+            assert got.shape == (k,)
+            assert np.array_equal(got, table[:k] @ w)
+        got = mellin_eval(u, z_all[1], derivative=d)
+        assert np.shape(got) == ()
+        assert np.array_equal(np.atleast_1d(got), table[1:2] @ w)
 
 
 @pytest.mark.filterwarnings("error")
@@ -177,6 +187,26 @@ def test_mellin_eval_overflow_is_typed(grid_green):
         mellin_eval(u, 4.0)
     with pytest.raises(InsufficientDecay, match=r"z = \(3.5\+1j\)"):
         mellin_eval(u, np.array([3.0, 3.5 + 1j, 4.0]))
+    # the first overflowing z in the second row block is still the one named
+    z = np.full(2 * mellin.EVAL_ROWS, 3.0, dtype=complex)
+    z[mellin.EVAL_ROWS + 1], z[-1] = 3.5 + 1j, 4.0
+    with pytest.raises(InsufficientDecay, match=r"z = \(3.5\+1j\)"):
+        mellin_eval(u, z)
+
+
+def test_mellin_eval_memory_is_bounded(grid_green):
+    # green-check's call, 256 contour nodes on its default grid with
+    # u = r e^{-r}, peaks below twice one EVAL_ROWS x N complex table plus
+    # 1 MB (the dense K x N table alone is 134 MB)
+    u = HalfLineFunction(grid_green, grid_green.r * np.exp(-grid_green.r))
+    z = 0.3 + 0.2 * np.exp(2j * np.pi * np.arange(256) / 256)
+    tracemalloc.start()
+    try:
+        mellin_eval(u, z)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * mellin.EVAL_ROWS * grid_green.n_points * 16 + 2**20
 
 
 def test_inverse_mellin_grid_mismatch(grid_short):
