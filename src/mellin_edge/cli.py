@@ -9,11 +9,10 @@ import argparse
 import json
 import os
 import sys
-from itertools import groupby
 
 import numpy as np
 
-from . import cone, edge_ops, edge_spaces, mellin, symbols
+from . import cone, edge_ops, edge_spaces, kernels, mellin, symbols
 from .errors import ConfigError, MellinEdgeError
 
 DT_DEFAULT = np.log(2.0) / 96.0
@@ -104,18 +103,18 @@ def cmd_poles(cfg, out_dir, seed):
     f = mero_from_config(cfg.get("symbol", {}))
     ys = y_grid_from_config(cfg.get("y", {}))
     sd = symbols.track_branches(f, ys)
-    lines = symbols.branch_lines(sd)
+    blocks = symbols.branch_lines(sd)
     with open(os.path.join(out_dir, "branches.csv"), "w",
               encoding="utf-8", newline="") as fh:
-        symbols.branches_to_csv(lines, fh)
+        symbols.branches_to_csv(blocks, fh)
     write_json({"events": ["%.17g" % e for e in sd.collision_events],
                 "n_branches": sd.n_branches},
                os.path.join(out_dir, "events.json"))
     with open(os.path.join(out_dir, "branches.dat"), "w",
               encoding="utf-8") as fh:
         fh.write("# y re_p im_p multiplicity branch_id\n")
-        for _b, rows in groupby(lines, key=lambda bl: bl[0]):
-            fh.writelines(line for _b, line in rows)
+        for _b, text in blocks:
+            fh.write(text)
             fh.write("\n")
     return 0
 
@@ -159,20 +158,17 @@ def cmd_solve(cfg, out_dir, seed):
     omega = mellin.CutoffFunction()
     cert = []
     # one solve per y, rows streamed to a temporary name that becomes
-    # solution.csv when complete; r is formatted once, re_u, im_u per row
-    r_cols = ["%.17g," % r for r in grid.r.tolist()]
+    # solution.csv when complete; r is formatted once per call
+    r_col = kernels.g17_field(grid.r)
     path = os.path.join(out_dir, "solution.csv")
     part = path + ".part"
-    with open(part, "w", encoding="utf-8") as fh:
+    with open(part, "wb") as fh:
         try:
-            fh.write("y,r,re_u,im_u\n")
+            fh.write(b"y,r,re_u,im_u\n")
             for y, ex, poles in zip(ys, br.expansions, br.poles):
                 u = cone.solve(problem, y, poles)
-                y_col = "%.17g," % y
-                fh.writelines("%s%s%.17g,%.17g\n" % (y_col, r_col, re, im)
-                              for r_col, re, im in zip(
-                                  r_cols, u.values.real.tolist(),
-                                  u.values.imag.tolist()))
+                fh.writelines(kernels.csv_rows(
+                    [[y], r_col, u.values.real, u.values.imag]))
                 flat, _sing = cone.split_flat_singular(u, ex, omega, gamma)
                 cert.append({"y": "%.17g" % y,
                              "depth_used": "%.17g" % ex.depth_used,

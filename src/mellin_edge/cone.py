@@ -20,6 +20,7 @@ from .errors import (
 from .kernels import (
     CERT_MARGIN,
     certify_flat,
+    csv_text,
     point_mass_synthesis,
     scaled_singular,
     windowed_mass,
@@ -281,6 +282,6 @@ def detect_branching(problem, depth, radii=(0.05, 0.1, 0.2)):
 
 def coefficients_to_csv(table, fileobj):
     fileobj.write("y,re_p,im_p,k,re_c,im_c,branch_id\n")
-    for y, p, k, c, bid in table:
-        fileobj.write("%.17g,%.17g,%.17g,%d,%.17g,%.17g,%d\n"
-                      % (y, p.real, p.imag, k, c.real, c.imag, bid))
+    if table:
+        y, p, k, c, bid = (np.array(col) for col in zip(*table))
+        fileobj.write(csv_text([y, p.real, p.imag, k, c.real, c.imag, bid]))

@@ -21,7 +21,7 @@ from .edge_ops import (
 )
 from .errors import NonFiniteInput
 from .functionals import AnalyticFunctional, masses_from_orders
-from .kernels import certify_flat, scaled_singular, windowed_mass
+from .kernels import certify_flat, csv_text, scaled_singular, windowed_mass
 from .mellin import CutoffFunction, HalfLineFunction, LogGrid, kappa
 
 HARVEST_TOL = 1e-7
@@ -366,6 +366,5 @@ def mode_norms_csv(u, fileobj):
     g = u.r_grid
     norms = np.sqrt(g.dt * np.sum(np.abs(u.modes()) ** 2 * g.r, axis=-1))
     fileobj.write("eta,norm\n")
-    for mag, nrm in sorted(zip(u.mode_etas().ravel().tolist(),
-                               norms.ravel().tolist())):
-        fileobj.write("%.17g,%.17g\n" % (mag, nrm))
+    rows = sorted(zip(u.mode_etas().ravel().tolist(), norms.ravel().tolist()))
+    fileobj.write(csv_text(list(zip(*rows))))

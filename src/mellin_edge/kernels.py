@@ -2,11 +2,14 @@
 each: circle trapezoid quadrature (geometrically convergent for functions
 analytic on an annulus; Trefethen & Weideman, SIAM Review 56, 2014), factored
 contour synthesis, point-mass synthesis and its scaled singular function,
-residue weights, and the windowed weighted mass with the flat-remainder
-certification built on it.  numpy and the standard library only.
+residue weights, the windowed weighted mass with the flat-remainder
+certification built on it, and the CSV row writer.  numpy and the standard
+library only.
 """
 
+import functools
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -118,3 +121,295 @@ def certify_flat(mass, gamma, depth, what, clause):
                 clause=clause,
             )
     return ratios
+
+
+# ----------------------------------------------------------------------
+# CSV rows: '%.17g' % v and '%d' % v, byte for byte, for whole arrays
+
+# Fast-path range of |x|: the two-product below neither overflows nor
+# underflows there.  Zeros, subnormals, non-finite values and the rest go
+# to '%.17g' % x, as do near-ties the error bound cannot certify.
+G17_LO, G17_HI = 1e-280, 1e280
+G17_E_MIN, G17_E_MAX = -281, 280      # decades the tables cover
+# For a 10^q < 1e17 the two-product p + l below is within 4.3e-15 of
+# a 10^q: a 10^q 2^-106 from the double-double's rounding, half an ulp of
+# a * lo (below 11.1) and of the sum forming l (below 19.2).  A fraction
+# |l - rint l| within G17_TIE_BOUND of 1/2 is not certified.
+G17_TIE_BOUND = 1e-13
+_VELTKAMP = 134217729.0               # 2^27 + 1
+# Character planes of a '%.17g' field: sign, "0.000", 17 digits with a
+# point among them, "e", exponent sign, 3 exponent digits.
+G17_WIDTH = 29
+# Rows formatted and compacted at a time: bounds the working planes.
+CSV_CHUNK_ROWS = 1024
+# Up to this many rows of plain arrays, '%.17g' % v itself is as fast and
+# spares the process the fast path's fixed cost: its tables and numpy's
+# loops, about 0.4 MB of resident memory.
+CSV_SMALL_ROWS = 256
+
+
+class Field(NamedTuple):
+    """A formatted column, planar: row i reads chars[k, c] for the k
+    (ascending) where mask[k, c], with c = index[i] (c = i, index None).
+    A field of one column and no index repeats on every row."""
+    chars: np.ndarray      # (width, m) uint8
+    mask: np.ndarray       # (width, m) bool
+    index: np.ndarray = None
+
+    @property
+    def n_rows(self):
+        return self.chars.shape[1] if self.index is None else len(self.index)
+
+    def rows(self, rows):
+        """The field of the rows in the slice `rows`."""
+        if self.index is None and self.chars.shape[1] == 1:
+            return self
+        c = rows if self.index is None else self.index[rows]
+        return Field(self.chars[:, c], self.mask[:, c])
+
+
+@functools.cache
+def _g17_tables():
+    """Built on first use, in exact integer arithmetic, indexed by the
+    decade e - G17_E_MIN: thr, the least double >= 10^e (one more entry);
+    hi, hh, hl, lo with hi + lo the double-double 10^(16-e) and hh + hl =
+    hi its Veltkamp halves; and ascii4, the ASCII digits of 0..9999 as
+    little-endian uint32 words."""
+    thr, pow10 = [], []
+    for e in range(G17_E_MIN, G17_E_MAX + 2):
+        if e >= 0:
+            t = float(10 ** e)
+            below = int(t) < 10 ** e
+        else:
+            t = 1 / 10 ** -e                  # correctly rounded
+            m, s = t.as_integer_ratio()
+            below = m * 10 ** -e < s
+        thr.append(math.nextafter(t, math.inf) if below else t)
+    for e in range(G17_E_MIN, G17_E_MAX + 1):
+        q = 16 - e
+        if q >= 0:
+            hi = float(10 ** q)
+            lo = float(10 ** q - int(hi))
+        else:
+            hi = 1 / 10 ** -q
+            m, s = hi.as_integer_ratio()
+            lo = (s - m * 10 ** -q) / (s * 10 ** -q)
+        t = _VELTKAMP * hi
+        hh = t - (t - hi)
+        pow10.append((hi, hh, hi - hh, lo))
+    ascii4 = np.empty((10, 10, 10, 10, 4), dtype=np.uint8)
+    digit = np.arange(48, 58, dtype=np.uint8)
+    for k in range(4):
+        ascii4[..., k] = digit.reshape((10,) + (1,) * (3 - k))
+    return (np.array(thr),) + tuple(np.array(pow10).T.copy()) + (
+        ascii4.view("<u4").ravel(),)
+
+
+def g17_digits(x):
+    """(d, e, sure) for float64 x: where sure, d = round(|x| 10^(16-e)) is
+    in [10^16, 10^17) and '%.17g' % x shows the digits of d times
+    10^(e-16).
+
+    d is the certified rounding of the Dekker two-product of |x| with the
+    double-double 10^(16-e) (Dekker, Numer. Math. 18, 1971), exact ties
+    going half-even; elements outside [G17_LO, G17_HI) and near-ties are
+    not sure."""
+    thr, phi, phh, phl, plo, _ascii4 = _g17_tables()
+    a = np.abs(x)
+    sure = (a >= G17_LO) & (a < G17_HI)
+    a[~sure] = 1.0
+    # with 2^b <= a < 2^(b + 1), floor(log10 a) is floor(b log10 2) or one
+    # more; b log10 2 is 0 at b = 0 and else over 4.5e-4 from an integer
+    b = (a.view(np.int64) >> 52) - 1023
+    i = np.floor(b * math.log10(2)).astype(np.intp) - G17_E_MIN
+    i += a >= thr.take(i + 1)
+    p = a * phi.take(i)
+    ah = _VELTKAMP * a
+    ah -= ah - a
+    al = a - ah
+    hh, hl = phh.take(i), phl.take(i)
+    l = ah * hh
+    l -= p
+    l += ah * hl
+    l += al * hh
+    l += al * hl
+    l += a * plo.take(i)
+    del ah, al, hh, hl
+    n = np.rint(l)
+    # lo == 0: 10^(16-e) is a double, p + l is exact and so is a tie
+    l -= n
+    sure &= (np.abs(np.abs(l) - 0.5) >= G17_TIE_BOUND) | (plo.take(i) == 0)
+    d = p.astype(np.int64)
+    d += n.astype(np.int64)                     # p >= 1e16 > 2^53
+    carry = d == 10 ** 17
+    d[carry] = 10 ** 16
+    i += carry
+    return d, i + G17_E_MIN, sure
+
+
+def g17_field(values):
+    """'%.17g' % v for each float v, as a Field of G17_WIDTH planes over
+    the shape of `values`; '%.17g' % v itself (CPython's correctly rounded
+    dtoa; Gay, AT&T NA Manuscript 90-10, 1990) where g17_digits is not
+    sure."""
+    x = np.asarray(values, dtype=np.float64)
+    shape = x.shape
+    x = x.ravel()
+    n = x.size
+    d, e, sure = g17_digits(x)
+    # digits[k]: digit k of d (k < 17), the leading one and four words of
+    # four, split in float64: for integers w < 10^9, w * 1e-4 exceeds
+    # w / 10^4 by less than 1e-10 (1e-4 rounds up), so its floor is exact;
+    # digits[17] = "0"
+    top, low = np.divmod(d, 10 ** 8)
+    del d
+    top, low = top.astype(np.float64), low.astype(np.float64)
+    words = np.empty((4, n))
+    upper = np.floor(top * 1e-4)
+    lead = np.floor(upper * 1e-4)
+    words[0] = upper - lead * 1e4
+    words[1] = top - upper * 1e4
+    words[2] = np.floor(low * 1e-4)
+    words[3] = low - words[2] * 1e4
+    digits = np.empty((18, n), dtype=np.uint8)
+    digits[0] = 48 + lead
+    digits[1:17].reshape(4, 4, n)[...] = _g17_tables()[5].take(
+        words.astype(np.intp)).view(np.uint8).reshape(4, n, 4).transpose(
+            0, 2, 1)
+    del words
+    digits[17] = 48
+    chars = np.empty((G17_WIDTH, n), dtype=np.uint8)
+    mask = np.empty((G17_WIDTH, n), dtype=bool)
+    # nd significant digits: 17 less the trailing zeros
+    zero = digits[16] == 48
+    nd = 17 - zero.view(np.uint8)
+    for k in range(15, 0, -1):
+        zero &= digits[k] == 48
+        nd -= zero.view(np.uint8)
+    fixed = (e >= -4) & (e < 17)
+    sci = ~fixed
+    small = fixed & (e < 0)
+    # the point follows `pos` digits (pos = 17: no point); planes shown
+    pos = np.where(fixed, np.where(small, 17, e + 1), 1).astype(np.uint8)
+    shown = np.where(fixed & ~small, np.maximum(nd, pos), nd) + (nd > pos)
+    chars[0] = 45
+    np.less(x, 0, out=mask[0])
+    chars[1:6] = np.frombuffer(b"0.000", dtype=np.uint8)[:, None]
+    zeros = np.where(small, 1 - e, 0).astype(np.uint8)
+    np.less(np.arange(5, dtype=np.uint8)[:, None], zeros, out=mask[1:6])
+    chars[6] = digits[0]
+    # plane 6 + j: digit j before the point, digit j - 1 after it (a
+    # uint8 blend, free of data-dependent branches), "." at j = pos
+    body = chars[7:24]
+    np.subtract(digits[1:18], digits[0:17], out=body)
+    body *= np.arange(1, 18, dtype=np.uint8)[:, None] < pos
+    body += digits[0:17]
+    chars.reshape(-1)[(6 + pos.astype(np.intp)) * n + np.arange(n)] = 46
+    np.less(np.arange(18, dtype=np.uint8)[:, None], shown, out=mask[6:24])
+    ae = np.abs(e)
+    chars[24] = 101
+    chars[25] = np.where(e < 0, 45, 43)
+    chars[26] = 48 + ae // 100
+    chars[27] = 48 + ae // 10 % 10
+    chars[28] = 48 + ae % 10
+    mask[24:29] = sci
+    mask[26] &= ae >= 100
+    rest = np.flatnonzero(~sure)
+    if rest.size:
+        strs = [b"%.17g" % v for v in x[rest].tolist()]
+        chars[:, rest] = np.array(strs, dtype="S%d" % G17_WIDTH).view(
+            np.uint8).reshape(-1, G17_WIDTH).T
+        mask[:, rest] = np.arange(G17_WIDTH)[:, None] < [len(s) for s in strs]
+    return Field(chars.reshape((G17_WIDTH,) + shape),
+                 mask.reshape((G17_WIDTH,) + shape))
+
+
+def d_field(values):
+    """'%d' % v for each int64 v, as a Field over the shape of `values`:
+    a sign plane and as many digit planes as the largest |v| has."""
+    v = np.asarray(values, dtype=np.int64)
+    neg = v < 0
+    u = v.astype(np.uint64)
+    u = np.where(neg, np.uint64(0) - u, u)
+    width = 1 + len(str(int(u.max()))) if u.size else 2
+    chars = np.empty((width,) + v.shape, dtype=np.uint8)
+    mask = np.empty((width,) + v.shape, dtype=bool)
+    chars[0] = 45
+    mask[0] = neg
+    mask[width - 1] = True
+    for k in range(width - 1, 0, -1):
+        u, r = np.divmod(u, np.uint64(10))
+        chars[k] = 48 + r
+        if k > 1:
+            np.greater(u, 0, out=mask[k - 1])
+    return Field(chars, mask)
+
+
+def _n_rows(column):
+    return column.n_rows if isinstance(column, Field) else column.size
+
+
+def _formatted(columns, rows):
+    """Each column's Field on the slice `rows`, the float and the integer
+    columns each formatted in one call."""
+    fields = [c.rows(rows) if isinstance(c, Field) else None
+              for c in columns]
+    for ints, fmt in ((False, g17_field), (True, d_field)):
+        js = [j for j, c in enumerate(columns)
+              if fields[j] is None and (c.dtype.kind in "iu") == ints]
+        if js:
+            f = fmt(np.stack([columns[j][rows] for j in js]))
+            for s, j in enumerate(js):
+                fields[j] = Field(f.chars[:, s], f.mask[:, s])
+    return fields
+
+
+def csv_rows(columns, sep=","):
+    """The rows sep.join(fields) + "\\n" as uint8 arrays (bytes for at
+    most CSV_SMALL_ROWS rows of arrays), a chunk of at most CSV_CHUNK_ROWS
+    rows each.  A column is a Field, a float array ('%.17g' % v) or an
+    integer array ('%d' % v); an array of one value repeats on every row
+    and is formatted once."""
+    columns = [c if isinstance(c, Field) else np.asarray(c).ravel()
+               for c in columns]
+    n = max(_n_rows(c) for c in columns)
+    if n <= CSV_SMALL_ROWS and not any(isinstance(c, Field) for c in columns):
+        fmt = sep.join("%d" if c.dtype.kind in "iu" else "%.17g"
+                       for c in columns) + "\n"
+        yield "".join(fmt % row for row in zip(*[
+            c.tolist() * (n if c.size == 1 else 1) for c in columns]
+        )).encode("ascii")
+        return
+    ones = [j for j, c in enumerate(columns)
+            if not isinstance(c, Field) and c.size == 1]
+    for j, f in zip(ones, _formatted([columns[j] for j in ones],
+                                     slice(None))):
+        columns[j] = f
+    for start in range(0, n, CSV_CHUNK_ROWS):
+        rows = slice(start, min(n, start + CSV_CHUNK_ROWS))
+        yield _join(_formatted(columns, rows), sep, rows.stop - rows.start)
+
+
+def _join(fields, sep, n):
+    """Compact the fields' shown planes, sep between, "\\n" after."""
+    keeps = [np.flatnonzero(f.mask.any(axis=1)) for f in fields]
+    width = sum(len(k) for k in keeps) + len(fields)
+    chars = np.empty((width, n), dtype=np.uint8)
+    mask = np.empty((width, n), dtype=bool)
+    o = 0
+    for j, (f, keep) in enumerate(zip(fields, keeps)):
+        w = len(keep)
+        shape = (len(f.chars), n)           # a one-row field repeats
+        np.take(np.broadcast_to(f.chars, shape), keep, axis=0,
+                out=chars[o:o + w])
+        np.take(np.broadcast_to(f.mask, shape), keep, axis=0,
+                out=mask[o:o + w])
+        chars[o + w] = ord("\n" if j == len(fields) - 1 else sep)
+        mask[o + w] = True
+        o += w + 1
+    return chars.T[mask.T]
+
+
+def csv_text(columns, sep=","):
+    """csv_rows joined into one str."""
+    return b"".join(csv_rows(columns, sep)).decode("ascii")

@@ -8,7 +8,6 @@ admits exact partial-fraction oracles.
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import comb
 from typing import NamedTuple
 
@@ -21,7 +20,7 @@ from .errors import (
     EllipticityViolated,
     NonDifferentiableCoefficients,
 )
-from .kernels import circle_moments
+from .kernels import circle_moments, csv_rows, g17_field
 
 CLUSTER_TOL = 1e-6
 N_CONTOUR = 256
@@ -111,6 +110,8 @@ def p2_reflect_conj(a):
 # exact reduction via sympy (when coefficients are rational-representable)
 
 def _to_rational(x, tol=1e-12):
+    from fractions import Fraction
+
     import sympy as sp
 
     if x == 0:
@@ -606,7 +607,8 @@ def track_branches(f, y_grid):
                 ids[c_] = n_branches
                 n_branches += 1
         branch_ids.append(ids)
-        patterns.append(tuple(sorted(m for _p, m in cur)))
+        patterns.append((1,) * len(cur) if all(m == 1 for _p, m in cur)
+                        else tuple(sorted(m for _p, m in cur)))
         prev, prev_ids = cur, ids
     # collision events: nodes where the multiplicity pattern changes; an
     # isolated one-node excursion (merge immediately followed by the reverse
@@ -727,14 +729,27 @@ def symbol_from_json(obj):
 
 
 def branch_lines(spectral):
-    """branch_rows() formatted once: (branch id, "y re_p im_p m id" line)
-    with %.17g floats.  No field holds a space or a comma, so the CSV row is
-    the line with its spaces turned into commas."""
-    y = spectral.y_nodes.tolist()
-    return [(b, "%.17g %.17g %.17g %d %d\n" % (y[k], p.real, p.imag, m, b))
-            for b, k, (p, m) in spectral.branch_rows()]
+    """branch_rows() formatted once, each node's y once: one (branch id,
+    "y re_p im_p m id" lines) block per branch, in id order.  No field
+    holds a space or a comma, so the CSV rows are the lines with their
+    spaces turned into commas."""
+    rows = spectral.branch_rows()
+    if not rows:
+        return []
+    bs, ks, pms = zip(*rows)
+    del rows                  # the row tuples, before the formatting peak
+    bs = np.array(bs)
+    p = np.array([pm[0] for pm in pms], dtype=complex)
+    y = g17_field(spectral.y_nodes)._replace(index=np.array(ks))
+    data = b"".join(csv_rows([y, p.real, p.imag, [pm[1] for pm in pms], bs],
+                             sep=" "))
+    ends = 1 + np.flatnonzero(np.frombuffer(data, dtype=np.uint8) == 10)
+    last = np.append(np.flatnonzero(np.diff(bs)), len(bs) - 1)
+    cuts = [0] + ends[last].tolist()
+    return [(b, data[a:c].decode("ascii"))
+            for b, a, c in zip(bs[last].tolist(), cuts, cuts[1:])]
 
 
-def branches_to_csv(lines, fileobj):
+def branches_to_csv(blocks, fileobj):
     fileobj.write("y,Re p,Im p,multiplicity,branch_id\n")
-    fileobj.writelines(line.replace(" ", ",") for _b, line in lines)
+    fileobj.writelines(text.replace(" ", ",") for _b, text in blocks)

@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from mellin_edge import cone, symbols
+from mellin_edge import cli, cone, symbols
 from mellin_edge.cli import main
 from mellin_edge.errors import CertificationFailed
 from mellin_edge.edge_spaces import EdgeField, TorusGrid, field_to_binary
@@ -453,3 +453,65 @@ def test_cli_loads_sympy_and_scipy_only_where_called(tmp_path):
                           cwd=tmp_path, env=env, capture_output=True,
                           text=True, check=True)
     assert json.loads(proc.stdout) == [[], [], [], [], []]
+
+
+def test_csv_artifacts_equal_a_per_element_writer(tmp_path):
+    """poles on the README config and a small solve (N = 1024, 3 y nodes):
+    the CSV artifacts equal rows written one '%.17g' / '%d' at a time from
+    the same in-memory results."""
+    pcfg = {"symbol": BRANCHING_SYMBOL,
+            "y": {"min": -0.5, "max": 0.5, "n": 21}}
+    out = tmp_path / "poles"
+    assert run("poles", write_cfg(tmp_path, "p.json", pcfg), out) == 0
+    sd = symbols.track_branches(cli.mero_from_config(pcfg["symbol"]),
+                                cli.y_grid_from_config(pcfg["y"]))
+    lines = {}
+    for b, k, (p, m) in sd.branch_rows():
+        lines.setdefault(b, []).append("%.17g %.17g %.17g %d %d\n" % (
+            sd.y_nodes[k], p.real, p.imag, m, b))
+    assert (out / "branches.csv").read_text() == \
+        "y,Re p,Im p,multiplicity,branch_id\n" + "".join(
+            line.replace(" ", ",") for b in sorted(lines) for line in lines[b])
+    assert (out / "branches.dat").read_text() == \
+        "# y re_p im_p multiplicity branch_id\n" + "".join(
+            "".join(lines[b]) + "\n" for b in sorted(lines))
+
+    scfg = solve_config()
+    scfg["grid"] = {"t_min": -6.0, "n_points": 1024}
+    scfg["y"]["n"] = 3
+    out = tmp_path / "solve"
+    assert run("solve", write_cfg(tmp_path, "s.json", scfg), out) == 0
+    grid = cli.grid_from_config(scfg["grid"])
+    ys = cli.y_grid_from_config(scfg["y"])
+    problem = cone.ConeProblem(
+        symbols.ConormalSymbol.from_json(
+            {"coeffs": scfg["cone"]["coeffs"], "y_domain": [-0.5, 0.5]}),
+        0, 0.0, cone.bump_rhs(grid, 1.0, 3.0, 1.0), ys)
+    br = cone.detect_branching(problem, 0.75, radii=(0.05, 0.1, 0.2))
+    assert (out / "coefficients.csv").read_text() == \
+        "y,re_p,im_p,k,re_c,im_c,branch_id\n" + "".join(
+            "%.17g,%.17g,%.17g,%d,%.17g,%.17g,%d\n"
+            % (y, p.real, p.imag, k, c.real, c.imag, bid)
+            for y, p, k, c, bid in br.table)
+    rows = ["y,r,re_u,im_u\n"]
+    for y, poles in zip(ys, br.poles):
+        u = cone.solve(problem, y, poles).values
+        rows += ["%.17g,%.17g,%.17g,%.17g\n" % row for row in zip(
+            [y] * len(u), grid.r.tolist(), u.real.tolist(), u.imag.tolist())]
+    assert (out / "solution.csv").read_text() == "".join(rows)
+    assert len(rows) == 1 + 3 * 1024
+
+
+def test_cli_import_builds_no_power_table():
+    """setup_s stays import time alone: importing the CLI loads neither
+    fractions nor decimal, and the '%.17g' tables are built on the first
+    CSV write, not at import."""
+    code = ("import json, sys; import mellin_edge.cli; "
+            "from mellin_edge import kernels; print(json.dumps("
+            "[[m for m in ('fractions', 'decimal') if m in sys.modules], "
+            "kernels._g17_tables.cache_info().currsize]))")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        os.path.abspath(p) for p in sys.path))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=True)
+    assert json.loads(proc.stdout) == [[], 0]

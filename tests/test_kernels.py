@@ -1,5 +1,7 @@
 """The shared numerical kernels against closed forms."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,17 +12,25 @@ from mellin_edge.kernels import (
     CERT_FRACS,
     CERT_MARGIN,
     CERT_T_FLOOR,
+    CSV_SMALL_ROWS,
+    G17_TIE_BOUND,
     certify_flat,
     circle_moments,
     circle_nodes,
     contour_synthesis,
+    csv_rows,
+    csv_text,
+    g17_digits,
+    g17_field,
     point_mass_synthesis,
     residue_weights,
     scaled_singular,
     windowed_mass,
 )
+from mellin_edge.cone import ConeProblem, bump_rhs, detect_branching, solve
 from mellin_edge.errors import CertificationFailed
 from mellin_edge.mellin import CutoffFunction
+from mellin_edge.symbols import ConormalSymbol
 
 from conftest import make_grid
 
@@ -146,3 +156,147 @@ def test_contour_synthesis_simple_pole_residue(grid_green):
         exact = gamma(1 + p) * np.exp(-grid_green.t * p)
         err = np.linalg.norm(got - exact) / np.linalg.norm(exact)
         assert err <= 1e-12
+
+
+# ----------------------------------------------------------------------
+# CSV rows: byte for byte against '%.17g' % v and '%d' % v
+
+def g17_lines(values):
+    """The rows of g17_field itself (csv_rows writes few rows with '%.17g'
+    directly)."""
+    f = g17_field(np.asarray(values, dtype=np.float64))
+    return [f.chars[f.mask[:, i], i].tobytes().decode()
+            for i in range(f.chars.shape[1])]
+
+
+def percent_g(values):
+    return ["%.17g" % v for v in np.asarray(values, dtype=np.float64).tolist()]
+
+
+@settings(max_examples=400)
+@given(st.lists(st.floats(), min_size=1, max_size=40))
+def test_g17_any_float(values):
+    # st.floats() draws subnormals, +-0.0, +-inf and nan too
+    assert g17_lines(values) == percent_g(values)
+
+
+def tie_family():
+    """x = m / 2^(j+1), m odd with m 5^j in [2e16, 2e17): x 10^j is half an
+    odd integer of 17 digits, an exact tie at the 17th digit."""
+    rng = np.random.default_rng(18)
+    xs = [186714551458061.875, 131073 / 2 ** 18]
+    for j in range(1, 25):
+        lo = -(-2 * 10 ** 16 // 5 ** j)
+        hi = min(2 * 10 ** 17 // 5 ** j, 2 ** 53)
+        for m in {lo, hi - 1, *rng.integers(lo, hi, 6).tolist()}:
+            m |= 1
+            if m * 5 ** j < 2 * 10 ** 17 and m < 2 ** 53:
+                xs.append(math.ldexp(m, -(j + 1)))
+    return np.array(xs + [-x for x in xs])
+
+
+def test_g17_exact_ties_round_half_even():
+    xs = tie_family()
+    assert len(xs) > 200
+    assert g17_lines(xs) == percent_g(xs)
+    # where 10^(16-e) is a double the product is exact: its ties are
+    # certified and rounded on the fast path
+    d, e, sure = g17_digits(xs)
+    assert sure[(e >= -6) & (e <= 16)].all()
+
+
+def test_g17_dyadic_families():
+    rng = np.random.default_rng(53)
+    ms = rng.integers(2 ** 52, 2 ** 53, 400).tolist()
+    xs = [math.ldexp(m, k) for m in ms for k in range(-1126, 971, 37)]
+    assert g17_lines(xs) == percent_g(xs)
+
+
+def test_g17_around_powers_of_ten():
+    xs = []
+    for k in range(-300, 301):
+        for toward in (math.inf, 0.0):
+            x = float("1e%d" % k)
+            for _ in range(5):
+                xs += [x, -x]
+                x = math.nextafter(x, toward)
+    assert g17_lines(xs) == percent_g(xs)
+
+
+def test_g17_decade_carries_and_layouts():
+    # rounding carries to 10^17; %g switches to the exponent form at 1e17
+    # and below 1e-4; three-digit exponents
+    xs = [9.999999999999999e22, 9.9999999999999999e16, 1e17, 1e16,
+          99999999999999984.0, 0.99999999999999994, 9.9999999999999995e-5,
+          1e-4, 1.5e-5, 0.5, 123456.75, 1e100, 1.7976931348623157e308,
+          2.2250738585072014e-308, 1e-280, 1e280, 9.999999999999999e279]
+    xs += [-x for x in xs]
+    assert g17_lines(xs) == percent_g(xs)
+
+
+def test_g17_random_bit_patterns():
+    # 4.2e6 seeded 64-bit patterns: every exponent, nan and inf payloads,
+    # subnormals; compared in batches
+    rng = np.random.default_rng(1971)
+    for _ in range(16):
+        xs = rng.integers(0, 2 ** 64, 2 ** 18, dtype=np.uint64).view(
+            np.float64)
+        got = csv_text([xs])
+        assert got == "".join("%.17g\n" % v for v in xs.tolist())
+
+
+def test_g17_certifies_every_cone_solve_float():
+    # the solution.csv floats of a cone_solve input (N = 8192, 9 y nodes):
+    # no r, re_u or im_u needs the per-element fallback
+    grid = make_grid(-50.0, 8192)
+    a = ConormalSymbol.from_json({
+        "coeffs": [[[0.0, 0.0], [0.0, 0.0], [-1.0, 0.0]], [[0.0, 0.0]],
+                   [[1.0, 0.0]]], "y_domain": [-0.5, 0.5]})
+    ys = np.linspace(-0.004, 0.004, 9)
+    problem = ConeProblem(a, 0, 0.0, bump_rhs(grid, 0.9, 2.7, 1.3), ys)
+    br = detect_branching(problem, 0.75)
+    values = [grid.r]
+    for y, poles in zip(ys, br.poles):
+        u = solve(problem, y, poles)
+        values += [u.values.real, u.values.imag]
+    _d, _e, sure = g17_digits(np.concatenate(values))
+    assert np.count_nonzero(~sure) == 0
+    assert np.abs(np.concatenate(values)).min() > 0
+
+
+def test_g17_tie_bound_covers_the_product_error():
+    # the two-product p + l against exact rational arithmetic: within the
+    # 7.2e-15 the bound allows for, on random values of every decade
+    from fractions import Fraction
+
+    rng = np.random.default_rng(7)
+    xs = 10.0 ** rng.uniform(-279, 279, 3000) * rng.uniform(1, 10, 3000)
+    d, e, sure = g17_digits(xs)
+    for x, di, ei, ok in zip(xs.tolist(), d.tolist(), e.tolist(),
+                             sure.tolist()):
+        exact = Fraction(x) * Fraction(10) ** (16 - ei)
+        assert 10 ** 16 <= di < 10 ** 17
+        assert abs(exact - di) <= Fraction(1, 2) or not ok
+        assert ok or abs(abs(exact - di) - Fraction(1, 2)) < G17_TIE_BOUND
+
+
+@pytest.mark.parametrize("n", [6, CSV_SMALL_ROWS + 6])
+def test_csv_rows_columns(n):
+    # up to CSV_SMALL_ROWS rows of arrays '%.17g' % v writes them itself;
+    # beyond, the fast path does, with the same bytes
+    ints = np.resize([0, 7, -7, 10, 2 ** 63 - 1, -2 ** 63], n)
+    got = csv_text([np.arange(n) * 0.1, ints, [2.5]], sep=" ")
+    assert got == "".join("%.17g %d 2.5\n" % (0.1 * k, v)
+                          for k, v in enumerate(ints.tolist()))
+
+
+def test_csv_rows_fields():
+    # a Field with an index repeats its columns; rows come in chunks
+    ys = np.array([0.1, -0.2, 0.3])
+    idx = np.arange(5000) % 3
+    field = g17_field(ys)._replace(index=idx)
+    chunks = list(csv_rows([field, idx]))
+    assert len(chunks) > 1
+    assert b"".join(chunks).decode() == "".join(
+        "%.17g,%d\n" % (ys[k], k) for k in idx.tolist())
+    assert csv_text([np.zeros(0)]) == ""

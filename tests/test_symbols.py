@@ -414,6 +414,30 @@ def test_node_matchings_are_the_optimal_assignment(points):
                        for g, w in zip(matchings[k], want))
 
 
+def _reference_events(sd):
+    """Collision events from each node's sorted multiplicity tuple."""
+    patterns = [tuple(sorted(m for _p, m in rec.pairs)) for rec in sd.poles]
+    events, k = [], 1
+    while k < len(patterns):
+        if patterns[k] != patterns[k - 1]:
+            events.append(float(sd.y_nodes[k]))
+            if k + 1 < len(patterns) and patterns[k + 1] == patterns[k - 1]:
+                k += 1
+        k += 1
+    return events
+
+
+@pytest.mark.parametrize("f, ys, events", [
+    (symbol_from_json(_crossing_family(1001)), np.linspace(-0.5, 0.5, 1001),
+     [-0.16699999999999998, 0.16700000000000004]),
+    (branching_symbol(), np.linspace(-0.004, 0.004, 5), [0.0]),
+    (branching_symbol(), np.linspace(-0.5, 0.5, 41), [0.0]),
+], ids=["crossings", "merge-solve", "merge-poles"])
+def test_collision_events_pinned(f, ys, events):
+    sd = track_branches(f, ys)
+    assert sd.collision_events == events == _reference_events(sd)
+
+
 @pytest.mark.parametrize("f, ys, costs", [
     # 4 branches, 2 crossings on nodes: every node is certified
     (symbol_from_json(_crossing_family(1001)), np.linspace(-0.5, 0.5, 1001),
