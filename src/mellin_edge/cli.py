@@ -103,19 +103,31 @@ def cmd_poles(cfg, out_dir, seed):
     f = mero_from_config(cfg.get("symbol", {}))
     ys = y_grid_from_config(cfg.get("y", {}))
     sd = symbols.track_branches(f, ys)
-    blocks = symbols.branch_lines(sd)
-    with open(os.path.join(out_dir, "branches.csv"), "w",
-              encoding="utf-8", newline="") as fh:
-        symbols.branches_to_csv(blocks, fh)
+    # rows by branch, then node: a stable sort of the node-major poles;
+    # each node's y is formatted once and its planes gathered per row
+    bs = np.array([b for ids in sd.branch_ids for b in ids], dtype=np.int64)
+    order = np.argsort(bs, kind="stable")
+    bs = bs[order]
+    ks = np.repeat(np.arange(len(ys)),
+                   [len(ids) for ids in sd.branch_ids])[order]
+    pairs = [pm for rec in sd.poles for pm in rec.pairs]
+    p = np.array([pm[0] for pm in pairs], dtype=complex)[order]
+    m = np.array([pm[1] for pm in pairs], dtype=np.int64)[order]
+    y = kernels.g17_field(ys)
+    y = kernels.Field(y.chars[:, ks], y.mask[:, ks])
+    data = b"".join(kernels.csv_rows([y, p.real, p.imag, m, bs], sep=" "))
+    with open(os.path.join(out_dir, "branches.csv"), "wb") as fh:
+        fh.write(b"y,Re p,Im p,multiplicity,branch_id\n")
+        fh.write(data.replace(b" ", b","))
     write_json({"events": ["%.17g" % e for e in sd.collision_events],
                 "n_branches": sd.n_branches},
                os.path.join(out_dir, "events.json"))
-    with open(os.path.join(out_dir, "branches.dat"), "w",
-              encoding="utf-8") as fh:
-        fh.write("# y re_p im_p multiplicity branch_id\n")
-        for _b, text in blocks:
-            fh.write(text)
-            fh.write("\n")
+    # branches.dat: the same rows, a blank line after each branch
+    ends = 1 + np.flatnonzero(np.frombuffer(data, dtype=np.uint8) == 10)
+    cuts = [0] + ends[np.flatnonzero(np.diff(bs, append=-1))].tolist()
+    with open(os.path.join(out_dir, "branches.dat"), "wb") as fh:
+        fh.write(b"# y re_p im_p multiplicity branch_id\n")
+        fh.writelines(data[a:b] + b"\n" for a, b in zip(cuts, cuts[1:]))
     return 0
 
 
@@ -134,6 +146,9 @@ def cmd_solve(cfg, out_dir, seed):
     if not isinstance(radii, list):
         raise ConfigError("radii must be a list of numbers")
     radii = tuple(number(float, r, "radii") for r in radii)
+    if not radii or not all(0 < r < np.inf for r in radii):
+        raise ConfigError("radii must be finite and positive, at least one "
+                          "(got %r)" % (list(radii),))
     try:
         a = symbols.ConormalSymbol.from_json(
             {"coeffs": cn["coeffs"], "y_domain": cn.get("y_domain")})
@@ -151,14 +166,18 @@ def cmd_solve(cfg, out_dir, seed):
     problem = cone.ConeProblem(a, mu, gamma, rhs, ys, sr)
 
     br = cone.detect_branching(problem, depth, radii=radii)
-    with open(os.path.join(out_dir, "coefficients.csv"), "w",
-              encoding="utf-8") as fh:
-        cone.coefficients_to_csv(br.table, fh)
+    with open(os.path.join(out_dir, "coefficients.csv"), "wb") as fh:
+        fh.write(b"y,re_p,im_p,k,re_c,im_c,branch_id\n")
+        if br.table:
+            y, p, k, c, bid = (np.array(col) for col in zip(*br.table))
+            fh.writelines(kernels.csv_rows(
+                [y, p.real, p.imag, k, c.real, c.imag, bid]))
 
     omega = mellin.CutoffFunction()
     cert = []
     # one solve per y, rows streamed to a temporary name that becomes
-    # solution.csv when complete; r is formatted once per call
+    # solution.csv when complete; r is formatted once per call, y once
+    # per node
     r_col = kernels.g17_field(grid.r)
     path = os.path.join(out_dir, "solution.csv")
     part = path + ".part"
@@ -167,8 +186,8 @@ def cmd_solve(cfg, out_dir, seed):
             fh.write(b"y,r,re_u,im_u\n")
             for y, ex, poles in zip(ys, br.expansions, br.poles):
                 u = cone.solve(problem, y, poles)
-                fh.writelines(kernels.csv_rows(
-                    [[y], r_col, u.values.real, u.values.imag]))
+                fh.writelines(kernels.csv_rows([kernels.g17_field([y]), r_col,
+                                                u.values.real, u.values.imag]))
                 flat, _sing = cone.split_flat_singular(u, ex, omega, gamma)
                 cert.append({"y": "%.17g" % y,
                              "depth_used": "%.17g" % ex.depth_used,
@@ -379,6 +398,9 @@ def cmd_edge_apply(cfg, out_dir, seed):
         u = edge_spaces.field_from_binary(fld["bin"], fld["json"])
     except (KeyError, OSError, ValueError) as e:
         raise ConfigError("bad field spec: %s" % e)
+    if u.q != 1:
+        raise ConfigError("edge-apply takes a field with q = 1 (got q = %d)"
+                          % u.q)
     op = cfg.get("operator", {})
     check_keys(op, {"terms", "mu", "gamma", "y", "y_dependent"}, "operator")
     try:
@@ -402,9 +424,14 @@ def cmd_edge_apply(cfg, out_dir, seed):
     out = edge_spaces.apply_edge_operator(m, u, y=y, y_dependent=y_dependent)
     edge_spaces.field_to_binary(out, os.path.join(out_dir, "out_field.bin"),
                                 os.path.join(out_dir, "out_field.json"))
-    with open(os.path.join(out_dir, "mode_norms.csv"), "w",
-              encoding="utf-8") as fh:
-        edge_spaces.mode_norms_csv(out, fh)
+    g = out.r_grid
+    norms = np.sqrt(g.dt * np.sum(np.abs(out.modes()) ** 2 * g.r,
+                                  axis=-1)).ravel()
+    etas = out.mode_etas().ravel()
+    order = np.lexsort((norms, etas))
+    with open(os.path.join(out_dir, "mode_norms.csv"), "wb") as fh:
+        fh.write(b"eta,norm\n")
+        fh.writelines(kernels.csv_rows([etas[order], norms[order]]))
     return 0
 
 

@@ -20,7 +20,6 @@ from .errors import (
 from .kernels import (
     CERT_MARGIN,
     certify_flat,
-    csv_text,
     point_mass_synthesis,
     scaled_singular,
     windowed_mass,
@@ -68,31 +67,26 @@ class ConeProblem:
     symbol: object          # ConormalSymbol
     mu: int
     gamma: float
-    rhs: object             # HalfLineFunction, or callable y -> HalfLineFunction
+    rhs: object             # HalfLineFunction
     y_grid: np.ndarray = field(default_factory=lambda: np.array([0.0]))
     support_radius: float = None  # far cut-off scale R ("f vanishes for r > R")
 
     def __post_init__(self):
         self.y_grid = np.atleast_1d(np.asarray(self.y_grid, dtype=float))
         self._inv = invert_symbol(self.symbol)
+        # the right-hand side f, cut off beyond the support radius, and
+        # f_tilde = r^mu f, the function the Mellin inverse acts on
+        f = self.rhs
+        if self.support_radius is not None:
+            far = CutoffFunction(scale=2.0 * self.support_radius)
+            f = HalfLineFunction(f.grid, f.values * far(f.grid.r))
+        self.cut_rhs = f
+        self.scaled_rhs = f if self.mu == 0 else HalfLineFunction(
+            f.grid, f.grid.r**self.mu * f.values)
 
     @property
     def inverse_symbol(self):
         return self._inv
-
-    def rhs_at(self, y):
-        f = self.rhs(y) if callable(self.rhs) else self.rhs
-        if self.support_radius is not None:
-            far = CutoffFunction(scale=2.0 * self.support_radius)
-            f = HalfLineFunction(f.grid, f.values * far(f.grid.r))
-        return f
-
-    def scaled_rhs_at(self, y):
-        """f_tilde = r^mu f, the function the Mellin inverse acts on."""
-        f = self.rhs_at(y)
-        if self.mu == 0:
-            return f
-        return HalfLineFunction(f.grid, f.grid.r**self.mu * f.values)
 
     def forward_symbol(self):
         """sigma_c(A) as a pole-free MeromorphicSymbol (for residuals)."""
@@ -105,13 +99,13 @@ def solve(problem, y, poles):
     applying the discrete operator A; `poles` is the PoleRecord of
     sigma_c^{-1}(y, .)."""
     gamma = problem.gamma
-    ft = problem.scaled_rhs_at(y)
+    ft = problem.scaled_rhs
     u = op_mellin(problem.inverse_symbol, y, gamma, ft, poles=poles)
     # residual: A u = r^{-mu} op_M^gamma(sigma_c) u vs f.  The solution decays
     # only algebraically at r -> infinity, so the tail precondition is waived
     # for this same-grid verification pass.
     au = op_mellin(problem.forward_symbol(), y, gamma, u, tail_tol=np.inf)
-    f = problem.rhs_at(y)
+    f = problem.cut_rhs
     rvals = au.values / f.grid.r**problem.mu - f.values
     residual = (HalfLineFunction(f.grid, rvals).norm(gamma)
                 / max(f.norm(gamma), 1e-300))
@@ -162,7 +156,7 @@ def extract_asymptotics(problem, y, poles, depth, strict_boundary=False):
     """
     gamma = problem.gamma
     line_re = 0.5 - gamma
-    ft = problem.scaled_rhs_at(y)
+    ft = problem.scaled_rhs
     check_line_clearance(poles, gamma)
 
     notes = []
@@ -269,19 +263,14 @@ def detect_branching(problem, depth, radii=(0.05, 0.1, 0.2)):
         k = int(np.argmin(np.abs(y_grid - ye)))
         if 0 < k < len(y_grid) - 1:
             mid = 0.5 * (using[k - 1] + using[k + 1])
-            defect = max(defect, float(np.max(np.abs(using[k] - mid))))
-    if defect > CONT_TOL:
-        raise CertificationFailed(
-            "singular part jumps by %.3e across a collision event" % defect,
-            clause="continuity",
-        )
+            d = float(np.max(np.abs(using[k] - mid)))
+            # a nan defect (say, from a radius outside (0, inf)) fails too
+            if not d <= CONT_TOL:
+                raise CertificationFailed(
+                    "singular part jumps by %.3e across a collision event"
+                    % d, clause="continuity",
+                )
+            defect = max(defect, d)
     return BranchingResult(asym_type=atype, events=events, table=table,
                            continuity_defect=defect, expansions=expansions,
                            poles=spectral.poles)
-
-
-def coefficients_to_csv(table, fileobj):
-    fileobj.write("y,re_p,im_p,k,re_c,im_c,branch_id\n")
-    if table:
-        y, p, k, c, bid = (np.array(col) for col in zip(*table))
-        fileobj.write(csv_text([y, p.real, p.imag, k, c.real, c.imag, bid]))

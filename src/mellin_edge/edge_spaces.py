@@ -21,7 +21,7 @@ from .edge_ops import (
 )
 from .errors import NonFiniteInput
 from .functionals import AnalyticFunctional, masses_from_orders
-from .kernels import certify_flat, csv_text, scaled_singular, windowed_mass
+from .kernels import certify_flat, scaled_singular, windowed_mass
 from .mellin import CutoffFunction, HalfLineFunction, LogGrid, kappa
 
 HARVEST_TOL = 1e-7
@@ -360,11 +360,3 @@ def field_from_binary(path_bin, path_json):
         arr = np.frombuffer(fh.read(), dtype=np.complex64)
     values = arr.reshape(sc["shape"]).astype(complex)
     return EdgeField(y_grids, rg, values, s=sc["s"], gamma=sc["gamma"])
-
-
-def mode_norms_csv(u, fileobj):
-    g = u.r_grid
-    norms = np.sqrt(g.dt * np.sum(np.abs(u.modes()) ** 2 * g.r, axis=-1))
-    fileobj.write("eta,norm\n")
-    rows = sorted(zip(u.mode_etas().ravel().tolist(), norms.ravel().tolist()))
-    fileobj.write(csv_text(list(zip(*rows))))

@@ -149,23 +149,17 @@ CSV_SMALL_ROWS = 256
 
 
 class Field(NamedTuple):
-    """A formatted column, planar: row i reads chars[k, c] for the k
-    (ascending) where mask[k, c], with c = index[i] (c = i, index None).
-    A field of one column and no index repeats on every row."""
+    """A formatted column, planar: row i reads chars[k, i] for the k
+    (ascending) where mask[k, i].  A field of one column repeats on every
+    row."""
     chars: np.ndarray      # (width, m) uint8
     mask: np.ndarray       # (width, m) bool
-    index: np.ndarray = None
-
-    @property
-    def n_rows(self):
-        return self.chars.shape[1] if self.index is None else len(self.index)
 
     def rows(self, rows):
         """The field of the rows in the slice `rows`."""
-        if self.index is None and self.chars.shape[1] == 1:
+        if self.chars.shape[1] == 1:
             return self
-        c = rows if self.index is None else self.index[rows]
-        return Field(self.chars[:, c], self.mask[:, c])
+        return Field(self.chars[:, rows], self.mask[:, rows])
 
 
 @functools.cache
@@ -345,10 +339,6 @@ def d_field(values):
     return Field(chars, mask)
 
 
-def _n_rows(column):
-    return column.n_rows if isinstance(column, Field) else column.size
-
-
 def _formatted(columns, rows):
     """Each column's Field on the slice `rows`, the float and the integer
     columns each formatted in one call."""
@@ -368,23 +358,17 @@ def csv_rows(columns, sep=","):
     """The rows sep.join(fields) + "\\n" as uint8 arrays (bytes for at
     most CSV_SMALL_ROWS rows of arrays), a chunk of at most CSV_CHUNK_ROWS
     rows each.  A column is a Field, a float array ('%.17g' % v) or an
-    integer array ('%d' % v); an array of one value repeats on every row
-    and is formatted once."""
+    integer array ('%d' % v)."""
     columns = [c if isinstance(c, Field) else np.asarray(c).ravel()
                for c in columns]
-    n = max(_n_rows(c) for c in columns)
+    n = max(c.chars.shape[1] if isinstance(c, Field) else c.size
+            for c in columns)
     if n <= CSV_SMALL_ROWS and not any(isinstance(c, Field) for c in columns):
         fmt = sep.join("%d" if c.dtype.kind in "iu" else "%.17g"
                        for c in columns) + "\n"
-        yield "".join(fmt % row for row in zip(*[
-            c.tolist() * (n if c.size == 1 else 1) for c in columns]
-        )).encode("ascii")
+        yield "".join(fmt % row for row in zip(*[c.tolist() for c in columns])
+                      ).encode("ascii")
         return
-    ones = [j for j, c in enumerate(columns)
-            if not isinstance(c, Field) and c.size == 1]
-    for j, f in zip(ones, _formatted([columns[j] for j in ones],
-                                     slice(None))):
-        columns[j] = f
     for start in range(0, n, CSV_CHUNK_ROWS):
         rows = slice(start, min(n, start + CSV_CHUNK_ROWS))
         yield _join(_formatted(columns, rows), sep, rows.stop - rows.start)
@@ -408,8 +392,3 @@ def _join(fields, sep, n):
         mask[o + w] = True
         o += w + 1
     return chars.T[mask.T]
-
-
-def csv_text(columns, sep=","):
-    """csv_rows joined into one str."""
-    return b"".join(csv_rows(columns, sep)).decode("ascii")

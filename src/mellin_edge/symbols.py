@@ -20,7 +20,7 @@ from .errors import (
     EllipticityViolated,
     NonDifferentiableCoefficients,
 )
-from .kernels import circle_moments, csv_rows, g17_field
+from .kernels import circle_moments
 
 CLUSTER_TOL = 1e-6
 N_CONTOUR = 256
@@ -453,14 +453,6 @@ class SpectralData:
     def n_branches(self):
         return 1 + max((b for ids in self.branch_ids for b in ids), default=-1)
 
-    def branch_rows(self):
-        """(branch id, node, (p, m)) ordered by branch, then node."""
-        rows = [(b, k, pm) for k, (rec, ids)
-                in enumerate(zip(self.poles, self.branch_ids))
-                for pm, b in zip(rec.pairs, ids)]
-        rows.sort(key=lambda row: row[0])     # stable: nodes stay ascending
-        return rows
-
 
 def _lsap(cost):
     """Minimum-cost assignment of a finite 2-D cost array, as
@@ -726,30 +718,3 @@ def symbol_from_json(obj):
     dom = obj.get("y_domain")
     return MeromorphicSymbol(dec(obj["num"]), dec(obj["den"]),
                              tuple(dom) if dom else None, reduce=False)
-
-
-def branch_lines(spectral):
-    """branch_rows() formatted once, each node's y once: one (branch id,
-    "y re_p im_p m id" lines) block per branch, in id order.  No field
-    holds a space or a comma, so the CSV rows are the lines with their
-    spaces turned into commas."""
-    rows = spectral.branch_rows()
-    if not rows:
-        return []
-    bs, ks, pms = zip(*rows)
-    del rows                  # the row tuples, before the formatting peak
-    bs = np.array(bs)
-    p = np.array([pm[0] for pm in pms], dtype=complex)
-    y = g17_field(spectral.y_nodes)._replace(index=np.array(ks))
-    data = b"".join(csv_rows([y, p.real, p.imag, [pm[1] for pm in pms], bs],
-                             sep=" "))
-    ends = 1 + np.flatnonzero(np.frombuffer(data, dtype=np.uint8) == 10)
-    last = np.append(np.flatnonzero(np.diff(bs)), len(bs) - 1)
-    cuts = [0] + ends[last].tolist()
-    return [(b, data[a:c].decode("ascii"))
-            for b, a, c in zip(bs[last].tolist(), cuts, cuts[1:])]
-
-
-def branches_to_csv(blocks, fileobj):
-    fileobj.write("y,Re p,Im p,multiplicity,branch_id\n")
-    fileobj.writelines(text.replace(" ", ",") for _b, text in blocks)

@@ -353,6 +353,22 @@ def test_edge_apply(tmp_path):
     assert len(lines) == 9
 
 
+def test_edge_apply_rejects_a_q2_field(tmp_path, capsys):
+    # the operator action is implemented for q = 1; a q = 2 field on a
+    # 4 x 4 torus grid is a config error, found before any transform
+    grid = LogGrid(-15.0, -15.0 + 16 * DT, 16)
+    tg = TorusGrid(2 * np.pi, 4)
+    cfg = edge_apply_config(tmp_path)
+    field_to_binary(EdgeField([tg, tg], grid, np.ones((4, 4, 16))),
+                    cfg["field"]["bin"], cfg["field"]["json"])
+    assert run("edge-apply", write_cfg(tmp_path, "c.json", cfg),
+               tmp_path / "out") == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ConfigError"
+    assert "q = 2" in err["message"]
+    assert not (tmp_path / "out" / "out_field.bin").exists()
+
+
 def _edge_config(tmp_path, y):
     grid = LogGrid(-15.0, -15.0 + 16 * DT, 16)
     tg = TorusGrid(2 * np.pi, 2)
@@ -390,6 +406,14 @@ GREEN_SYMBOL = {"num": [[[1.0, 0.0]]],
                  "radii", id="radii-item"),
     pytest.param("solve", lambda tmp: _solve_with(None, "radii", 0.1), "radii",
                  id="radii-scalar"),
+    pytest.param("solve", lambda tmp: _solve_with(None, "radii", []), "radii",
+                 id="radii-empty"),
+    pytest.param("solve", lambda tmp: _solve_with(None, "radii", [-0.05, 0.1]),
+                 "radii", id="radii-negative"),
+    pytest.param("solve", lambda tmp: _solve_with(None, "radii", [0.05, "nan"]),
+                 "radii", id="radii-nan"),
+    pytest.param("solve", lambda tmp: _solve_with(None, "radii", ["inf"]),
+                 "radii", id="radii-inf"),
     pytest.param("solve", lambda tmp: _solve_with("grid", "dt", "abc"), "grid",
                  id="grid-dt"),
     pytest.param("solve",
@@ -465,10 +489,11 @@ def test_csv_artifacts_equal_a_per_element_writer(tmp_path):
     assert run("poles", write_cfg(tmp_path, "p.json", pcfg), out) == 0
     sd = symbols.track_branches(cli.mero_from_config(pcfg["symbol"]),
                                 cli.y_grid_from_config(pcfg["y"]))
-    lines = {}
-    for b, k, (p, m) in sd.branch_rows():
-        lines.setdefault(b, []).append("%.17g %.17g %.17g %d %d\n" % (
-            sd.y_nodes[k], p.real, p.imag, m, b))
+    lines = {}                  # per branch, nodes ascending
+    for y, rec, ids in zip(sd.y_nodes, sd.poles, sd.branch_ids):
+        for (p, m), b in zip(rec.pairs, ids):
+            lines.setdefault(b, []).append("%.17g %.17g %.17g %d %d\n" % (
+                y, p.real, p.imag, m, b))
     assert (out / "branches.csv").read_text() == \
         "y,Re p,Im p,multiplicity,branch_id\n" + "".join(
             line.replace(" ", ",") for b in sorted(lines) for line in lines[b])

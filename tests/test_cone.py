@@ -1,17 +1,16 @@
 """Cone solver: residuals, coefficient harvesting against quadrature
 oracles, flat/singular splitting with certification, branching."""
 
-import io
 import re
 
 import numpy as np
 import pytest
 
+from mellin_edge import cli
 from mellin_edge.cone import (
     AsymptoticExpansion,
     ConeProblem,
     bump_rhs,
-    coefficients_to_csv,
     detect_branching,
     extract_asymptotics,
     solve,
@@ -23,6 +22,7 @@ from mellin_edge.errors import (
     PoleOnWeightLine,
     ResidualTooLarge,
 )
+from mellin_edge.kernels import csv_rows
 from mellin_edge.mellin import CutoffFunction
 from mellin_edge.symbols import ConormalSymbol, locate_poles, track_branches
 
@@ -168,13 +168,32 @@ def test_detect_branching_table_ids_are_the_branch_table(grid_deep):
         assert bid == sd.branch_ids[i][j]
 
 
-def test_coefficients_csv_format():
-    table = [(0.5, 0.25 + 0.5j, 1, 2.0 - 1.0j, 3)]
-    buf = io.StringIO()
-    coefficients_to_csv(table, buf)
-    lines = buf.getvalue().splitlines()
+@pytest.mark.parametrize("radii", [(-0.05, 0.1), (0.05, np.nan)],
+                         ids=["negative", "nan"])
+def test_detect_branching_fails_on_a_nan_defect(grid_deep, radii):
+    # log r is nan at a radius r outside (0, inf): the continuity defect
+    # at the event is nan, which fails the check instead of being dropped
+    prob = make_problem(grid_deep, y_grid=[-0.004, -0.002, 0.0, 0.002, 0.004])
+    with np.errstate(invalid="ignore"), \
+            pytest.raises(CertificationFailed, match="jumps by nan"):
+        detect_branching(prob, depth=0.75, radii=radii)
+
+
+def test_coefficients_csv_format(tmp_path):
+    # the header of a small solve's artifact; a row of the columns
+    # cli.cmd_solve builds, through csv_rows
+    cfg = {"cone": {"coeffs": [[[0.0, 0.0], [0.0, 0.0], [-1.0, 0.0]],
+                               [[0.0, 0.0]], [[1.0, 0.0]]],
+                    "y_domain": [-0.5, 0.5]},
+           "grid": {"t_min": -6.0, "n_points": 1024},
+           "y": {"min": -0.004, "max": 0.004, "n": 3}, "depth": 0.75}
+    assert cli.cmd_solve(cfg, str(tmp_path), 0) == 0
+    lines = (tmp_path / "coefficients.csv").read_text().splitlines()
     assert lines[0] == "y,re_p,im_p,k,re_c,im_c,branch_id"
-    assert lines[1] == "0.5,0.25,0.5,1,2,-1,3"
+    table = [(0.5, 0.25 + 0.5j, 1, 2.0 - 1.0j, 3)]
+    y, p, k, c, bid = (np.array(col) for col in zip(*table))
+    row = b"".join(csv_rows([y, p.real, p.imag, k, c.real, c.imag, bid]))
+    assert row.decode() == "0.5,0.25,0.5,1,2,-1,3\n"
 
 
 def test_solve_residual_too_large(grid_short):

@@ -1,13 +1,11 @@
 """Edge Sobolev fields on torus x half-line: norms, potential operators,
 singular synthesis/harvesting, operator action, serialization."""
 
-import io
-
 import numpy as np
 import pytest
 
 from mellin_edge.asym_types import AsymptoticType
-from mellin_edge import edge_ops
+from mellin_edge import cli, edge_ops
 from mellin_edge.edge_ops import (
     MellinEdgeSymbol,
     eta_bracket,
@@ -23,7 +21,6 @@ from mellin_edge.edge_spaces import (
     field_from_binary,
     field_to_binary,
     inverse_potential_op,
-    mode_norms_csv,
     potential_op,
     synthesize_singular,
 )
@@ -327,11 +324,17 @@ def test_field_binary_roundtrip(tmp_path, r_grid):
     assert np.max(np.abs(v.values - u.values)) <= 1e-6 * scale
 
 
-def test_mode_norms_csv(r_grid):
+def test_mode_norms_csv(r_grid, tmp_path):
     u = smooth_field(r_grid)
-    buf = io.StringIO()
-    mode_norms_csv(u, buf)
-    lines = buf.getvalue().splitlines()
+    pb, pj = str(tmp_path / "u.bin"), str(tmp_path / "u.json")
+    field_to_binary(u, pb, pj)
+    f = {"num": [[[1.0, 0.0]]], "den": [[[1.2, 0.0]], [[1.0, 0.0]]],
+         "y_domain": None}
+    cfg = {"field": {"bin": pb, "json": pj},
+           "operator": {"terms": [{"j": 0, "alpha": 0, "f": f,
+                                   "gamma_j": 0.0}], "mu": 0.0, "gamma": 0.0}}
+    assert cli.cmd_edge_apply(cfg, str(tmp_path), 0) == 0
+    lines = (tmp_path / "mode_norms.csv").read_text().splitlines()
     assert lines[0] == "eta,norm"
     assert len(lines) == 1 + u.y_grids[0].n_points
     first = lines[1].split(",")

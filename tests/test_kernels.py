@@ -18,8 +18,8 @@ from mellin_edge.kernels import (
     circle_moments,
     circle_nodes,
     contour_synthesis,
+    Field,
     csv_rows,
-    csv_text,
     g17_digits,
     g17_field,
     point_mass_synthesis,
@@ -241,7 +241,7 @@ def test_g17_random_bit_patterns():
     for _ in range(16):
         xs = rng.integers(0, 2 ** 64, 2 ** 18, dtype=np.uint64).view(
             np.float64)
-        got = csv_text([xs])
+        got = b"".join(csv_rows([xs])).decode()
         assert got == "".join("%.17g\n" % v for v in xs.tolist())
 
 
@@ -285,18 +285,21 @@ def test_csv_rows_columns(n):
     # up to CSV_SMALL_ROWS rows of arrays '%.17g' % v writes them itself;
     # beyond, the fast path does, with the same bytes
     ints = np.resize([0, 7, -7, 10, 2 ** 63 - 1, -2 ** 63], n)
-    got = csv_text([np.arange(n) * 0.1, ints, [2.5]], sep=" ")
+    got = b"".join(csv_rows([np.arange(n) * 0.1, ints, np.full(n, 2.5)],
+                            sep=" ")).decode()
     assert got == "".join("%.17g %d 2.5\n" % (0.1 * k, v)
                           for k, v in enumerate(ints.tolist()))
 
 
 def test_csv_rows_fields():
-    # a Field with an index repeats its columns; rows come in chunks
+    # a Field gathered by row index repeats its columns, and a Field of one
+    # column repeats on every row; rows come in chunks
     ys = np.array([0.1, -0.2, 0.3])
     idx = np.arange(5000) % 3
-    field = g17_field(ys)._replace(index=idx)
-    chunks = list(csv_rows([field, idx]))
+    f = g17_field(ys)
+    field = Field(f.chars[:, idx], f.mask[:, idx])
+    chunks = list(csv_rows([field, idx, g17_field([2.5])]))
     assert len(chunks) > 1
     assert b"".join(chunks).decode() == "".join(
-        "%.17g,%d\n" % (ys[k], k) for k in idx.tolist())
-    assert csv_text([np.zeros(0)]) == ""
+        "%.17g,%d,2.5\n" % (ys[k], k) for k in idx.tolist())
+    assert b"".join(csv_rows([np.zeros(0)])) == b""

@@ -1,7 +1,6 @@
 """Meromorphic symbol families: reduction, pole location, Laurent data,
 branch tracking, weight splitting, algebra, serialization."""
 
-import io
 import json
 
 import numpy as np
@@ -24,8 +23,6 @@ from mellin_edge.symbols import (
     MeromorphicSymbol,
     PoleRecord,
     _cluster,
-    branch_lines,
-    branches_to_csv,
     differentiate_y,
     invert_symbol,
     laurent_expand,
@@ -117,7 +114,20 @@ def test_locate_poles_gaps():
                         0.0).gaps == ()
 
 
-def test_track_branches_branching_pair():
+def branches_csv(tmp_path, f, ys):
+    """The lines of the branches.csv that `poles` writes for f on ys, a
+    linspace."""
+    def enc(a):
+        return [[[c.real, c.imag] for c in row] for row in a.tolist()]
+    cfg = {"symbol": {"num": enc(f.num), "den": enc(f.den),
+                      "y_domain": f.y_domain},
+           "y": {"min": ys[0], "max": ys[-1], "n": len(ys)}}
+    assert np.array_equal(cli.y_grid_from_config(cfg["y"]), ys)
+    assert cli.cmd_poles(cfg, str(tmp_path), 0) == 0
+    return (tmp_path / "branches.csv").read_text().splitlines()
+
+
+def test_track_branches_branching_pair(tmp_path):
     f = branching_symbol()
     ys = np.linspace(-0.5, 0.5, 41)
     sd = track_branches(f, ys)
@@ -126,7 +136,9 @@ def test_track_branches_branching_pair():
     assert sd.collision_events[0] == pytest.approx(0.0, abs=1e-12)
     # residues at y != 0: 1/(z^2 - y^2) has residue 1/(2y) at z = y
     k = 40          # y = 0.5 node
-    assert ({pm for _b, kk, pm in sd.branch_rows() if kk == k}
+    rows = [line.split(",") for line in branches_csv(tmp_path, f, ys)[1:]]
+    assert ({(complex(float(re), float(im)), int(m))
+             for y, re, im, m, _b in rows if y == "%.17g" % ys[k]}
             == set(sd.poles[k].pairs))
     for i, (p, m) in enumerate(sd.poles[k].pairs):
         assert m == 1
@@ -137,19 +149,24 @@ def test_track_branches_branching_pair():
     assert mults == [2]
 
 
-def test_track_branches_constant_pole():
-    sd = track_branches(simple_pole(0.25), np.linspace(-1, 1, 11))
+def test_track_branches_constant_pole(tmp_path):
+    ys = np.linspace(-1, 1, 11)
+    sd = track_branches(simple_pole(0.25), ys)
     assert sd.n_branches == 1
     assert sd.collision_events == []
-    ks = [k for b, k, _pm in sd.branch_rows() if b == 0]
-    assert ks == list(range(11))
+    rows = [line.split(",")
+            for line in branches_csv(tmp_path, simple_pole(0.25), ys)[1:]]
+    assert [row[0] for row in rows if row[4] == "0"] == [
+        "%.17g" % y for y in ys]
 
 
-def test_track_branches_pole_free():
+def test_track_branches_pole_free(tmp_path):
     f = MeromorphicSymbol(np.array([[1.0], [2.0]]), np.ones((1, 1)))
-    sd = track_branches(f, np.linspace(0, 1, 5))
+    ys = np.linspace(0, 1, 5)
+    sd = track_branches(f, ys)
     assert sd.n_branches == 0
-    assert sd.branch_ids == [[]] * 5 and sd.branch_rows() == []
+    assert sd.branch_ids == [[]] * 5
+    assert branches_csv(tmp_path, f, ys)[1:] == []
     assert sd.collision_events == []
 
 
@@ -561,11 +578,8 @@ def test_conormal_json_roundtrip():
     assert b.y_domain == (0.0, 1.0)
 
 
-def test_branches_csv_format():
-    sd = track_branches(simple_pole(0.25), np.array([0.0, 1.0]))
-    buf = io.StringIO()
-    branches_to_csv(branch_lines(sd), buf)
-    lines = buf.getvalue().splitlines()
+def test_branches_csv_format(tmp_path):
+    lines = branches_csv(tmp_path, simple_pole(0.25), np.array([0.0, 1.0]))
     assert lines[0] == "y,Re p,Im p,multiplicity,branch_id"
     assert len(lines) == 3
     row = lines[1].split(",")
