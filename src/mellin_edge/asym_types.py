@@ -64,9 +64,6 @@ class AsymptoticType:
     def node_index(self, y):
         return int(np.argmin(np.abs(self.y_nodes - y)))
 
-    def pairs_at(self, y):
-        return list(self.pairs[self.node_index(y)])
-
     def __eq__(self, other):
         return set_equal(self, other)
 
@@ -111,13 +108,6 @@ def set_equal(r1, r2):
             if i is None or pl2[i][1] != m:
                 return False
     return True
-
-
-def type_of_family(spectral):
-    """The Mellin asymptotic type of a symbol family: its actual pole data,
-    from its SpectralData (multiplicity m is log-order m - 1)."""
-    pairs = [[(p, m - 1) for p, m in rec.pairs] for rec in spectral.poles]
-    return AsymptoticType(spectral.y_nodes, pairs)
 
 
 def restrict(r, region=None, u_box=None):
@@ -241,13 +231,6 @@ class CompactRegion:
         im = [v[1] for v in self.vertices]
         return (min(re) - slack <= p.real <= max(re) + slack
                 and min(im) - slack <= p.imag <= max(im) + slack)
-
-    @property
-    def re_bounds(self):
-        if not self.vertices:
-            return None
-        re = [v[0] for v in self.vertices]
-        return (min(re), max(re))
 
 
 @dataclass

@@ -113,8 +113,7 @@ def cmd_poles(cfg, out_dir, seed):
     pairs = [pm for rec in sd.poles for pm in rec.pairs]
     p = np.array([pm[0] for pm in pairs], dtype=complex)[order]
     m = np.array([pm[1] for pm in pairs], dtype=np.int64)[order]
-    y = kernels.g17_field(ys)
-    y = kernels.Field(y.chars[:, ks], y.mask[:, ks])
+    y = kernels.g17_field(ys)[:, ks]
     data = b"".join(kernels.csv_rows([y, p.real, p.imag, m, bs], sep=" "))
     with open(os.path.join(out_dir, "branches.csv"), "wb") as fh:
         fh.write(b"y,Re p,Im p,multiplicity,branch_id\n")

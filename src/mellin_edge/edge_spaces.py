@@ -12,13 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .edge_ops import (
-    GreenSymbolFiniteRank,
-    MellinEdgeSymbol,
-    eta_bracket,
-    green_apply,
-    mellin_edge_rows,
-)
+from .edge_ops import eta_bracket, mellin_edge_rows
 from .errors import NonFiniteInput
 from .functionals import AnalyticFunctional, masses_from_orders
 from .kernels import certify_flat, scaled_singular, windowed_mass
@@ -181,10 +175,11 @@ def synthesize_singular(data):
                                 gamma=data.gamma)
 
 
-def _harvest_masses(slc, r_grid, candidates, br=1.0, window=(-40.0, -15.0)):
+def _harvest_masses(slc, r_grid, candidates, br):
     """Least squares for the coefficients c_l of
-    sqrt(br) (-log(r br))^l (r br)^{-p} on a far-left window where the
-    cut-off is 1 and flat parts are negligible.
+    sqrt(br) (-log(r br))^l (r br)^{-p} on the far-left window
+    -40 <= log(r br) <= -15, where the cut-off is 1 and flat parts are
+    negligible.
 
     Fitting the raw mode against the [eta]-scaled basis avoids the
     interpolation error of an explicit kappa^{-1} normalization.
@@ -194,7 +189,7 @@ def _harvest_masses(slc, r_grid, candidates, br=1.0, window=(-40.0, -15.0)):
     """
     t = r_grid.t
     ts = t + np.log(br)                       # log(r [eta])
-    sel = (ts >= window[0]) & (ts <= window[1])
+    sel = (ts >= -40.0) & (ts <= -15.0)
     cols, labels, scales = [], [], []
     for p, top in candidates:
         for l in range(top + 1):
@@ -289,41 +284,30 @@ def _certify_flat_edge(flat, reference, gamma, depth):
 
 
 def apply_edge_operator(symbol, u, y=0.0, y_dependent=False):
-    """Apply a Mellin edge symbol or Green symbol to an edge field.
+    """Apply a Mellin edge symbol to an edge field.
 
     y-independent mode: Op_y(a) u-hat(eta) = a(eta) u-hat(eta) per mode.
     y-dependent mode: left quantization
     (Op_y(a) u)(y_j) = sum_k a(y_j, eta_k) u-hat(eta_k) e^{i y_j eta_k}.
-    A Mellin edge symbol costs one transform per mode and term, and at each
-    node one symbol evaluation and stacked inverse FFTs over blocks of
-    modes (edge_ops.mellin_edge_rows).
+    It costs one transform per mode and term, and at each node one symbol
+    evaluation and stacked inverse FFTs over blocks of modes
+    (edge_ops.mellin_edge_rows).
     """
     if u.q != 1:
         raise ValueError("operator action implemented for q = 1")
     modes = u.modes()
     etas = u.y_grids[0].etas
     g = u.r_grid
-
-    def rows(ys):
-        """(j, k, a(ys[j], eta_k) u-hat(eta_k)), k ascending for each j."""
-        if isinstance(symbol, MellinEdgeSymbol):
-            return mellin_edge_rows(symbol, ys, etas, modes, g)
-        if isinstance(symbol, GreenSymbolFiniteRank):
-            return ((j, k, green_apply(symbol, yj, float(eta),
-                                       HalfLineFunction(g, modes[k])).values)
-                    for j, yj in enumerate(ys) for k, eta in enumerate(etas))
-        raise TypeError("unsupported symbol type %r" % type(symbol))
-
     if not y_dependent:
         out_modes = np.zeros_like(modes)
-        for _j, k, a in rows([y]):
+        for _j, k, a in mellin_edge_rows(symbol, [y], etas, modes, g):
             out_modes[k] = a
         return EdgeField.from_modes(u.y_grids, u.r_grid, out_modes,
                                     s=u.s, gamma=u.gamma)
     # left quantization over the torus nodes
     ys = u.y_grids[0].y
     out_vals = np.zeros_like(u.values)
-    for j, k, a in rows(ys):
+    for j, k, a in mellin_edge_rows(symbol, ys, etas, modes, g):
         out_vals[j] += np.exp(1j * ys[j] * etas[k]) * a
     return EdgeField(u.y_grids, u.r_grid, out_vals, s=u.s, gamma=u.gamma)
 

@@ -166,9 +166,10 @@ def from_symbol(f, y, contour):
                               carrier=enclosed)
 
 
-def _cauchy_derivative(h, p, order, radius=0.25, n=128):
-    """h^(order)(p) by the Cauchy integral formula on a small circle."""
-    return factorial(order) * circle_moments(h, p, radius, [-order - 1], n)[0]
+def _cauchy_derivative(h, p, order):
+    """h^(order)(p) by the Cauchy integral formula on the circle of radius
+    1/4 with 128 nodes."""
+    return factorial(order) * circle_moments(h, p, 0.25, [-order - 1], 128)[0]
 
 
 def pair(zeta, h, h_derivatives=None, certify=False):

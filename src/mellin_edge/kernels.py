@@ -9,7 +9,6 @@ library only.
 
 import functools
 import math
-from typing import NamedTuple
 
 import numpy as np
 
@@ -137,8 +136,9 @@ G17_E_MIN, G17_E_MAX = -281, 280      # decades the tables cover
 # |l - rint l| within G17_TIE_BOUND of 1/2 is not certified.
 G17_TIE_BOUND = 1e-13
 _VELTKAMP = 134217729.0               # 2^27 + 1
-# Character planes of a '%.17g' field: sign, "0.000", 17 digits with a
-# point among them, "e", exponent sign, 3 exponent digits.
+# Byte planes of a '%.17g' field: sign, "0.000", 17 digits with a point
+# among them, "e", exponent sign, 3 exponent digits; a zero byte is not
+# shown (no output character is NUL).
 G17_WIDTH = 29
 # Rows formatted and compacted at a time: bounds the working planes.
 CSV_CHUNK_ROWS = 1024
@@ -146,20 +146,6 @@ CSV_CHUNK_ROWS = 1024
 # spares the process the fast path's fixed cost: its tables and numpy's
 # loops, about 0.4 MB of resident memory.
 CSV_SMALL_ROWS = 256
-
-
-class Field(NamedTuple):
-    """A formatted column, planar: row i reads chars[k, i] for the k
-    (ascending) where mask[k, i].  A field of one column repeats on every
-    row."""
-    chars: np.ndarray      # (width, m) uint8
-    mask: np.ndarray       # (width, m) bool
-
-    def rows(self, rows):
-        """The field of the rows in the slice `rows`."""
-        if self.chars.shape[1] == 1:
-            return self
-        return Field(self.chars[:, rows], self.mask[:, rows])
 
 
 @functools.cache
@@ -242,10 +228,10 @@ def g17_digits(x):
 
 
 def g17_field(values):
-    """'%.17g' % v for each float v, as a Field of G17_WIDTH planes over
-    the shape of `values`; '%.17g' % v itself (CPython's correctly rounded
-    dtoa; Gay, AT&T NA Manuscript 90-10, 1990) where g17_digits is not
-    sure."""
+    """'%.17g' % v for each float v, as G17_WIDTH uint8 planes over the
+    shape of `values`, zero where a plane is not shown; '%.17g' % v itself
+    (CPython's correctly rounded dtoa; Gay, AT&T NA Manuscript 90-10, 1990)
+    where g17_digits is not sure."""
     x = np.asarray(values, dtype=np.float64)
     shape = x.shape
     x = x.ravel()
@@ -273,7 +259,6 @@ def g17_field(values):
     del words
     digits[17] = 48
     chars = np.empty((G17_WIDTH, n), dtype=np.uint8)
-    mask = np.empty((G17_WIDTH, n), dtype=bool)
     # nd significant digits: 17 less the trailing zeros
     zero = digits[16] == 48
     nd = 17 - zero.view(np.uint8)
@@ -281,16 +266,14 @@ def g17_field(values):
         zero &= digits[k] == 48
         nd -= zero.view(np.uint8)
     fixed = (e >= -4) & (e < 17)
-    sci = ~fixed
     small = fixed & (e < 0)
     # the point follows `pos` digits (pos = 17: no point); planes shown
     pos = np.where(fixed, np.where(small, 17, e + 1), 1).astype(np.uint8)
     shown = np.where(fixed & ~small, np.maximum(nd, pos), nd) + (nd > pos)
-    chars[0] = 45
-    np.less(x, 0, out=mask[0])
-    chars[1:6] = np.frombuffer(b"0.000", dtype=np.uint8)[:, None]
+    np.multiply(x < 0, np.uint8(45), out=chars[0])
     zeros = np.where(small, 1 - e, 0).astype(np.uint8)
-    np.less(np.arange(5, dtype=np.uint8)[:, None], zeros, out=mask[1:6])
+    np.less(np.arange(5, dtype=np.uint8)[:, None], zeros, out=chars[1:6])
+    chars[1:6] *= np.frombuffer(b"0.000", dtype=np.uint8)[:, None]
     chars[6] = digits[0]
     # plane 6 + j: digit j before the point, digit j - 1 after it (a
     # uint8 blend, free of data-dependent branches), "." at j = pos
@@ -299,96 +282,83 @@ def g17_field(values):
     body *= np.arange(1, 18, dtype=np.uint8)[:, None] < pos
     body += digits[0:17]
     chars.reshape(-1)[(6 + pos.astype(np.intp)) * n + np.arange(n)] = 46
-    np.less(np.arange(18, dtype=np.uint8)[:, None], shown, out=mask[6:24])
+    chars[6:24] *= np.arange(18, dtype=np.uint8)[:, None] < shown
     ae = np.abs(e)
     chars[24] = 101
     chars[25] = np.where(e < 0, 45, 43)
     chars[26] = 48 + ae // 100
     chars[27] = 48 + ae // 10 % 10
     chars[28] = 48 + ae % 10
-    mask[24:29] = sci
-    mask[26] &= ae >= 100
+    chars[24:29] *= ~fixed
+    chars[26] *= ae >= 100
     rest = np.flatnonzero(~sure)
     if rest.size:
-        strs = [b"%.17g" % v for v in x[rest].tolist()]
-        chars[:, rest] = np.array(strs, dtype="S%d" % G17_WIDTH).view(
-            np.uint8).reshape(-1, G17_WIDTH).T
-        mask[:, rest] = np.arange(G17_WIDTH)[:, None] < [len(s) for s in strs]
-    return Field(chars.reshape((G17_WIDTH,) + shape),
-                 mask.reshape((G17_WIDTH,) + shape))
+        # NUL-padded: the padding is not shown
+        chars[:, rest] = np.array(
+            [b"%.17g" % v for v in x[rest].tolist()],
+            dtype="S%d" % G17_WIDTH).view(np.uint8).reshape(-1, G17_WIDTH).T
+    return chars.reshape((G17_WIDTH,) + shape)
 
 
 def d_field(values):
-    """'%d' % v for each int64 v, as a Field over the shape of `values`:
-    a sign plane and as many digit planes as the largest |v| has."""
+    """'%d' % v for each int64 v, as uint8 planes over the shape of
+    `values`, zero where not shown: a sign plane and as many digit planes
+    as the largest |v| has."""
     v = np.asarray(values, dtype=np.int64)
     neg = v < 0
     u = v.astype(np.uint64)
     u = np.where(neg, np.uint64(0) - u, u)
     width = 1 + len(str(int(u.max()))) if u.size else 2
     chars = np.empty((width,) + v.shape, dtype=np.uint8)
-    mask = np.empty((width,) + v.shape, dtype=bool)
-    chars[0] = 45
-    mask[0] = neg
-    mask[width - 1] = True
+    chars[0] = 45 * neg
     for k in range(width - 1, 0, -1):
         u, r = np.divmod(u, np.uint64(10))
         chars[k] = 48 + r
-        if k > 1:
-            np.greater(u, 0, out=mask[k - 1])
-    return Field(chars, mask)
-
-
-def _formatted(columns, rows):
-    """Each column's Field on the slice `rows`, the float and the integer
-    columns each formatted in one call."""
-    fields = [c.rows(rows) if isinstance(c, Field) else None
-              for c in columns]
-    for ints, fmt in ((False, g17_field), (True, d_field)):
-        js = [j for j, c in enumerate(columns)
-              if fields[j] is None and (c.dtype.kind in "iu") == ints]
-        if js:
-            f = fmt(np.stack([columns[j][rows] for j in js]))
-            for s, j in enumerate(js):
-                fields[j] = Field(f.chars[:, s], f.mask[:, s])
-    return fields
+    # leading zeros are not shown; the last digit always is
+    chars[1:-1] *= ~np.logical_and.accumulate(chars[1:-1] == 48)
+    return chars
 
 
 def csv_rows(columns, sep=","):
     """The rows sep.join(fields) + "\\n" as uint8 arrays (bytes for at
     most CSV_SMALL_ROWS rows of arrays), a chunk of at most CSV_CHUNK_ROWS
-    rows each.  A column is a Field, a float array ('%.17g' % v) or an
-    integer array ('%d' % v)."""
-    columns = [c if isinstance(c, Field) else np.asarray(c).ravel()
-               for c in columns]
-    n = max(c.chars.shape[1] if isinstance(c, Field) else c.size
-            for c in columns)
-    if n <= CSV_SMALL_ROWS and not any(isinstance(c, Field) for c in columns):
+    rows each.  A column is a float array ('%.17g' % v), an integer array
+    ('%d' % v) or the 2-D planes of g17_field, which repeat on every row
+    when they hold one column."""
+    columns = [c if c.ndim == 2 and c.dtype == np.uint8 else c.ravel()
+               for c in map(np.asarray, columns)]
+    n = max(c.shape[-1] for c in columns)
+    if n <= CSV_SMALL_ROWS and all(c.ndim == 1 for c in columns):
         fmt = sep.join("%d" if c.dtype.kind in "iu" else "%.17g"
                        for c in columns) + "\n"
         yield "".join(fmt % row for row in zip(*[c.tolist() for c in columns])
                       ).encode("ascii")
         return
+    groups = [(fmt, [j for j, c in enumerate(columns)
+                     if c.ndim == 1 and (c.dtype.kind in "iu") == ints])
+              for fmt, ints in ((g17_field, False), (d_field, True))]
     for start in range(0, n, CSV_CHUNK_ROWS):
         rows = slice(start, min(n, start + CSV_CHUNK_ROWS))
-        yield _join(_formatted(columns, rows), sep, rows.stop - rows.start)
+        fields = [c[:, rows] if c.ndim == 2 and c.shape[1] > 1 else c
+                  for c in columns]
+        for fmt, js in groups:
+            if js:
+                planes = fmt(np.stack([columns[j][rows] for j in js]))
+                for s, j in enumerate(js):
+                    fields[j] = planes[:, s]
+        yield _join(fields, sep, rows.stop - rows.start)
 
 
 def _join(fields, sep, n):
-    """Compact the fields' shown planes, sep between, "\\n" after."""
-    keeps = [np.flatnonzero(f.mask.any(axis=1)) for f in fields]
-    width = sum(len(k) for k in keeps) + len(fields)
-    chars = np.empty((width, n), dtype=np.uint8)
-    mask = np.empty((width, n), dtype=bool)
+    """The fields' nonzero bytes row by row, sep between, "\\n" after."""
+    keeps = [np.flatnonzero(f.any(axis=1)) for f in fields]
+    chars = np.empty((sum(map(len, keeps)) + len(fields), n), dtype=np.uint8)
     o = 0
     for j, (f, keep) in enumerate(zip(fields, keeps)):
         w = len(keep)
-        shape = (len(f.chars), n)           # a one-row field repeats
-        np.take(np.broadcast_to(f.chars, shape), keep, axis=0,
-                out=chars[o:o + w])
-        np.take(np.broadcast_to(f.mask, shape), keep, axis=0,
-                out=mask[o:o + w])
+        np.take(np.broadcast_to(f, (len(f), n)), keep, axis=0,
+                out=chars[o:o + w])          # a one-column block repeats
         chars[o + w] = ord("\n" if j == len(fields) - 1 else sep)
-        mask[o + w] = True
         o += w + 1
-    return chars.T[mask.T]
+    chars = chars.T
+    return chars[chars != 0]

@@ -111,10 +111,6 @@ class VerticalLineFunction:
         if not np.all(np.isfinite(self.values)):
             raise NonFiniteInput("VerticalLineFunction values must be finite")
 
-    @property
-    def z_nodes(self):
-        return (0.5 - self.gamma) + 1j * self.rho_nodes
-
     def norm(self):
         """L^2(Gamma) norm with the measure d rho / (2 pi)."""
         drho = self.rho_nodes[1] - self.rho_nodes[0]
@@ -150,26 +146,26 @@ class CutoffFunction:
         return out
 
 
-def _check_tails(v, tail_tol, what="input"):
+def _check_tails(v, tail_tol):
     scale = np.max(np.abs(v))
     if scale == 0.0:
         return
     ends = max(np.max(np.abs(v[:2])), np.max(np.abs(v[-2:])))
     if ends > tail_tol * scale:
         raise TailTooLarge(
-            "%s end samples %.3e exceed tail_tol %.1e relative to max %.3e"
-            % (what, ends, tail_tol, scale)
+            "weighted end samples %.3e exceed tail_tol %.1e relative to max "
+            "%.3e" % (ends, tail_tol, scale)
         )
 
 
-def line_transform(values, grid, gamma, tail_tol=TAIL_TOL):
+def line_transform(values, grid, gamma, tail_tol):
     """Forward step: M_gamma of each row of `values` (last axis on `grid`)
     at z = 1/2 - gamma + i grid.rho; the tail check is per row."""
     if not np.all(np.isfinite(values)):
         raise NonFiniteInput("non-finite samples")
     v = _weighted(values, grid, gamma)
     for row in v.reshape(-1, grid.n_points):
-        _check_tails(row, tail_tol, "weighted")
+        _check_tails(row, tail_tol)
     vals = (grid.dt * grid.n_points * np.fft.ifft(v)
             * np.exp(1j * grid.rho * grid.t_min))
     if not np.all(np.isfinite(vals)):
@@ -196,26 +192,6 @@ def mellin_transform(u, gamma, tail_tol=TAIL_TOL):
     vals = line_transform(u.values, u.grid, gamma, tail_tol)
     return VerticalLineFunction(gamma, np.fft.fftshift(u.grid.rho),
                                 np.fft.fftshift(vals), u.grid)
-
-
-def _inverse_mellin_raw(g, grid):
-    invert = line_inverse(np.fft.ifftshift(g.rho_nodes), grid, g.gamma)
-    return HalfLineFunction(grid, invert(np.fft.ifftshift(g.values)))
-
-
-def inverse_mellin(g, tail_tol=TAIL_TOL):
-    """Inverse weighted Mellin transform back onto the source log grid."""
-    grid = g.grid
-    if grid is None:
-        raise GridMismatch("no output grid available")
-    n = grid.n_points
-    if g.values.shape != (n,):
-        raise GridMismatch("line sampling length != n_points")
-    drho = g.rho_nodes[1] - g.rho_nodes[0]
-    if abs(drho - 2 * np.pi / (n * grid.dt)) > 1e-9 * drho:
-        raise GridMismatch("line sampling incompatible with grid resolution")
-    _check_tails(g.values, tail_tol, "line")
-    return _inverse_mellin_raw(g, grid)
 
 
 def mellin_eval(u, z, derivative=0):
@@ -271,9 +247,13 @@ def op_mellin(f, y, gamma, u, tail_tol=TAIL_TOL, poles=None):
     `poles`, the PoleRecord of f(y, .) (located here when not given)."""
     check_line_clearance(locate_poles(f, y) if poles is None else poles,
                          gamma)
-    g = mellin_transform(u, gamma, tail_tol=tail_tol)
-    g.values = g.values * f(y, g.z_nodes)
-    return _inverse_mellin_raw(g, u.grid)
+    grid = u.grid
+    vals = line_transform(u.values, grid, gamma, tail_tol)
+    # not in place: numpy forms this as f * vals in f's temporary (for
+    # arrays of 256 KiB and up), and complex products are not
+    # bit-symmetric, so the order fixes the output's last bits
+    vals = vals * f(y, (0.5 - gamma) + 1j * grid.rho)
+    return HalfLineFunction(grid, line_inverse(grid.rho, grid, gamma)(vals))
 
 
 def residue_masses(f, y, poles, u, lo, hi):
@@ -314,8 +294,7 @@ def _shift_weighted(u, a, interpolation):
             raise LambdaOffGrid(
                 "log lambda / dt = %.6f is not an integer" % s
             )
-        nu = 2 * np.pi * np.fft.fftfreq(grid.n_points, d=grid.dt)
-        out = np.fft.ifft(np.fft.fft(w) * np.exp(1j * nu * a))
+        out = np.fft.ifft(np.fft.fft(w) * np.exp(1j * grid.rho * a))
     return HalfLineFunction(grid, np.exp(-0.5 * grid.t) * out)
 
 
@@ -377,10 +356,12 @@ def kernel_cutoff(l, psi):
                 "line samples do not decay (%.3e of max at window ends)" % (ends / scale)
             )
     grid = l.grid
-    u = _inverse_mellin_raw(l, grid)     # may ring for slowly decaying l; fine
+    # M^{-1} l: may ring for slowly decaying l; fine
+    u = line_inverse(np.fft.ifftshift(l.rho_nodes), grid, l.gamma)(
+        np.fft.ifftshift(l.values))
     s = np.exp(CUTOFF_PLATEAU)
     psi1 = psi(grid.r / s) * (1.0 - psi(grid.r * s))
-    w = HalfLineFunction(grid, psi1 * u.values)
+    w = HalfLineFunction(grid, psi1 * u)
     # k on the line via the same discrete transform => defect is exactly
     # the transform of (1 - psi_1) M^{-1} l
     k_line = mellin_transform(w, l.gamma, tail_tol=np.inf)
@@ -388,12 +369,3 @@ def kernel_cutoff(l, psi):
         l.gamma, l.rho_nodes, l.values - k_line.values, grid
     )
     return partial(mellin_eval, w), defect
-
-
-def decay_constants(defect, orders=(2, 4, 6), window=None):
-    """sup over the window of |defect(rho)| <rho>^p for each order p."""
-    rho = defect.rho_nodes
-    mask = np.ones_like(rho, dtype=bool) if window is None else (np.abs(rho) <= window)
-    jap = np.sqrt(1.0 + rho[mask] ** 2)
-    d = np.abs(defect.values[mask])
-    return {p: float(np.max(d * jap**p)) for p in orders}

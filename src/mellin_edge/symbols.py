@@ -3,8 +3,8 @@
 Symbols are rational in the Mellin covariable z with coefficients rational
 in a single edge variable y; both numerator and denominator are stored as
 2-D coefficient arrays c[i, j] for z^i y^j.  This class is closed under
-multiplication, y-differentiation, translation and weight splitting, and
-admits exact partial-fraction oracles.
+sums, products and weight splitting, and admits exact partial-fraction
+oracles.
 """
 
 from dataclasses import dataclass
@@ -81,13 +81,6 @@ def p2_eval(a, y, z):
     return np.polynomial.polynomial.polyval(np.asarray(z, dtype=complex), cz)
 
 
-def p2_dy(a):
-    a = p2(a)
-    if a.shape[1] == 1:
-        return np.zeros((1, 1), dtype=complex)
-    return a[:, 1:] * np.arange(1, a.shape[1])
-
-
 def p2_shift_z(a, sigma):
     """Coefficients of p(z + sigma, y)."""
     a = p2(a)
@@ -109,7 +102,7 @@ def p2_reflect_conj(a):
 # ----------------------------------------------------------------------
 # exact reduction via sympy (when coefficients are rational-representable)
 
-def _to_rational(x, tol=1e-12):
+def _to_rational(x):
     from fractions import Fraction
 
     import sympy as sp
@@ -117,7 +110,7 @@ def _to_rational(x, tol=1e-12):
     if x == 0:
         return sp.Integer(0)
     fr = Fraction(x).limit_denominator(10**9)
-    if abs(float(fr) - x) <= tol * max(1.0, abs(x)):
+    if abs(float(fr) - x) <= 1e-12 * max(1.0, abs(x)):
         return sp.Rational(fr.numerator, fr.denominator)
     return None
 
@@ -626,19 +619,6 @@ def track_branches(f, y_grid):
 def multiply(f1, f2):
     dom = _domain_meet(f1.y_domain, f2.y_domain)
     return MeromorphicSymbol(p2_mul(f1.num, f2.num), p2_mul(f1.den, f2.den), dom)
-
-
-def differentiate_y(f):
-    """d f / d y by the quotient rule (pole multiplicities may grow by 1)."""
-    num = p2_add(p2_mul(p2_dy(f.num), f.den), -p2_mul(f.num, p2_dy(f.den)))
-    den = p2_mul(f.den, f.den)
-    return MeromorphicSymbol(num, den, f.y_domain)
-
-
-def translate(f, sigma):
-    """(T^sigma f)(y, z) = f(y, z + sigma); poles move by -sigma."""
-    return MeromorphicSymbol(p2_shift_z(f.num, sigma), p2_shift_z(f.den, sigma),
-                             f.y_domain, reduce=False)
 
 
 class SplitResult(NamedTuple):

@@ -17,13 +17,11 @@ from mellin_edge.asym_types import (
     set_equal,
     shadow_closure,
     subordinate,
-    type_of_family,
     union,
 )
 from mellin_edge.errors import CoveringFailed, EmptyDomain, WrongKind
-from mellin_edge.symbols import track_branches
 
-from conftest import double_pole, simple_pole
+from conftest import double_pole
 
 
 def const_type(pairs, weight=None, nodes=(-1.0, 0.0, 1.0)):
@@ -51,26 +49,6 @@ def test_weighted_ctor_validates_strip():
         const_type([(0.7 + 0j, 0)], weight=w)        # outside
 
 
-def test_type_of_family_log_orders():
-    # pole multiplicity m corresponds to log-order m - 1
-    f = double_pole(0.25) + simple_pole(-0.75)
-    r = type_of_family(track_branches(f, np.array([0.0])))
-    got = sorted(r.pairs_at(0.0), key=lambda pm: pm[0].real)
-    assert got[0][0] == pytest.approx(-0.75) and got[0][1] == 0
-    assert got[1][0] == pytest.approx(0.25) and got[1][1] == 1
-
-
-def test_type_of_family_takes_spectral_data_explicitly():
-    f = double_pole(0.25) + simple_pole(-0.75)
-    ys = np.linspace(-0.5, 0.5, 5)
-    sd = track_branches(f, ys)
-    r = type_of_family(sd)
-    assert np.array_equal(r.y_nodes, ys)
-    # one node's pairs are its record's, multiplicity m as log-order m - 1
-    for k, rec in enumerate(sd.poles):
-        assert r.pairs[k] == [(p, m - 1) for p, m in rec.pairs]
-
-
 def test_restrict_idempotent():
     r = branching_type()
     region = lambda p: p.real > 0.1
@@ -89,7 +67,8 @@ def test_union_identity_and_commutativity():
     b = const_type([(0.2 + 0j, 0), (-0.3 + 0j, 2)])
     assert set_equal(union([a, b]), union([b, a]))
     # coincident location takes the max log-order
-    m = union([a, b]).pairs_at(0.0)
+    ab = union([a, b])
+    m = ab.pairs[ab.node_index(0.0)]
     orders = {round(p.real, 9): k for p, k in m}
     assert orders[0.2] == 1
 
@@ -144,10 +123,11 @@ def test_build_covering_and_reconstruct():
     for u, k, e in cov.sets:
         assert e > 0
         lo, hi = cov.strip
-        if k.re_bounds is not None:
+        if k.vertices:
             # compact carriers sit inside the closed strip (up to padding)
-            assert k.re_bounds[0] >= lo - 0.1
-            assert k.re_bounds[1] <= hi + 0.1
+            re = [v[0] for v in k.vertices]
+            assert min(re) >= lo - 0.1
+            assert max(re) <= hi + 0.1
 
 
 def test_compact_region():

@@ -151,8 +151,9 @@ def test_detect_branching_event(grid_deep):
     assert res.events[0] == pytest.approx(0.0, abs=1e-12)
     assert res.continuity_defect <= 1e-4
     # type: two simple pairs off the event, one log-order-1 pair at y = 0
-    assert len(res.asym_type.pairs_at(0.004)) == 2
-    pairs0 = res.asym_type.pairs_at(0.0)
+    t = res.asym_type
+    assert len(t.pairs[t.node_index(0.004)]) == 2
+    pairs0 = t.pairs[t.node_index(0.0)]
     assert len(pairs0) == 1 and pairs0[0][1] == 1
 
 

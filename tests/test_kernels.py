@@ -1,6 +1,8 @@
 """The shared numerical kernels against closed forms."""
 
 import math
+import multiprocessing
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -18,7 +20,6 @@ from mellin_edge.kernels import (
     circle_moments,
     circle_nodes,
     contour_synthesis,
-    Field,
     csv_rows,
     g17_digits,
     g17_field,
@@ -165,8 +166,7 @@ def g17_lines(values):
     """The rows of g17_field itself (csv_rows writes few rows with '%.17g'
     directly)."""
     f = g17_field(np.asarray(values, dtype=np.float64))
-    return [f.chars[f.mask[:, i], i].tobytes().decode()
-            for i in range(f.chars.shape[1])]
+    return [col[col != 0].tobytes().decode() for col in f.T]
 
 
 def percent_g(values):
@@ -234,15 +234,22 @@ def test_g17_decade_carries_and_layouts():
     assert g17_lines(xs) == percent_g(xs)
 
 
+def writes_percent_g(xs):
+    """Whether csv_rows writes the float array xs as '%.17g' % v, line by
+    line (the reference is one % operation over all of xs)."""
+    return b"".join(csv_rows([xs])).decode() == (
+        "%.17g\n" * xs.size) % tuple(xs.tolist())
+
+
 def test_g17_random_bit_patterns():
     # 4.2e6 seeded 64-bit patterns: every exponent, nan and inf payloads,
-    # subnormals; compared in batches
+    # subnormals; compared in batches, two processes at a time
     rng = np.random.default_rng(1971)
-    for _ in range(16):
-        xs = rng.integers(0, 2 ** 64, 2 ** 18, dtype=np.uint64).view(
-            np.float64)
-        got = b"".join(csv_rows([xs])).decode()
-        assert got == "".join("%.17g\n" % v for v in xs.tolist())
+    batches = [rng.integers(0, 2 ** 64, 2 ** 18, dtype=np.uint64).view(
+        np.float64) for _ in range(16)]
+    with ProcessPoolExecutor(
+            2, mp_context=multiprocessing.get_context("spawn")) as pool:
+        assert list(pool.map(writes_percent_g, batches)) == [True] * 16
 
 
 def test_g17_certifies_every_cone_solve_float():
@@ -292,13 +299,11 @@ def test_csv_rows_columns(n):
 
 
 def test_csv_rows_fields():
-    # a Field gathered by row index repeats its columns, and a Field of one
-    # column repeats on every row; rows come in chunks
+    # planes gathered by row index repeat their columns, and planes of one
+    # column repeat on every row; rows come in chunks
     ys = np.array([0.1, -0.2, 0.3])
     idx = np.arange(5000) % 3
-    f = g17_field(ys)
-    field = Field(f.chars[:, idx], f.mask[:, idx])
-    chunks = list(csv_rows([field, idx, g17_field([2.5])]))
+    chunks = list(csv_rows([g17_field(ys)[:, idx], idx, g17_field([2.5])]))
     assert len(chunks) > 1
     assert b"".join(chunks).decode() == "".join(
         "%.17g,%d,2.5\n" % (ys[k], k) for k in idx.tolist())

@@ -1,7 +1,6 @@
 """Artifact layout lives in one module: only `kernels` (which defines them)
-and `cli` name the CSV writer's `csv_rows`, `g17_field`, `d_field` and
-`Field`, and only `cli` and `edge_spaces` (its binary field I/O) call
-`open`.
+and `cli` name the CSV writer's `csv_rows`, `g17_field` and `d_field`, and
+only `cli` and `edge_spaces` (its binary field I/O) call `open`.
 
 The scan is by name over the AST of every module in `src/mellin_edge`: a
 name counts wherever it appears as a `Name`, an attribute, an imported
@@ -14,7 +13,7 @@ import pathlib
 import mellin_edge
 
 SRC = pathlib.Path(mellin_edge.__file__).parent
-WRITER = {"csv_rows", "g17_field", "d_field", "Field"}
+WRITER = {"csv_rows", "g17_field", "d_field"}
 
 
 def _names(tree):

@@ -23,15 +23,13 @@ from mellin_edge.mellin import (
     LogGrid,
     VerticalLineFunction,
     dilate,
-    inverse_mellin,
     kappa,
     kernel_cutoff,
-    decay_constants,
     mellin_eval,
     mellin_transform,
     op_mellin,
 )
-from mellin_edge.symbols import locate_poles
+from mellin_edge.symbols import MeromorphicSymbol, locate_poles
 
 from conftest import DT, bump, make_grid, random_bump_field, simple_pole
 
@@ -47,11 +45,12 @@ def test_log_grid_basics():
 
 
 def test_roundtrip_exact(grid_short):
+    # op_mellin of the unit symbol is M_gamma^{-1} M_gamma
     rng = np.random.default_rng(0)
     u = random_bump_field(grid_short, rng)
+    one = MeromorphicSymbol([np.array([1.0])], [np.array([1.0])])
     for gamma in (0.0, 0.3, -0.3):
-        line = mellin_transform(u, gamma)
-        back = inverse_mellin(line, tail_tol=1e-6)
+        back = op_mellin(one, None, gamma, u)
         # unweighting amplifies rounding noise at the grid ends by
         # e^{|1/2-gamma| |t|}, so compare at 1e-10 rather than machine eps
         err = np.max(np.abs(back.values - u.values))
@@ -209,15 +208,10 @@ def test_mellin_eval_memory_is_bounded(grid_green):
     assert peak < 2 * mellin.EVAL_ROWS * grid_green.n_points * 16 + 2**20
 
 
-def test_inverse_mellin_grid_mismatch(grid_short):
+def test_kernel_cutoff_grid_mismatch(grid_short):
     line = mellin_transform(bump(grid_short), 0.0)
-    n = grid_short.n_points
-    bad_grids = [None, make_grid(-15.0, n // 2),           # no grid, length
-                 LogGrid(-15.0, -15.0 + 2 * n * DT, n)]    # spacing
-    for grid, what in zip(bad_grids, ["no output grid", "length",
-                                      "resolution"]):
-        with pytest.raises(GridMismatch, match=what):
-            inverse_mellin(replace(line, grid=grid))
+    with pytest.raises(GridMismatch, match="source grid"):
+        kernel_cutoff(replace(line, grid=None), CutoffFunction())
 
 
 def test_kernel_cutoff_insufficient_decay(grid_short):
@@ -251,10 +245,13 @@ def test_kernel_cutoff_defect_decay(grid_short):
     u = random_bump_field(grid_short, np.random.default_rng(3))
     line = mellin_transform(u, 0.0)
     k, defect = kernel_cutoff(line, CutoffFunction())
-    consts = decay_constants(defect, orders=(2, 4), window=20.0)
-    # entire kernel matches the line symbol to rapid decay
+    # entire kernel matches the line symbol to rapid decay: sup |defect|
+    # <rho>^2 over |rho| <= 20
+    rho = defect.rho_nodes
+    near = np.abs(rho) <= 20.0
     scale = np.max(np.abs(line.values))
-    assert consts[2] <= 1e-8 * scale
+    assert np.max(np.abs(defect.values[near]) * (1.0 + rho[near] ** 2)) <= (
+        1e-8 * scale)
     mid = len(line.rho_nodes) // 2
-    z = line.z_nodes[mid]
+    z = 0.5 + 1j * rho[mid]           # on the weight line of gamma = 0
     assert abs(k(z) - line.values[mid]) <= 1e-8 * scale

@@ -23,19 +23,18 @@ from mellin_edge.symbols import (
     MeromorphicSymbol,
     PoleRecord,
     _cluster,
-    differentiate_y,
     invert_symbol,
     laurent_expand,
     locate_poles,
     multiply,
     p2_at_y,
     p2_mul,
+    p2_shift_z,
     pole_records,
     same_pole,
     split_by_weight,
     symbol_from_json,
     track_branches,
-    translate,
 )
 
 from conftest import double_pole, simple_pole
@@ -514,8 +513,9 @@ def test_multiply_and_translate():
     h = multiply(f, g)
     z = 2.0 + 1.0j
     assert h(0.0, z) == pytest.approx(f(0.0, z) * g(0.0, z), rel=1e-12)
-    # translation moves the pole by -sigma
-    t = translate(f, 0.75)
+    # translation z -> z + sigma of both polynomials moves the pole by
+    # -sigma
+    t = MeromorphicSymbol(p2_shift_z(f.num, 0.75), p2_shift_z(f.den, 0.75))
     [(p, m)] = locate_poles(t, 0.0).pairs
     assert p == pytest.approx(0.5 - 0.75, abs=1e-10)
 
@@ -533,15 +533,6 @@ def test_disjoint_y_domains_rejected():
     for op in (f.__add__, f.__sub__):
         with pytest.raises(DomainMismatch, match="disjoint"):
             op(g)
-
-
-def test_differentiate_y_quotient_rule():
-    f = branching_symbol()
-    df = differentiate_y(f)
-    y, z = 0.3, 1.5 + 0.5j
-    # d/dy [1/(z^2 - y^2)] = 2y / (z^2 - y^2)^2
-    exact = 2 * y / (z * z - y * y) ** 2
-    assert df(y, z) == pytest.approx(exact, rel=1e-12)
 
 
 def test_invert_conormal_symbol():
