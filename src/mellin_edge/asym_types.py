@@ -77,15 +77,6 @@ class AsymptoticType:
             "y_domain": list(self.y_domain) if self.y_domain else None,
         }
 
-    @classmethod
-    def from_json(cls, obj):
-        w = obj.get("weight")
-        weight = WeightData(w["gamma"], w["theta"]) if w else None
-        pairs = [[(complex(re, im), int(m)) for re, im, m in pl]
-                 for pl in obj["pairs"]]
-        dom = obj.get("y_domain")
-        return cls(obj["y_nodes"], pairs, weight, tuple(dom) if dom else None)
-
 
 def _match(pairs, p):
     """Index of the pair whose location is the same pole as p, or None."""

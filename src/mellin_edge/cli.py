@@ -76,8 +76,8 @@ def y_grid_from_config(obj, where="y"):
         lo, hi, n = float(obj["min"]), float(obj["max"]), int(obj["n"])
     except (KeyError, TypeError, ValueError) as e:
         raise ConfigError("bad %s: %s" % (where, e))
-    if not (lo < hi and n >= 2):
-        raise ConfigError("%s needs min < max and n >= 2" % where)
+    if not (-np.inf < lo < hi < np.inf and n >= 2):
+        raise ConfigError("%s needs finite min < max and n >= 2" % where)
     return np.linspace(lo, hi, n)
 
 
@@ -114,14 +114,16 @@ def cmd_poles(cfg, out_dir, seed):
     p = np.array([pm[0] for pm in pairs], dtype=complex)[order]
     m = np.array([pm[1] for pm in pairs], dtype=np.int64)[order]
     y = kernels.g17_field(ys)[:, ks]
-    data = b"".join(kernels.csv_rows([y, p.real, p.imag, m, bs], sep=" "))
+    data = b"".join(kernels.csv_rows([y, p.real, p.imag, m, bs]))
     with open(os.path.join(out_dir, "branches.csv"), "wb") as fh:
         fh.write(b"y,Re p,Im p,multiplicity,branch_id\n")
-        fh.write(data.replace(b" ", b","))
+        fh.write(data)
     write_json({"events": ["%.17g" % e for e in sd.collision_events],
                 "n_branches": sd.n_branches},
                os.path.join(out_dir, "events.json"))
-    # branches.dat: the same rows, a blank line after each branch
+    # branches.dat: the same rows space-separated, a blank line after each
+    # branch
+    data = data.replace(b",", b" ")
     ends = 1 + np.flatnonzero(np.frombuffer(data, dtype=np.uint8) == 10)
     cuts = [0] + ends[np.flatnonzero(np.diff(bs, append=-1))].tolist()
     with open(os.path.join(out_dir, "branches.dat"), "wb") as fh:
@@ -149,8 +151,12 @@ def cmd_solve(cfg, out_dir, seed):
         raise ConfigError("radii must be finite and positive, at least one "
                           "(got %r)" % (list(radii),))
     try:
-        a = symbols.ConormalSymbol.from_json(
-            {"coeffs": cn["coeffs"], "y_domain": cn.get("y_domain")})
+        # a_j(y) = coeffs[j], rows zero-padded like a symbol's num and den
+        coeffs = symbols.decode_rows(cn["coeffs"])
+        if not cn["coeffs"]:
+            raise ValueError("need at least one coefficient")
+        dom = cn.get("y_domain")
+        dom = tuple(dom) if dom else None
         mu = int(cn.get("mu", 0))
         gamma = float(cn.get("gamma", 0.0))
         rc = cn.get("rhs", {})
@@ -162,7 +168,7 @@ def cmd_solve(cfg, out_dir, seed):
         sr = None if sr is None else float(sr)
     except (KeyError, TypeError, ValueError) as e:
         raise ConfigError("bad cone spec: %s" % e)
-    problem = cone.ConeProblem(a, mu, gamma, rhs, ys, sr)
+    problem = cone.ConeProblem(coeffs, mu, gamma, rhs, ys, sr, dom)
 
     br = cone.detect_branching(problem, depth, radii=radii)
     with open(os.path.join(out_dir, "coefficients.csv"), "wb") as fh:
@@ -249,9 +255,7 @@ def _check_homogeneity(rng):
         grid, cone.bump_rhs(grid, a=0.02, b=0.2).values)
     f = symbols.MeromorphicSymbol([np.array([1.0])],
                                   [np.array([0.2]), np.array([1.0])])
-    m = edge_ops.MellinEdgeSymbol([(1, 1, f, 0.0)], mu=1.0, gamma=0.0,
-                                  omega=mellin.CutoffFunction(),
-                                  omega_prime=mellin.CutoffFunction())
+    m = edge_ops.MellinEdgeSymbol([(1, 1, f, 0.0)], mu=1.0, gamma=0.0)
     worst = 0.0
     for eta in (1.0, 1.5, 3.0):
         for lam in (2.0, 4.0):
@@ -275,9 +279,7 @@ def _check_adjoint(rng):
     grid = mellin.LogGrid(-50.0, -50.0 + 8192 * DT_DEFAULT, 8192)
     f = symbols.MeromorphicSymbol([np.array([1.0])],
                                   [np.array([0.2]), np.array([1.0])])
-    m = edge_ops.MellinEdgeSymbol([(0, 0, f, 0.0)], mu=0.0, gamma=0.0,
-                                  omega=mellin.CutoffFunction(),
-                                  omega_prime=mellin.CutoffFunction())
+    m = edge_ops.MellinEdgeSymbol([(0, 0, f, 0.0)], mu=0.0, gamma=0.0)
     worst = 0.0
     for _ in range(5):
         u = mellin.HalfLineFunction(
@@ -368,6 +370,7 @@ def cmd_green_check(cfg, out_dir, seed):
         beta = float(cfg["beta"])
     except (KeyError, TypeError, ValueError) as e:
         raise ConfigError("bad delta/beta: %s" % e)
+    beta = positive(beta, "beta")
     tol = positive(cfg.get("tolerance", 1e-7), "tolerance")
     grid = grid_from_config(cfg.get(
         "grid", {"t_min": -30.0, "n_points": 32768}))
@@ -409,10 +412,8 @@ def cmd_edge_apply(cfg, out_dir, seed):
             terms.append((int(trm["j"]), int(trm["alpha"]),
                           mero_from_config(trm["f"], "operator.terms.f"),
                           float(trm["gamma_j"])))
-        m = edge_ops.MellinEdgeSymbol(
-            terms, mu=float(op["mu"]), gamma=float(op["gamma"]),
-            omega=mellin.CutoffFunction(),
-            omega_prime=mellin.CutoffFunction())
+        m = edge_ops.MellinEdgeSymbol(terms, mu=float(op["mu"]),
+                                      gamma=float(op["gamma"]))
         y = float(op.get("y", 0.0))
     except (KeyError, TypeError, ValueError) as e:
         raise ConfigError("bad operator spec: %s" % e)

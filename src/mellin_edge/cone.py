@@ -62,18 +62,23 @@ def random_bump_field(grid, rng):
 
 @dataclass
 class ConeProblem:
-    """A = r^{-mu} sum_j a_j(y) (-r d/dr)^j acting at weight gamma."""
+    """A = r^{-mu} sum_j a_j(y) (-r d/dr)^j acting at weight gamma, with
+    coeffs[j] the ascending y-coefficients of a_j."""
 
-    symbol: object          # ConormalSymbol
+    coeffs: np.ndarray
     mu: int
     gamma: float
     rhs: object             # HalfLineFunction
     y_grid: np.ndarray = field(default_factory=lambda: np.array([0.0]))
     support_radius: float = None  # far cut-off scale R ("f vanishes for r > R")
+    y_domain: tuple = None
 
     def __post_init__(self):
         self.y_grid = np.atleast_1d(np.asarray(self.y_grid, dtype=float))
-        self._inv = invert_symbol(self.symbol)
+        # sigma_c(A), pole-free (for residuals), and its inverse
+        self.inverse_symbol = invert_symbol(self.coeffs, self.y_domain)
+        self.symbol = MeromorphicSymbol(self.coeffs, np.ones((1, 1)),
+                                        self.y_domain, reduce=False)
         # the right-hand side f, cut off beyond the support radius, and
         # f_tilde = r^mu f, the function the Mellin inverse acts on
         f = self.rhs
@@ -83,15 +88,6 @@ class ConeProblem:
         self.cut_rhs = f
         self.scaled_rhs = f if self.mu == 0 else HalfLineFunction(
             f.grid, f.grid.r**self.mu * f.values)
-
-    @property
-    def inverse_symbol(self):
-        return self._inv
-
-    def forward_symbol(self):
-        """sigma_c(A) as a pole-free MeromorphicSymbol (for residuals)."""
-        return MeromorphicSymbol(self.symbol.num2d(), np.ones((1, 1)),
-                                 self.symbol.y_domain, reduce=False)
 
 
 def solve(problem, y, poles):
@@ -104,7 +100,7 @@ def solve(problem, y, poles):
     # residual: A u = r^{-mu} op_M^gamma(sigma_c) u vs f.  The solution decays
     # only algebraically at r -> infinity, so the tail precondition is waived
     # for this same-grid verification pass.
-    au = op_mellin(problem.forward_symbol(), y, gamma, u, tail_tol=np.inf)
+    au = op_mellin(problem.symbol, y, gamma, u, tail_tol=np.inf)
     f = problem.cut_rhs
     rvals = au.values / f.grid.r**problem.mu - f.values
     residual = (HalfLineFunction(f.grid, rvals).norm(gamma)

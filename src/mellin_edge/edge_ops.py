@@ -246,13 +246,13 @@ def green_agreement(diff, cont, gamma):
     return d.norm(gamma) / max(diff.norm(gamma), cont.norm(gamma), 1e-300)
 
 
-def _op_singular_values(f, y, gamma, w):
+def _op_singular_values(f, y, poles, gamma, w):
     """Singular part of op_M^gamma(f) w near r = 0: residue synthesis of
-    r^{-z} f(z) Mw(z) over the poles of f within SINGULAR_DEPTH left of the
-    weight line."""
+    r^{-z} f(z) Mw(z) over the poles of f (the PoleRecord `poles` of
+    f(y, .)) within SINGULAR_DEPTH left of the weight line."""
     line_re = 0.5 - gamma
-    masses = residue_masses(f, y, locate_poles(f, y), w,
-                            line_re - SINGULAR_DEPTH, line_re)
+    masses = residue_masses(f, y, poles, w, line_re - SINGULAR_DEPTH,
+                            line_re)
     return point_mass_synthesis(w.grid.t, masses)
 
 
@@ -309,7 +309,7 @@ def green_apply(g, y, eta, u):
         tk = kappa(trace_in, s).values / np.sqrt(s)
         tval = grid.dt * np.sum(tk * u.values * grid.r)
         # output: a [eta]^{1/2} omega(r[eta]) <zeta, (r[eta])^{-z}> T
-        out += a * scaled_singular(zeta_out.mass_pairs(), grid.t, s,
+        out += a * scaled_singular(zeta_out.masses, grid.t, s,
                                    g.omega) * tval
     return HalfLineFunction(grid, out)
 
@@ -324,35 +324,39 @@ def mellin_convention_difference(m1, m2, y, u, etas):
     raises CertificationFailed on violation.
     """
     report = {"clauses": []}
+    g = u.grid
     same_cutoffs = (m1.omega is m2.omega or
-                    np.allclose(m1.omega(u.grid.r), m2.omega(u.grid.r))) and \
+                    np.allclose(m1.omega(g.r), m2.omega(g.r))) and \
                    (m1.omega_prime is m2.omega_prime or
-                    np.allclose(m1.omega_prime(u.grid.r),
-                                m2.omega_prime(u.grid.r)))
-    for eta in etas:
-        d1 = eval_mellin_edge_symbol(m1, y, eta, u)
-        d2 = eval_mellin_edge_symbol(m2, y, eta, u)
-        dvals = d1.values - d2.values
+                    np.allclose(m1.omega_prime(g.r), m2.omega_prime(g.r)))
+    # m1 and m2 applied to u at every eta, one pole search per term each
+    modes = np.broadcast_to(u.values, (len(etas), g.n_points))
+    d1, d2 = ([a for _j, _k, a in mellin_edge_rows(m, [y], etas, modes, g)]
+              for m in (m1, m2))
+    if same_cutoffs:
+        # the terms whose weights differ, with their poles at y
+        shifted = [(j, alpha, f, gj, gj2, locate_poles(f, y))
+                   for (j, alpha, f, gj), (_j2, _a2, _f2, gj2)
+                   in zip(m1.terms, m2.terms) if not abs(gj - gj2) < 1e-15]
+        gmin = min(min(gj, gj2) for (_j, _a, _f, gj), (_j2, _a2, _f2, gj2)
+                   in zip(m1.terms, m2.terms))
+    else:
+        term_poles = [locate_poles(f, y) for _j, _a, f, _gj in m1.terms]
+    for eta, a1, a2 in zip(etas, d1, d2):
+        dvals = a1 - a2
+        s = eta_bracket(eta)
         if same_cutoffs:
             # per-term weight-shift contour oracle
-            s = eta_bracket(eta)
-            w_in = m1.omega_prime(u.grid.r * s)
-            oracle = np.zeros(u.grid.n_points, dtype=complex)
-            for (j, alpha, f, gj), (_j2, _a2, _f2, gj2) in zip(m1.terms,
-                                                               m2.terms):
-                if abs(gj - gj2) < 1e-15:
-                    continue
+            v = HalfLineFunction(g, m1.omega_prime(g.r * s) * u.values)
+            oracle = np.zeros(g.n_points, dtype=complex)
+            for j, alpha, f, gj, gj2, poles in shifted:
                 lo_g, hi_g = min(gj, gj2), max(gj, gj2)
-                v = HalfLineFunction(u.grid, w_in * u.values)
-                cont = _shift_contour(f, y, lo_g, hi_g - lo_g, v,
-                                      locate_poles(f, y))
+                cont = _shift_contour(f, y, lo_g, hi_g - lo_g, v, poles)
                 sign = 1.0 if gj > gj2 else -1.0
                 oracle += (sign * eta_power(eta, alpha)
-                           * m1.omega(u.grid.r * s)
-                           * u.grid.r ** (-m1.mu + j) * cont.values)
-            gmin = min(min(gj, gj2) for (_j, _a, _f, gj), (_j2, _a2, _f2, gj2)
-                       in zip(m1.terms, m2.terms))
-            defect = (HalfLineFunction(u.grid, dvals - oracle).norm(gmin)
+                           * m1.omega(g.r * s)
+                           * g.r ** (-m1.mu + j) * cont.values)
+            defect = (HalfLineFunction(g, dvals - oracle).norm(gmin)
                       / max(u.norm(gmin), 1e-300))
             report["clauses"].append(
                 {"clause": "weight-shift contour", "eta": float(eta),
@@ -370,19 +374,16 @@ def mellin_convention_difference(m1, m2, y, u, etas):
             # after subtracting it the remainder must be flat.  The window
             # starts at t = CERT_T_FLOOR (left of it the shifted weights
             # amplify rounding noise past any fixed threshold).
-            s = eta_bracket(eta)
             a_min = min(m1.omega.a, m2.omega.a, m1.omega_prime.a,
                         m2.omega_prime.a) / s
-            sing = np.zeros(u.grid.n_points, dtype=complex)
+            sing = np.zeros(g.n_points, dtype=complex)
             w_d = HalfLineFunction(
-                u.grid,
-                (m1.omega_prime(u.grid.r * s) - m2.omega_prime(u.grid.r * s))
-                * u.values,
-            )
-            for j, alpha, f, gj in m1.terms:
-                sing += (eta_power(eta, alpha) * u.grid.r ** (-m1.mu + j)
-                         * _op_singular_values(f, y, gj, w_d))
-            mask = (u.grid.r <= a_min) & (u.grid.t >= CERT_T_FLOOR)
+                g, (m1.omega_prime(g.r * s) - m2.omega_prime(g.r * s))
+                * u.values)
+            for (j, alpha, f, gj), poles in zip(m1.terms, term_poles):
+                sing += (eta_power(eta, alpha) * g.r ** (-m1.mu + j)
+                         * _op_singular_values(f, y, poles, gj, w_d))
+            mask = (g.r <= a_min) & (g.t >= CERT_T_FLOOR)
             resid = np.abs(dvals - sing)[mask] if mask.any() else np.zeros(1)
             scale = max(float(np.max(np.abs(dvals))), 1e-300)
             defect = float(np.max(resid)) / scale

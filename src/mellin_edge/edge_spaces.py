@@ -170,7 +170,7 @@ def synthesize_singular(data):
         if zeta is None or not zeta.masses:
             continue
         br = eta_bracket(abs(float(etas[k])))
-        modes[k] = scaled_singular(zeta.mass_pairs(), g.t, br, data.cutoff)
+        modes[k] = scaled_singular(zeta.masses, g.t, br, data.cutoff)
     return EdgeField.from_modes(data.y_grid, data.r_grid, modes,
                                 gamma=data.gamma)
 
@@ -224,7 +224,6 @@ def decompose_flat_singular_edge(u, asym_type, depth):
     modes = u.modes()
     etas = u.y_grids[0].etas
     functionals = []
-    sing_modes = np.zeros_like(modes)
     g = u.r_grid
     mode_scales = [float(np.max(np.abs(modes[k]))) /
                    np.sqrt(eta_bracket(abs(float(etas[k]))))
@@ -241,16 +240,13 @@ def decompose_flat_singular_edge(u, asym_type, depth):
         for (p, l), c in found.items():
             if abs(c) > HARVEST_TOL * scale:
                 masses.setdefault(p, {})[l] = c
-        zeta = AnalyticFunctional(masses=masses_from_orders(masses))
-        functionals.append(zeta)
-        sing_modes[k] = scaled_singular(zeta.mass_pairs(), g.t, br, cutoff)
+        functionals.append(AnalyticFunctional(
+            masses=masses_from_orders(masses)))
 
-    sing = EdgeField.from_modes(u.y_grids, u.r_grid, sing_modes,
-                                gamma=u.gamma)
-    flat = u.copy(values=u.values - sing.values)
-    _certify_flat_edge(flat, u, u.gamma, depth)
     data = SingularEdgeData(u.y_grids[0], u.r_grid, functionals,
                             cutoff=cutoff, gamma=u.gamma)
+    flat = u.copy(values=u.values - synthesize_singular(data).values)
+    _certify_flat_edge(flat, u, u.gamma, depth)
     return flat, data
 
 

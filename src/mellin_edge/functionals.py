@@ -7,7 +7,6 @@ provides the Mellin potential Phi = M omega (meromorphic, simple pole at 0
 with residue 1) and the synthesis of singular functions omega(r) <zeta, r^{-z}>.
 """
 
-from dataclasses import dataclass
 from math import comb, factorial
 
 import numpy as np
@@ -92,42 +91,32 @@ class Contour:
         return int(round(np.sum(ang) / (2 * np.pi)))
 
 
-@dataclass
-class PointMass:
-    p: complex
-    order: int
-    weights: np.ndarray  # c_0..c_order
-
-    def __post_init__(self):
-        self.p = complex(self.p)
-        self.weights = np.asarray(self.weights, dtype=complex)
-        if self.weights.shape != (self.order + 1,):
-            raise RepresentationInvalid("weights must have order+1 entries")
-
-
 def masses_from_orders(by_pole):
-    """Point masses from {p: {derivative order: weight}}, sorted by p."""
+    """Point masses [(p, weights)] from {p: {derivative order: weight}},
+    sorted by p."""
     masses = []
     for p, orders in sorted(by_pole.items(),
                             key=lambda kv: (kv[0].real, kv[0].imag)):
         w = np.zeros(max(orders) + 1, dtype=complex)
         for l, c in orders.items():
             w[l] = c
-        masses.append(PointMass(p, max(orders), w))
+        masses.append((p, w))
     return masses
 
 
 class AnalyticFunctional:
-    """Functional on entire functions, carried by a compact set."""
+    """Functional on entire functions, carried by a compact set; point
+    masses are [(p, weights)], weights[l] the weight of h^(l)(p)."""
 
     def __init__(self, contour=None, density=None, masses=None, carrier=None):
         if masses is not None:
             self.rep = "point_mass"
-            self.masses = [m if isinstance(m, PointMass) else PointMass(*m)
-                           for m in masses]
+            self.masses = [(complex(p), np.asarray(w, dtype=complex))
+                           for p, w in masses]
             self.contour = None
             self.density = None
-            self.carrier = carrier if carrier is not None else [m.p for m in self.masses]
+            self.carrier = (carrier if carrier is not None
+                            else [p for p, _w in self.masses])
         elif contour is not None and density is not None:
             self.rep = "contour"
             self.contour = contour
@@ -138,10 +127,6 @@ class AnalyticFunctional:
             raise RepresentationInvalid(
                 "need either masses or contour+density"
             )
-
-    def mass_pairs(self):
-        """The point masses as [(p, weights)], the kernels' format."""
-        return [(m.p, m.weights) for m in self.masses]
 
     def carrier_max_re(self):
         if self.carrier:
@@ -181,17 +166,17 @@ def pair(zeta, h, h_derivatives=None, certify=False):
     """
     if zeta.rep == "point_mass":
         val = 0j
-        for m in zeta.masses:
-            for l in range(m.order + 1):
-                if m.weights[l] == 0:
+        for p, weights in zeta.masses:
+            for l, c in enumerate(weights):
+                if c == 0:
                     continue
                 if h_derivatives is not None:
-                    hd = h_derivatives(m.p, l)
+                    hd = h_derivatives(p, l)
                 elif l == 0:
-                    hd = complex(np.asarray(h(np.array([m.p])))[0])
+                    hd = complex(np.asarray(h(np.array([p])))[0])
                 else:
-                    hd = _cauchy_derivative(h, m.p, l)
-                val += m.weights[l] * hd
+                    hd = _cauchy_derivative(h, p, l)
+                val += c * hd
         return (val, 0.0) if certify else val
 
     def integral(contour):
@@ -212,7 +197,7 @@ def to_point_masses(zeta, pole_hints=None):
         return zeta
     hints = list(pole_hints) if pole_hints is not None else list(zeta.carrier)
     if not hints:
-        return AnalyticFunctional(masses=[], carrier=[])
+        return AnalyticFunctional(masses=[])
     masses = []
     for p in hints:
         others = [q for q in hints if q != p]
@@ -231,8 +216,8 @@ def to_point_masses(zeta, pole_hints=None):
             order -= 1
         if order < 0:
             continue
-        masses.append(PointMass(p, order, d[: order + 1]))
-    return AnalyticFunctional(masses=masses, carrier=[m.p for m in masses])
+        masses.append((p, d[: order + 1]))
+    return AnalyticFunctional(masses=masses)
 
 
 def singular_function(zeta, omega, grid, gamma_target=None):
@@ -248,7 +233,7 @@ def singular_function(zeta, omega, grid, gamma_target=None):
                 "carrier reaches Re = %g >= %g" % (mre, 0.5 - gamma_target)
             )
     if zeta.rep == "point_mass":
-        return HalfLineFunction(grid, scaled_singular(zeta.mass_pairs(),
+        return HalfLineFunction(grid, scaled_singular(zeta.masses,
                                                       grid.t, 1.0, omega))
     z, dz = zeta.contour.nodes()
     fv = np.asarray(zeta.density(z), dtype=complex)
@@ -300,13 +285,13 @@ def potential(zeta, omega):
         def f1(z, derivative=0):
             z = np.asarray(z, dtype=complex)
             out = np.zeros(z.shape, dtype=complex)
-            for m in zeta.masses:
-                for l in range(m.order + 1):
-                    if m.weights[l] != 0:
+            for p, weights in zeta.masses:
+                for l, c in enumerate(weights):
+                    if c != 0:
                         # d^l/dw^l Phi(z-w)|_{w=p} = (-1)^l Phi^(l)(z-p);
                         # an extra d/dz brings no sign change.
-                        out += (m.weights[l] * (-1) ** l
-                                * phi(z - m.p, derivative=l + derivative))
+                        out += (c * (-1) ** l
+                                * phi(z - p, derivative=l + derivative))
             return out
     else:
         w_nodes, dw = zeta.contour.nodes()

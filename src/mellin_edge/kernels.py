@@ -319,8 +319,8 @@ def d_field(values):
     return chars
 
 
-def csv_rows(columns, sep=","):
-    """The rows sep.join(fields) + "\\n" as uint8 arrays (bytes for at
+def csv_rows(columns):
+    """The rows ",".join(fields) + "\\n" as uint8 arrays (bytes for at
     most CSV_SMALL_ROWS rows of arrays), a chunk of at most CSV_CHUNK_ROWS
     rows each.  A column is a float array ('%.17g' % v), an integer array
     ('%d' % v) or the 2-D planes of g17_field, which repeat on every row
@@ -329,7 +329,7 @@ def csv_rows(columns, sep=","):
                for c in map(np.asarray, columns)]
     n = max(c.shape[-1] for c in columns)
     if n <= CSV_SMALL_ROWS and all(c.ndim == 1 for c in columns):
-        fmt = sep.join("%d" if c.dtype.kind in "iu" else "%.17g"
+        fmt = ",".join("%d" if c.dtype.kind in "iu" else "%.17g"
                        for c in columns) + "\n"
         yield "".join(fmt % row for row in zip(*[c.tolist() for c in columns])
                       ).encode("ascii")
@@ -346,11 +346,11 @@ def csv_rows(columns, sep=","):
                 planes = fmt(np.stack([columns[j][rows] for j in js]))
                 for s, j in enumerate(js):
                     fields[j] = planes[:, s]
-        yield _join(fields, sep, rows.stop - rows.start)
+        yield _join(fields, rows.stop - rows.start)
 
 
-def _join(fields, sep, n):
-    """The fields' nonzero bytes row by row, sep between, "\\n" after."""
+def _join(fields, n):
+    """The fields' nonzero bytes row by row, "," between, "\\n" after."""
     keeps = [np.flatnonzero(f.any(axis=1)) for f in fields]
     chars = np.empty((sum(map(len, keeps)) + len(fields), n), dtype=np.uint8)
     o = 0
@@ -358,7 +358,7 @@ def _join(fields, sep, n):
         w = len(keep)
         np.take(np.broadcast_to(f, (len(f), n)), keep, axis=0,
                 out=chars[o:o + w])          # a one-column block repeats
-        chars[o + w] = ord("\n" if j == len(fields) - 1 else sep)
+        chars[o + w] = ord("\n" if j == len(fields) - 1 else ",")
         o += w + 1
     chars = chars.T
     return chars[chars != 0]

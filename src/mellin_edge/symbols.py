@@ -209,67 +209,24 @@ def _domain_meet(a, b):
     return (lo, hi)
 
 
-class ConormalSymbol:
-    """Polynomial symbol a(y, z) = sum_j a_j(y) z^j (Fuchsian principal part)."""
-
-    def __init__(self, coeffs, y_domain=None):
-        # coeffs[j] = ascending y-polynomial coefficients of a_j(y)
-        self.coeffs = [np.atleast_1d(np.asarray(c, dtype=complex)) for c in coeffs]
-        if len(self.coeffs) == 0:
-            raise ValueError("need at least one coefficient")
-        for c in self.coeffs:
-            if c.ndim != 1:
-                raise NonDifferentiableCoefficients(
-                    "coefficients must be 1-D y-polynomial arrays"
-                )
-        self.y_domain = tuple(y_domain) if y_domain is not None else None
-
-    @property
-    def degree(self):
-        return len(self.coeffs) - 1
-
-    def num2d(self):
-        dy = max(len(c) for c in self.coeffs)
-        out = np.zeros((len(self.coeffs), dy), dtype=complex)
-        for j, c in enumerate(self.coeffs):
-            out[j, : len(c)] = c
-        return out
-
-    def __call__(self, y, z):
-        return p2_eval(self.num2d(), y, z)
-
-    def leading_at(self, y):
-        return np.polynomial.polynomial.polyval(y, self.coeffs[-1])
-
-    def to_json(self):
-        return {
-            "degree": self.degree,
-            "coeffs": [[[float(c.real), float(c.imag)] for c in cj]
-                       for cj in self.coeffs],
-            "y_domain": list(self.y_domain) if self.y_domain else None,
-        }
-
-    @classmethod
-    def from_json(cls, obj):
-        coeffs = [np.array([complex(re, im) for re, im in cj])
-                  for cj in obj["coeffs"]]
-        dom = obj.get("y_domain")
-        return cls(coeffs, tuple(dom) if dom else None)
-
-
-def invert_symbol(a):
-    """Meromorphic inverse 1/a(y, z) after an ellipticity margin check."""
-    if a.y_domain is not None:
-        ys = np.linspace(a.y_domain[0], a.y_domain[1], ELLIPTICITY_SAMPLES)
+def invert_symbol(coeffs, y_domain=None):
+    """Meromorphic inverse 1/a(y, z) of the polynomial symbol
+    a(y, z) = sum_j a_j(y) z^j, coeffs[j] the ascending y-coefficients of
+    a_j, after an ellipticity margin check of the declared leading
+    coefficient coeffs[-1] (a zero row included) on y_domain (at y = 0
+    without one)."""
+    a = p2(coeffs)
+    if y_domain is not None:
+        ys = np.linspace(y_domain[0], y_domain[1], ELLIPTICITY_SAMPLES)
     else:
         ys = np.array([0.0])
-    lead = np.abs(a.leading_at(ys))
+    lead = np.abs(np.polynomial.polynomial.polyval(ys, a[-1]))
     if np.min(lead) < ELLIPTICITY_TOL:
         raise EllipticityViolated(
             "leading coefficient reaches %.3e (< %.1e) on the sample grid"
             % (np.min(lead), ELLIPTICITY_TOL)
         )
-    return MeromorphicSymbol(np.ones((1, 1)), a.num2d(), a.y_domain)
+    return MeromorphicSymbol(np.ones((1, 1)), a, y_domain)
 
 
 # ----------------------------------------------------------------------
@@ -391,6 +348,8 @@ def pole_records(f, ys):
     the roots of a crowded node are clustered by _cluster.
     """
     records = [PoleRecord((), ())] * len(ys)
+    if f.den.shape[0] == 1:           # no z in the denominator: no poles
+        return records
     nroots = {}
     for rows, roots in _root_groups(*_coef_rows(f.num, ys)):
         nroots.update(zip(rows.tolist(), roots))
@@ -692,9 +651,21 @@ def split_by_weight(f, y_region, beta, eps):
 # ----------------------------------------------------------------------
 # serialization
 
+def decode_rows(rows):
+    """[z-power][y-power] -> [re, im] rows as a 2-D complex array, each row
+    zero-padded to the longest, so an empty row (or row list) is the zero
+    polynomial; a non-finite coefficient is a ValueError."""
+    rows = [[complex(re, im) for re, im in row] for row in rows]
+    out = np.zeros((max(1, len(rows)), max([1] + [len(row) for row in rows])),
+                   dtype=complex)
+    for i, row in enumerate(rows):
+        out[i, :len(row)] = row
+    if not np.all(np.isfinite(out)):
+        raise ValueError("coefficients must be finite")
+    return out
+
+
 def symbol_from_json(obj):
-    def dec(rows):
-        return np.array([[complex(re, im) for re, im in row] for row in rows])
     dom = obj.get("y_domain")
-    return MeromorphicSymbol(dec(obj["num"]), dec(obj["den"]),
+    return MeromorphicSymbol(decode_rows(obj["num"]), decode_rows(obj["den"]),
                              tuple(dom) if dom else None, reduce=False)

@@ -1,7 +1,5 @@
 """Asymptotic types: strip validation, restriction, union, shadow
-condition, subordination, coverings, serialization."""
-
-import json
+condition, subordination, coverings."""
 
 import numpy as np
 import pytest
@@ -135,14 +133,6 @@ def test_compact_region():
     assert k.contains(0.0 + 0.0j)
     assert not k.contains(1.0 + 0.0j)
     assert CompactRegion.of_points([]).contains(0.0) is False
-
-
-def test_type_json_roundtrip():
-    w = WeightData(gamma=0.1, theta=-1.5)
-    r = const_type([(0.1 + 0.3j, 2), (-0.5 + 0j, 0)], weight=w)
-    r2 = AsymptoticType.from_json(json.loads(json.dumps(r.to_json())))
-    assert set_equal(r, r2)
-    assert r2.weight == w
 
 
 def test_build_covering_fails_on_poles_accumulating_at_the_strip():

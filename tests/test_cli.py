@@ -162,9 +162,9 @@ def test_solve_artifact_and_one_solve_per_node(tmp_path, monkeypatch):
     cfg = solve_config()
     grid = make_grid(-50.0, 8192)
     ys = np.linspace(-0.004, 0.004, 5)
-    a = symbols.ConormalSymbol.from_json({"coeffs": cfg["cone"]["coeffs"],
-                                          "y_domain": [-0.5, 0.5]})
-    problem = cone.ConeProblem(a, 0, 0.0, cone.bump_rhs(grid), ys)
+    problem = cone.ConeProblem(symbols.decode_rows(cfg["cone"]["coeffs"]), 0,
+                               0.0, cone.bump_rhs(grid), ys,
+                               y_domain=(-0.5, 0.5))
     want = ["y,r,re_u,im_u\n"]
     for y in ys:
         u = cone.solve(problem, y,
@@ -197,6 +197,39 @@ def test_solve_one_pole_search_per_symbol_and_node(tmp_path, monkeypatch):
     assert run("solve", cfg, tmp_path / "out") == 0
     assert len(calls) == 2 * 5
     assert len(set(calls)) == len(calls)
+
+
+@pytest.mark.parametrize("coeffs", [[[]], [[[1.0, 0.0]], []],
+                                    [[[1.0, 0.0]], [[0.0, 0.0]]]],
+                         ids=["empty-entry", "empty-leading", "zero-leading"])
+def test_zero_leading_coefficient_is_not_elliptic(tmp_path, capsys, coeffs):
+    """An empty coeffs entry is the zero polynomial, so a declared leading
+    coefficient that is empty or zero fails the ellipticity check (exit 3)
+    before any artifact is written."""
+    out = tmp_path / "out"
+    cfg = write_cfg(tmp_path, "c.json", _solve_with("cone", "coeffs", coeffs))
+    assert run("solve", cfg, out) == 3
+    assert json.loads(capsys.readouterr().err) == {
+        "error": "EllipticityViolated",
+        "message": "leading coefficient reaches 0.000e+00 (< 1.0e-08) on "
+                   "the sample grid"}
+    assert os.listdir(out) == []
+
+
+def test_ragged_symbol_rows_are_zero_padded(tmp_path):
+    """num/den rows of different lengths decode as the zero-padded array:
+    the README poles config with its den rows cut after their last nonzero
+    entry (and the zero z^1 row emptied) writes the same artifacts."""
+    ragged = json.loads(json.dumps(BRANCHING_SYMBOL))
+    ragged["den"] = [[[0.0, 0.0], [0.0, 0.0], [-1.0, 0.0]], [],
+                     [[1.0, 0.0]]]
+    y = {"min": -0.5, "max": 0.5, "n": 21}
+    for name, sym in (("full", BRANCHING_SYMBOL), ("ragged", ragged)):
+        cfg = write_cfg(tmp_path, name + ".json", {"symbol": sym, "y": y})
+        assert run("poles", cfg, tmp_path / name) == 0
+    for name in ("branches.csv", "branches.dat", "events.json"):
+        assert ((tmp_path / "full" / name).read_bytes()
+                == (tmp_path / "ragged" / name).read_bytes())
 
 
 def test_solve_branching_failure_precedes_solution(tmp_path, capsys):
@@ -396,6 +429,14 @@ GREEN_SYMBOL = {"num": [[[1.0, 0.0]]],
                 "den": [[[-0.25, 0.0]], [[1.0, 0.0]]], "y_domain": None}
 
 
+def _poles_with(den00=0.0, y_max=0.5):
+    """The README poles config with the z^0 y^0 coefficient of den and
+    y.max replaced (JSON's NaN and Infinity are accepted on reading)."""
+    sym = json.loads(json.dumps(BRANCHING_SYMBOL))
+    sym["den"][0][0] = [den00, 0.0]
+    return {"symbol": sym, "y": {"min": -0.5, "max": y_max, "n": 5}}
+
+
 @pytest.mark.parametrize("cmd,make_cfg,named", [
     pytest.param("green-check", lambda tmp: {
         "symbol": GREEN_SYMBOL, "delta": 0.0, "beta": 0.5,
@@ -435,6 +476,18 @@ GREEN_SYMBOL = {"num": [[[1.0, 0.0]]],
     pytest.param("verify", lambda tmp: {
         "checks": ["plancherel"], "tolerances": {"plancherel": "abc"}},
         "tolerances.plancherel", id="verify-tolerance"),
+    pytest.param("green-check", lambda tmp: {
+        "symbol": GREEN_SYMBOL, "delta": 0.0, "beta": 0.0}, "beta",
+        id="beta-zero"),
+    pytest.param("green-check", lambda tmp: {
+        "symbol": GREEN_SYMBOL, "delta": 0.0, "beta": -0.5}, "beta",
+        id="beta-negative"),
+    pytest.param("poles", lambda tmp: _poles_with(den00=float("nan")),
+                 "symbol", id="den-nan"),
+    pytest.param("poles", lambda tmp: _poles_with(den00=float("inf")),
+                 "symbol", id="den-inf"),
+    pytest.param("poles", lambda tmp: _poles_with(y_max=float("inf")), "y",
+                 id="y-max-inf"),
 ])
 def test_malformed_number_is_a_config_error(tmp_path, capsys, cmd, make_cfg,
                                             named):
@@ -509,9 +562,8 @@ def test_csv_artifacts_equal_a_per_element_writer(tmp_path):
     grid = cli.grid_from_config(scfg["grid"])
     ys = cli.y_grid_from_config(scfg["y"])
     problem = cone.ConeProblem(
-        symbols.ConormalSymbol.from_json(
-            {"coeffs": scfg["cone"]["coeffs"], "y_domain": [-0.5, 0.5]}),
-        0, 0.0, cone.bump_rhs(grid, 1.0, 3.0, 1.0), ys)
+        symbols.decode_rows(scfg["cone"]["coeffs"]), 0, 0.0,
+        cone.bump_rhs(grid, 1.0, 3.0, 1.0), ys, y_domain=(-0.5, 0.5))
     br = cone.detect_branching(problem, 0.75, radii=(0.05, 0.1, 0.2))
     assert (out / "coefficients.csv").read_text() == \
         "y,re_p,im_p,k,re_c,im_c,branch_id\n" + "".join(

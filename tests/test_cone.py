@@ -24,20 +24,19 @@ from mellin_edge.errors import (
 )
 from mellin_edge.kernels import csv_rows
 from mellin_edge.mellin import CutoffFunction
-from mellin_edge.symbols import ConormalSymbol, locate_poles, track_branches
+from mellin_edge.symbols import locate_poles, track_branches
 
 from conftest import bump_callable, quad_mellin
 
 
-def benchmark_symbol():
-    """a(y, z) = z^2 - y^2."""
-    return ConormalSymbol([np.array([0.0, 0.0, -1.0]), np.array([0.0]),
-                           np.array([1.0])], y_domain=(-0.5, 0.5))
+# a(y, z) = z^2 - y^2: row j holds the y-coefficients of z^j
+BENCHMARK_COEFFS = [[0.0, 0.0, -1.0], [0.0, 0.0, 0.0], [1.0, 0.0, 0.0]]
 
 
 def make_problem(grid, y_grid=(0.0,)):
-    return ConeProblem(symbol=benchmark_symbol(), mu=0, gamma=0.0,
-                       rhs=bump_rhs(grid), y_grid=np.asarray(y_grid))
+    return ConeProblem(coeffs=BENCHMARK_COEFFS, mu=0, gamma=0.0,
+                       rhs=bump_rhs(grid), y_grid=np.asarray(y_grid),
+                       y_domain=(-0.5, 0.5))
 
 
 def poles_at(prob, y):
@@ -202,9 +201,8 @@ def test_solve_residual_too_large(grid_short):
     # (pi/dt)^4 ~ 4e10, which lifts rounding in u past SOLVE_TOL;
     # a = 1 + z^2 on the same grid passes
     def problem(k):
-        coeffs = [np.array([1.0])] + [np.array([0.0])] * (k - 1) + \
-            [np.array([1.0])]
-        return ConeProblem(ConormalSymbol(coeffs), 0, 0.0,
+        coeffs = [[1.0]] + [[0.0]] * (k - 1) + [[1.0]]
+        return ConeProblem(coeffs, 0, 0.0,
                            bump_rhs(grid_short), np.array([0.0]))
 
     ok, bad = problem(2), problem(4)

@@ -31,7 +31,7 @@ from mellin_edge.errors import (
     LambdaOffGrid,
     ScheduleDiverged,
 )
-from mellin_edge.functionals import AnalyticFunctional, PointMass
+from mellin_edge.functionals import AnalyticFunctional
 from mellin_edge.mellin import CutoffFunction, HalfLineFunction, LogGrid
 
 from conftest import (
@@ -178,7 +178,7 @@ def test_adjoint_pairing(grid_deep):
 def rank_one_green(order_m=1.0, p=-0.4):
     grid = make_grid(-15.0, 2048)
     trace = bump(grid, a=0.5, b=2.0)
-    zeta = AnalyticFunctional(masses=[PointMass(p, 1, [1.0, 0.5])])
+    zeta = AnalyticFunctional(masses=[(p, [1.0, 0.5])])
 
     def amp(eta):
         return eta_bracket(eta) ** order_m
@@ -318,18 +318,36 @@ def test_eta_bracket_is_elementwise():
     assert type(eta_bracket(np.float64(0.7))) is float
 
 
-@pytest.mark.parametrize("kind", ["weight-shift contour", "cut-off flatness"])
-def test_convention_difference_clauses_use_green_tol(grid_deep, kind):
-    u = small_bump(grid_deep)
+def convention_pair(kind):
+    """One-term symbols (m1, m2) differing in their weight or cut-off."""
     if kind == "weight-shift contour":
         f = simple_pole(0.8)
-        m1 = MellinEdgeSymbol([(1, 0, f, 0.0)], mu=1.0, gamma=0.0)
-        m2 = MellinEdgeSymbol([(1, 0, f, -0.6)], mu=1.0, gamma=0.0)
-    else:
-        f = simple_pole(-0.5)
-        m1 = MellinEdgeSymbol([(0, 0, f, 0.0)], mu=0.0, gamma=0.0)
-        m2 = MellinEdgeSymbol([(0, 0, f, 0.0)], mu=0.0, gamma=0.0,
-                              omega_prime=CutoffFunction(scale=2.0))
-    report = mellin_convention_difference(m1, m2, 0.0, u, etas=[1.0])
+        return (MellinEdgeSymbol([(1, 0, f, 0.0)], mu=1.0, gamma=0.0),
+                MellinEdgeSymbol([(1, 0, f, -0.6)], mu=1.0, gamma=0.0))
+    f = simple_pole(-0.5)
+    return (MellinEdgeSymbol([(0, 0, f, 0.0)], mu=0.0, gamma=0.0),
+            MellinEdgeSymbol([(0, 0, f, 0.0)], mu=0.0, gamma=0.0,
+                             omega_prime=CutoffFunction(scale=2.0)))
+
+
+@pytest.mark.parametrize("kind", ["weight-shift contour", "cut-off flatness"])
+def test_convention_difference_clauses_use_green_tol(grid_deep, kind):
+    m1, m2 = convention_pair(kind)
+    report = mellin_convention_difference(m1, m2, 0.0, small_bump(grid_deep),
+                                          etas=[1.0])
     assert [c["clause"] for c in report["clauses"]] == [kind]
     assert all(c["tolerance"] == GREEN_TOL for c in report["clauses"])
+
+
+@pytest.mark.parametrize("kind", ["weight-shift contour", "cut-off flatness"])
+def test_convention_difference_one_pole_search_per_term(grid_deep,
+                                                        monkeypatch, kind):
+    # m1 and m2 are each applied at every eta after one search of their
+    # term, and the clause searches the term's poles once: 3 searches of
+    # (f, 0.0) for three etas, not one per eta
+    calls = count_pole_searches(monkeypatch)
+    m1, m2 = convention_pair(kind)
+    report = mellin_convention_difference(m1, m2, 0.0, small_bump(grid_deep),
+                                          etas=[1.0, 2.0, 3.0])
+    assert len(report["clauses"]) == 3
+    assert len(calls) == 3

@@ -15,7 +15,6 @@ from mellin_edge.functionals import (
     AnalyticFunctional,
     Contour,
     MellinPotential,
-    PointMass,
     from_symbol,
     pair,
     potential,
@@ -53,7 +52,7 @@ def test_pair_residue_of_simple_pole():
 
 def test_pair_point_mass_derivatives():
     # <zeta, h> = 2 h(p) + 3 h'(p)
-    zeta = AnalyticFunctional(masses=[PointMass(0.5, 1, [2.0, 3.0])])
+    zeta = AnalyticFunctional(masses=[(0.5, [2.0, 3.0])])
     h = lambda z: np.exp(2.0 * z)
     exact = 2 * np.exp(1.0) + 3 * 2 * np.exp(1.0)
     assert abs(pair(zeta, h) - exact) <= 1e-9
@@ -74,10 +73,10 @@ def test_to_point_masses_partial_fraction_oracle():
     zeta = from_symbol(f, 0.0, unit_circle(center=1.0, radius=0.4))
     pm = to_point_masses(zeta)
     assert len(pm.masses) == 1
-    m = pm.masses[0]
-    assert m.order == 1
-    assert abs(m.weights[0] - 3.0) <= 1e-10
-    assert abs(m.weights[1] - 5.0) <= 1e-10
+    [(_p, weights)] = pm.masses
+    assert len(weights) == 2
+    assert abs(weights[0] - 3.0) <= 1e-10
+    assert abs(weights[1] - 5.0) <= 1e-10
 
 
 def test_point_mass_radius_independence():
@@ -102,7 +101,7 @@ def test_singular_function_closed_form():
     grid = make_grid(-15.0, 2048)
     omega = CutoffFunction()
     p = 0.2 + 0.5j
-    zeta = AnalyticFunctional(masses=[PointMass(p, 1, [1.5, -0.5])])
+    zeta = AnalyticFunctional(masses=[(p, [1.5, -0.5])])
     u = singular_function(zeta, omega, grid)
     t = grid.t
     # weights multiply (-log r)^l = (-t)^l
@@ -121,7 +120,7 @@ def test_singular_function_contour_matches_point_mass():
 
 def test_singular_function_carrier_guard():
     grid = make_grid(-15.0, 2048)
-    zeta = AnalyticFunctional(masses=[PointMass(0.45, 0, [1.0])])
+    zeta = AnalyticFunctional(masses=[(0.45, [1.0])])
     singular_function(zeta, CutoffFunction(), grid, gamma_target=0.0)
     with pytest.raises(CarrierTooFarRight):
         singular_function(zeta, CutoffFunction(), grid, gamma_target=0.1)
@@ -163,7 +162,7 @@ def test_mellin_potential_scaled_cutoff():
 
 def test_potential_representative():
     # f1 = <zeta_w, Phi(z-w)> has Laurent data of zeta at each carrier point
-    zeta = AnalyticFunctional(masses=[PointMass(0.2, 1, [2.0, 0.7])])
+    zeta = AnalyticFunctional(masses=[(0.2, [2.0, 0.7])])
     f1 = potential(zeta, CutoffFunction())
     d = circle_moments(f1, 0.2 + 0j, 0.15, np.arange(3), 256)
     assert abs(d[0] - 2.0) <= 1e-9

@@ -31,7 +31,7 @@ from mellin_edge.kernels import (
 from mellin_edge.cone import ConeProblem, bump_rhs, detect_branching, solve
 from mellin_edge.errors import CertificationFailed
 from mellin_edge.mellin import CutoffFunction
-from mellin_edge.symbols import ConormalSymbol
+from mellin_edge.symbols import decode_rows
 
 from conftest import make_grid
 
@@ -256,11 +256,11 @@ def test_g17_certifies_every_cone_solve_float():
     # the solution.csv floats of a cone_solve input (N = 8192, 9 y nodes):
     # no r, re_u or im_u needs the per-element fallback
     grid = make_grid(-50.0, 8192)
-    a = ConormalSymbol.from_json({
-        "coeffs": [[[0.0, 0.0], [0.0, 0.0], [-1.0, 0.0]], [[0.0, 0.0]],
-                   [[1.0, 0.0]]], "y_domain": [-0.5, 0.5]})
+    a = decode_rows([[[0.0, 0.0], [0.0, 0.0], [-1.0, 0.0]], [[0.0, 0.0]],
+                     [[1.0, 0.0]]])
     ys = np.linspace(-0.004, 0.004, 9)
-    problem = ConeProblem(a, 0, 0.0, bump_rhs(grid, 0.9, 2.7, 1.3), ys)
+    problem = ConeProblem(a, 0, 0.0, bump_rhs(grid, 0.9, 2.7, 1.3), ys,
+                          y_domain=(-0.5, 0.5))
     br = detect_branching(problem, 0.75)
     values = [grid.r]
     for y, poles in zip(ys, br.poles):
@@ -292,9 +292,9 @@ def test_csv_rows_columns(n):
     # up to CSV_SMALL_ROWS rows of arrays '%.17g' % v writes them itself;
     # beyond, the fast path does, with the same bytes
     ints = np.resize([0, 7, -7, 10, 2 ** 63 - 1, -2 ** 63], n)
-    got = b"".join(csv_rows([np.arange(n) * 0.1, ints, np.full(n, 2.5)],
-                            sep=" ")).decode()
-    assert got == "".join("%.17g %d 2.5\n" % (0.1 * k, v)
+    got = b"".join(csv_rows([np.arange(n) * 0.1, ints, np.full(n, 2.5)])
+                   ).decode()
+    assert got == "".join("%.17g,%d,2.5\n" % (0.1 * k, v)
                           for k, v in enumerate(ints.tolist()))
 
 

@@ -19,10 +19,10 @@ from mellin_edge.errors import (
 )
 from mellin_edge.kernels import circle_moments
 from mellin_edge.symbols import (
-    ConormalSymbol,
     MeromorphicSymbol,
     PoleRecord,
     _cluster,
+    decode_rows,
     invert_symbol,
     laurent_expand,
     locate_poles,
@@ -363,6 +363,20 @@ def test_poles_artifacts_match_the_per_y_search(tmp_path, monkeypatch,
                 == (tmp_path / "per_y" / name).read_bytes())
 
 
+def test_pole_free_symbol_makes_no_eigvals_call(monkeypatch):
+    # no z in the denominator: every record is empty, and the numerator's
+    # roots (here +-y at each node) are never computed
+    calls = []
+    eigvals = np.linalg.eigvals
+    monkeypatch.setattr(np.linalg, "eigvals",
+                        lambda a: calls.append(a.shape) or eigvals(a))
+    f = MeromorphicSymbol([[0.0, 0.0, -1.0], [0.0, 0.0, 0.0], [1.0, 0.0, 0.0]],
+                          [[1.0, 0.5]], reduce=False)
+    records = pole_records(f, np.linspace(-0.004, 0.004, 9))
+    assert records == [PoleRecord((), ())] * 9
+    assert calls == []
+
+
 def test_track_branches_one_eigvals_call_per_degree(monkeypatch):
     # 1001 nodes of one degree and no zero root: one stacked eigvals call
     shapes = []
@@ -536,15 +550,28 @@ def test_disjoint_y_domains_rejected():
 
 
 def test_invert_conormal_symbol():
-    a = ConormalSymbol([np.array([0.0, 0.0, -1.0]), np.array([0.0]),
-                        np.array([1.0])], y_domain=(-0.5, 0.5))
-    f = invert_symbol(a)
+    # row j holds the y-coefficients of z^j: a = z^2 - y^2
+    a = [[0.0, 0.0, -1.0], [0.0, 0.0, 0.0], [1.0, 0.0, 0.0]]
+    f = invert_symbol(a, y_domain=(-0.5, 0.5))
     y, z = 0.2, 1.0 + 1.0j
     assert f(y, z) == pytest.approx(1.0 / (z * z - y * y), rel=1e-12)
-    bad = ConormalSymbol([np.array([1.0]), np.array([0.0, 1.0])],
-                         y_domain=(-1.0, 1.0))
     with pytest.raises(EllipticityViolated):
-        invert_symbol(bad)       # leading coefficient vanishes at y = 0
+        # leading coefficient y vanishes at y = 0
+        invert_symbol([[1.0, 0.0], [0.0, 1.0]], y_domain=(-1.0, 1.0))
+    with pytest.raises(EllipticityViolated):
+        invert_symbol([[1.0], [0.0]])     # a declared zero leading row
+
+
+def test_decode_rows_zero_pads_and_rejects_non_finite():
+    # rows are zero-padded to the longest; an empty row, or an empty row
+    # list, is the zero polynomial
+    assert np.array_equal(decode_rows([[], [[1.0, 0.0], [2.0, -1.0]]]),
+                          [[0.0, 0.0], [1.0, 2.0 - 1.0j]])
+    assert np.array_equal(decode_rows([]), [[0.0]])
+    assert np.array_equal(decode_rows([[]]), [[0.0]])
+    for bad in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ValueError, match="finite"):
+            decode_rows([[[1.0, 0.0]], [[0.0, bad]]])
 
 
 def test_symbol_json_roundtrip():
@@ -561,14 +588,6 @@ def test_symbol_json_roundtrip():
     assert g.y_domain == f.y_domain
 
 
-def test_conormal_json_roundtrip():
-    a = ConormalSymbol([np.array([1.0, 2.0]), np.array([3.0])],
-                       y_domain=(0.0, 1.0))
-    b = ConormalSymbol.from_json(json.loads(json.dumps(a.to_json())))
-    assert all(np.array_equal(x, y) for x, y in zip(a.coeffs, b.coeffs))
-    assert b.y_domain == (0.0, 1.0)
-
-
 def test_branches_csv_format(tmp_path):
     lines = branches_csv(tmp_path, simple_pole(0.25), np.array([0.0, 1.0]))
     assert lines[0] == "y,Re p,Im p,multiplicity,branch_id"
@@ -579,9 +598,6 @@ def test_branches_csv_format(tmp_path):
 
 
 def test_non_polynomial_coefficients_rejected():
-    # a coefficient a_j(y) must be a 1-D array of y-polynomial coefficients
-    with pytest.raises(NonDifferentiableCoefficients, match="1-D"):
-        ConormalSymbol([np.ones((2, 2))])
     # split_by_weight works in exact arithmetic: a coefficient 3e-12 away
     # from 1/7 has no rational within 1e-12 of denominator <= 10^9
     f = MeromorphicSymbol(np.ones((1, 1)),
