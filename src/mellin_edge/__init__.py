@@ -10,6 +10,8 @@ Modules:
     cone        Fuchsian cone solver with coefficient harvesting
     edge_ops    Mellin edge symbols, Green symbols, weight-shift identities
     edge_spaces edge Sobolev fields, potential operators, decomposition
+    checks      the acceptance checks, one function each, and the seeded
+                corpora `verify` runs them on
     cli         batch front-end (poles / solve / verify / green-check /
                 edge-apply)
 """

@@ -15,8 +15,6 @@ import numpy as np
 from . import cone, edge_ops, edge_spaces, kernels, mellin, symbols
 from .errors import ConfigError, MellinEdgeError
 
-DT_DEFAULT = np.log(2.0) / 96.0
-
 
 # ----------------------------------------------------------------------
 # config plumbing
@@ -59,7 +57,7 @@ def grid_from_config(obj, where="grid"):
     try:
         t_min = float(obj["t_min"])
         n = int(obj["n_points"])
-        dt = float(obj.get("dt", DT_DEFAULT))
+        dt = float(obj.get("dt", mellin.DT))
     except (KeyError, TypeError, ValueError) as e:
         raise ConfigError("bad %s: %s" % (where, e))
     if dt <= 0:
@@ -155,8 +153,7 @@ def cmd_solve(cfg, out_dir, seed):
         coeffs = symbols.decode_rows(cn["coeffs"])
         if not cn["coeffs"]:
             raise ValueError("need at least one coefficient")
-        dom = cn.get("y_domain")
-        dom = tuple(dom) if dom else None
+        dom = symbols.decode_domain(cn.get("y_domain"))
         mu = int(cn.get("mu", 0))
         gamma = float(cn.get("gamma", 0.0))
         rc = cn.get("rhs", {})
@@ -218,117 +215,11 @@ def cmd_solve(cfg, out_dir, seed):
 # ----------------------------------------------------------------------
 # verify
 
-def _check_plancherel(rng):
-    grid = mellin.LogGrid(-15.0, -15.0 + 4096 * DT_DEFAULT, 4096)
-    worst = 0.0
-    for _ in range(20):
-        u = cone.random_bump_field(grid, rng)
-        for g in (0.0, 0.3, -0.3):
-            line = mellin.mellin_transform(u, g)
-            d = abs(line.norm() - u.norm(g)) / max(u.norm(g), 1e-300)
-            worst = max(worst, d)
-    return worst, None
-
-
-def _check_dilation(rng):
-    grid = mellin.LogGrid(-50.0, -50.0 + 8192 * DT_DEFAULT, 8192)
-    u = cone.random_bump_field(grid, rng)
-    worst = 0.0
-    for k in range(10):
-        p = -0.9 - 0.25 * k + 0.1j * (k % 3)
-        f = symbols.MeromorphicSymbol([np.array([1.0])],
-                                      [np.array([-p]), np.array([1.0])])
-        for lam in (2.0, 4.0):
-            worst = max(worst, mellin.dilation_commutation_defect(
-                f, 0.0, u, lam))
-    note = ("commutation holds without a dilation prefactor: "
-            "M(delta_lambda u)(z) = lambda^{-z} Mu(z) gives "
-            "delta_lambda op(f) = op(f) delta_lambda for r-independent f; "
-            "a formulation with an extra lambda factor does not match the "
-            "computed transforms")
-    return worst, note
-
-
-def _check_homogeneity(rng):
-    grid = mellin.LogGrid(-50.0, -50.0 + 8192 * DT_DEFAULT, 8192)
-    u = mellin.HalfLineFunction(
-        grid, cone.bump_rhs(grid, a=0.02, b=0.2).values)
-    f = symbols.MeromorphicSymbol([np.array([1.0])],
-                                  [np.array([0.2]), np.array([1.0])])
-    m = edge_ops.MellinEdgeSymbol([(1, 1, f, 0.0)], mu=1.0, gamma=0.0)
-    worst = 0.0
-    for eta in (1.0, 1.5, 3.0):
-        for lam in (2.0, 4.0):
-            worst = max(worst, edge_ops.twisted_homogeneity_defect(
-                m, 0.0, eta, lam, u))
-    return worst, None
-
-
-def _check_green(rng):
-    grid = mellin.LogGrid(-30.0, -30.0 + 32768 * DT_DEFAULT, 32768)
-    u = mellin.HalfLineFunction(grid, grid.r * np.exp(-grid.r))
-    p = 0.25
-    f = symbols.MeromorphicSymbol([np.array([1.0])],
-                                  [np.array([-p]), np.array([1.0])])
-    delta, beta = 0.0, 0.5
-    diff, cont = edge_ops.weight_shift_green(f, 0.0, delta, beta, u)
-    return edge_ops.green_agreement(diff, cont, delta + beta), None
-
-
-def _check_adjoint(rng):
-    grid = mellin.LogGrid(-50.0, -50.0 + 8192 * DT_DEFAULT, 8192)
-    f = symbols.MeromorphicSymbol([np.array([1.0])],
-                                  [np.array([0.2]), np.array([1.0])])
-    m = edge_ops.MellinEdgeSymbol([(0, 0, f, 0.0)], mu=0.0, gamma=0.0)
-    worst = 0.0
-    for _ in range(5):
-        u = mellin.HalfLineFunction(
-            grid, cone.bump_rhs(grid, a=0.02, b=0.2).values
-            * rng.uniform(0.5, 2.0))
-        v = mellin.HalfLineFunction(
-            grid, cone.bump_rhs(grid, a=0.03, b=0.3).values
-            * rng.uniform(0.5, 2.0))
-        worst = max(worst, edge_ops.adjoint_pairing_defect(
-            m, 0.0, 1.5, u, v))
-    return worst, None
-
-
-def _random_edge_field(rng):
-    """Random y-profile times r^2 e^{-r} on 8 torus nodes."""
-    grid = mellin.LogGrid(-15.0, -15.0 + 4096 * DT_DEFAULT, 4096)
-    tg = edge_spaces.TorusGrid(2 * np.pi, 8)
-    ay = rng.standard_normal(8) + 1j * rng.standard_normal(8)
-    return edge_spaces.EdgeField(
-        tg, grid, ay[:, None] * (grid.r**2 * np.exp(-grid.r))[None, :])
-
-
-def _check_edge_w0(rng):
-    u = _random_edge_field(rng)
-    return (abs(edge_spaces.edge_norm(u, 0.0) - u.l2_norm())
-            / u.l2_norm()), None
-
-
-def _check_edge_roundtrip(rng):
-    u = _random_edge_field(rng)
-    back = edge_spaces.inverse_potential_op(edge_spaces.potential_op(u))
-    d = back.copy(values=back.values - u.values)
-    return d.l2_norm() / u.l2_norm(), None
-
-
-VERIFY_CHECKS = [
-    ("plancherel", _check_plancherel, 1e-8),
-    ("dilation_commutation", _check_dilation, 1e-8),
-    ("twisted_homogeneity", _check_homogeneity, 1e-8),
-    ("green_equivalence", _check_green, 1e-7),
-    ("adjoint_pairing", _check_adjoint, 1e-8),
-    ("edge_w0_is_l2", _check_edge_w0, 1e-10),
-    ("edge_potential_roundtrip", _check_edge_roundtrip, 1e-9),
-]
-
-
 def cmd_verify(cfg, out_dir, seed):
+    from . import checks        # loaded by verify alone
+
     check_keys(cfg, {"checks", "tolerances", "seed"}, "config")
-    names = [n for n, _f, _t in VERIFY_CHECKS]
+    names = list(checks.VERIFY)
     selected = cfg.get("checks", names)
     if not isinstance(selected, list):
         raise ConfigError("checks must be a list of check names")
@@ -336,23 +227,22 @@ def cmd_verify(cfg, out_dir, seed):
         if n not in names:
             raise ConfigError("unknown check name %r" % n)
     overrides = cfg.get("tolerances", {})
-    check_keys(overrides, set(names), "tolerances")
+    check_keys(overrides, set(checks.TOLERANCES), "tolerances")
+    overrides = {k: number(float, v, "tolerances." + k)
+                 for k, v in overrides.items()}
     report = []
-    all_pass = True
-    for name, fn, default_tol in VERIFY_CHECKS:
+    for name in names:
         if name not in selected:
             continue
-        tol = number(float, overrides.get(name, default_tol),
-                     "tolerances." + name)
-        rng = np.random.default_rng(seed)
-        defect, note = fn(rng)
-        ok = bool(defect <= tol)
-        all_pass = all_pass and ok
-        row = {"check_name": name, "max_defect": "%.17g" % defect,
-               "tolerance": "%.17g" % tol, "pass": ok}
-        if note:
-            row["note"] = note
-        report.append(row)
+        for row_name, defect, tol in checks.VERIFY[name](
+                np.random.default_rng(seed)):
+            tol = overrides.get(row_name, tol)
+            row = {"check_name": row_name, "max_defect": "%.17g" % defect,
+                   "tolerance": "%.17g" % tol, "pass": bool(defect <= tol)}
+            if row_name in checks.NOTES:
+                row["note"] = checks.NOTES[row_name]
+            report.append(row)
+    all_pass = all(row["pass"] for row in report)
     write_json({"checks": report, "all_pass": all_pass, "seed": seed},
                os.path.join(out_dir, "verify_report.json"))
     return 0 if all_pass else 1

@@ -43,14 +43,11 @@ from .symbols import (
 )
 
 GREEN_TOL = 1e-7
-SLOPE_TOL = 0.1
 FD_ETA_REL = 1e-3
 GREEN_N_CONTOUR = 256
 # harvest depth left of the weight line in the cut-off flatness clause of
 # mellin_convention_difference
 SINGULAR_DEPTH = 8.0
-# |eta| fan on which eta_derivative_green_check measures the order drop
-ETA_DERIVATIVE_FAN = (1.5, 3.0, 6.0, 12.0)
 # modes per stacked inverse FFT in mellin_edge_rows: each extra mode keeps
 # about six more N-point rows alive, and 4 ran no faster than 2 at N = 4096
 MODE_BLOCK = 2
@@ -416,31 +413,6 @@ def eta_derivative(m, y, eta, u):
         np.abs((d2 - d1) * np.exp(0.5 * u.grid.t)) ** 2)))
         / max(u.norm(0.0), 1e-300))
     return HalfLineFunction(u.grid, vals), fd_defect
-
-
-def eta_derivative_green_check(m, y, u):
-    """Certify that d m / d eta drops one order and keeps Green structure."""
-    j, alpha, _f, _gj = m.single_term()
-
-    def dm(yy, e, w):
-        return eta_derivative(m, yy, e, w)[0]
-
-    slope, samples = measured_order(dm, y, u, ETA_DERIVATIVE_FAN)
-    target = m.mu - j + abs(alpha) - 1
-    report = {
-        "clause": "eta-derivative order drop",
-        "measured_slope": slope,
-        "target_order": target,
-        "margin": target + SLOPE_TOL - slope,
-        "grid": [float(x) for x, _n in samples],
-    }
-    if slope > target + SLOPE_TOL:
-        raise CertificationFailed(
-            "eta-derivative slope %.4f exceeds %.4f"
-            % (slope, target + SLOPE_TOL),
-            clause="eta-derivative order drop",
-        )
-    return report
 
 
 def excision(x):

@@ -52,14 +52,6 @@ class DomainMismatch(MellinEdgeError):
     pass
 
 
-class NonDifferentiableCoefficients(MellinEdgeError):
-    pass
-
-
-class BandOccupied(MellinEdgeError):
-    pass
-
-
 # --- asymptotic types ---
 
 class EmptyDomain(MellinEdgeError):

@@ -2,12 +2,9 @@
 
 Two representations: a closed contour with a quadrature density
 (<zeta, h> = oint f(z) h(z) dz / (2 pi i)) and finite sums of point masses
-with derivative orders (<zeta, h> = sum c_{jl} h^(l)(p_j)).  The module also
-provides the Mellin potential Phi = M omega (meromorphic, simple pole at 0
-with residue 1) and the synthesis of singular functions omega(r) <zeta, r^{-z}>.
+with derivative orders (<zeta, h> = sum c_{jl} h^(l)(p_j)), and the
+synthesis of singular functions omega(r) <zeta, r^{-z}>.
 """
-
-from math import comb, factorial
 
 import numpy as np
 
@@ -24,14 +21,13 @@ from .kernels import (
     contour_synthesis,
     scaled_singular,
 )
-from .mellin import CutoffFunction, HalfLineFunction
+from .mellin import HalfLineFunction
 from .symbols import locate_poles
 
 CONTOUR_CLEARANCE = 1e-6
 LAURENT_TOL = 1e-10
 MAX_MASS_ORDER = 8
 STABILIZE_TOL = 1e-8
-POTENTIAL_N_QUAD = 400
 
 
 class Contour:
@@ -45,13 +41,6 @@ class Contour:
             self.radius = float(params["radius"])
             if self.radius <= 0:
                 raise ValueError("radius must be positive")
-        elif kind == "rectangle":
-            c, cp = params["c"], params["c_prime"]
-            m, eps = params["m"], params["eps"]
-            self.vertices = [complex(c - eps, -(m + eps)),
-                             complex(cp + eps, -(m + eps)),
-                             complex(cp + eps, m + eps),
-                             complex(c - eps, m + eps)]
         elif kind == "polygon":
             self.vertices = [complex(v) for v in params["vertices"]]
             if len(self.vertices) < 3:
@@ -75,15 +64,6 @@ class Contour:
             zs.append(v + tt * (w - v))
             dzs.append(np.full(n_edge, (w - v) / n_edge, dtype=complex))
         return np.concatenate(zs), np.concatenate(dzs)
-
-    def scaled(self, factor):
-        """A nearby admissible contour (scaled about the center/centroid)."""
-        if self.kind == "circle":
-            return Contour("circle", self.n_nodes, center=self.center,
-                           radius=self.radius * factor)
-        c = np.mean(self.vertices)
-        return Contour("polygon", self.n_nodes,
-                       vertices=[c + factor * (v - c) for v in self.vertices])
 
     def winding(self, p):
         z, _dz = self.nodes()
@@ -151,56 +131,14 @@ def from_symbol(f, y, contour):
                               carrier=enclosed)
 
 
-def _cauchy_derivative(h, p, order):
-    """h^(order)(p) by the Cauchy integral formula on the circle of radius
-    1/4 with 128 nodes."""
-    return factorial(order) * circle_moments(h, p, 0.25, [-order - 1], 128)[0]
-
-
-def pair(zeta, h, h_derivatives=None, certify=False):
-    """<zeta, h> for h holomorphic near the carrier.
-
-    h_derivatives, if given, is a callable (p, l) -> h^(l)(p) used by the
-    point-mass path instead of the Cauchy circle.  With certify=True the
-    contour path re-evaluates on a scaled contour and returns (value, defect).
-    """
-    if zeta.rep == "point_mass":
-        val = 0j
-        for p, weights in zeta.masses:
-            for l, c in enumerate(weights):
-                if c == 0:
-                    continue
-                if h_derivatives is not None:
-                    hd = h_derivatives(p, l)
-                elif l == 0:
-                    hd = complex(np.asarray(h(np.array([p])))[0])
-                else:
-                    hd = _cauchy_derivative(h, p, l)
-                val += c * hd
-        return (val, 0.0) if certify else val
-
-    def integral(contour):
-        z, dz = contour.nodes()
-        return np.sum(np.asarray(zeta.density(z), dtype=complex)
-                      * np.asarray(h(z), dtype=complex) * dz) / (2j * np.pi)
-
-    val = integral(zeta.contour)
-    if certify:
-        return val, abs(val - integral(zeta.contour.scaled(1.25)))
-    return val
-
-
-def to_point_masses(zeta, pole_hints=None):
+def to_point_masses(zeta):
     """Convert a contour representation to point masses via Laurent data
-    of orders up to MAX_MASS_ORDER."""
+    of orders up to MAX_MASS_ORDER at each point of its carrier."""
     if zeta.rep == "point_mass":
         return zeta
-    hints = list(pole_hints) if pole_hints is not None else list(zeta.carrier)
-    if not hints:
-        return AnalyticFunctional(masses=[])
     masses = []
-    for p in hints:
-        others = [q for q in hints if q != p]
+    for p in zeta.carrier:
+        others = [q for q in zeta.carrier if q != p]
         dmin = min((abs(q - p) for q in others), default=np.inf)
         radius = min(0.5, dmin / 2)
         ks = np.arange(MAX_MASS_ORDER + 1)
@@ -239,70 +177,3 @@ def singular_function(zeta, omega, grid, gamma_target=None):
     fv = np.asarray(zeta.density(z), dtype=complex)
     return HalfLineFunction(grid, omega(grid.r)
                             * contour_synthesis(grid, z, fv * dz))
-
-
-class MellinPotential:
-    """Phi = M omega: meromorphic with a simple pole at 0, residue 1.
-
-    Phi(z) = s^z / z + s^z E(z) for the shifted cut-off omega(r/s), where
-    E(z) = int_{1/2}^{1} (omega(r) - 1) r^{z-1} dr is entire (quadrature).
-    """
-
-    def __init__(self, omega):
-        self.scale = omega.scale
-        # Gauss-Legendre nodes on [1/2, 1] for the canonical profile
-        x, w = np.polynomial.legendre.leggauss(POTENTIAL_N_QUAD)
-        self._r = 0.75 + 0.25 * x
-        self._w = 0.25 * w
-        canonical = CutoffFunction()
-        self._f = (canonical(self._r) - 1.0) * self._w / self._r
-
-    def _entire(self, z, derivative=0):
-        z = np.asarray(z, dtype=complex)
-        lr = np.log(self._r)
-        return np.exp(np.multiply.outer(z, lr)) @ (self._f * lr**derivative)
-
-    def __call__(self, z, derivative=0):
-        z = np.asarray(z, dtype=complex)
-        ls = np.log(self.scale)
-        val = np.zeros(z.shape, dtype=complex)
-        for k in range(derivative + 1):
-            ck = comb(derivative, k) * ls ** (derivative - k)
-            val += ck * ((-1) ** k * factorial(k) / z ** (k + 1)
-                         + self._entire(z, k))
-        return self.scale**z * val
-
-    def pole_free_part(self, z):
-        """Phi(z) - 1/z (entire)."""
-        return self(z) - 1.0 / np.asarray(z, dtype=complex)
-
-
-def potential(zeta, omega):
-    """f1(z) = <zeta_w, Phi(z - w)>: a meromorphic representative of zeta."""
-    phi = MellinPotential(omega)
-
-    if zeta.rep == "point_mass":
-        def f1(z, derivative=0):
-            z = np.asarray(z, dtype=complex)
-            out = np.zeros(z.shape, dtype=complex)
-            for p, weights in zeta.masses:
-                for l, c in enumerate(weights):
-                    if c != 0:
-                        # d^l/dw^l Phi(z-w)|_{w=p} = (-1)^l Phi^(l)(z-p);
-                        # an extra d/dz brings no sign change.
-                        out += (c * (-1) ** l
-                                * phi(z - p, derivative=l + derivative))
-            return out
-    else:
-        w_nodes, dw = zeta.contour.nodes()
-        fv = np.asarray(zeta.density(w_nodes), dtype=complex)
-
-        def f1(z, derivative=0):
-            z = np.atleast_1d(np.asarray(z, dtype=complex))
-            out = np.array([
-                np.sum(fv * phi(zz - w_nodes, derivative=derivative) * dw)
-                / (2j * np.pi)
-                for zz in z
-            ])
-            return out if out.size > 1 else out[0]
-    return f1

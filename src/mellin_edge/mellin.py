@@ -23,6 +23,7 @@ from .errors import (
 from .kernels import residue_weights
 from .symbols import laurent_expand, locate_poles
 
+DT = np.log(2.0) / 96.0     # default log-grid step: dyadic dilations are shifts
 TAIL_TOL = 1e-10
 SHIFTED_TAIL_TOL = 1e-6     # for inputs a dilation moved toward a grid end
 LINE_CLEARANCE_TOL = 1e-6
@@ -276,7 +277,8 @@ def _shift_weighted(u, a, interpolation):
     """Shift the L^2(dr)-weighted samples w(t) = e^{t/2} u(e^t) by a in t.
 
     Integer multiples of dt are realized as exact index shifts with zero
-    fill; fractional shifts use trigonometric interpolation (unitary).
+    fill; fractional shifts use trigonometric interpolation (unitary) with
+    `interpolation`, and raise LambdaOffGrid without it.
     """
     grid = u.grid
     w = np.exp(0.5 * grid.t) * u.values
@@ -298,12 +300,13 @@ def _shift_weighted(u, a, interpolation):
     return HalfLineFunction(grid, np.exp(-0.5 * grid.t) * out)
 
 
-def dilate(u, lam, interpolation=True):
-    """(delta_lambda u)(r) = u(lambda r) via log-grid shift."""
+def dilate(u, lam):
+    """(delta_lambda u)(r) = u(lambda r) via an exact log-grid shift;
+    LambdaOffGrid unless log lambda is a multiple of dt."""
     if lam <= 0:
         raise ValueError("lambda must be positive")
     a = np.log(lam)
-    out = _shift_weighted(u, a, interpolation)
+    out = _shift_weighted(u, a, False)
     out.values *= np.exp(-0.5 * a)
     return out
 
@@ -326,8 +329,8 @@ def dilation_commutation_defect(f, gamma, u, lam):
     if not (0.25 <= lam <= 4.0):
         raise ValueError("lambda must lie in [1/4, 4]")
     au = op_mellin(f, None, gamma, u)
-    lhs = dilate(au, lam, False)
-    rhs = op_mellin(f, None, gamma, dilate(u, lam, False),
+    lhs = dilate(au, lam)
+    rhs = op_mellin(f, None, gamma, dilate(u, lam),
                     tail_tol=SHIFTED_TAIL_TOL)
     num = (lhs.values - rhs.values)
     scale = max(lhs.norm(gamma), 1e-300)

@@ -2,23 +2,20 @@
 
 Symbols are rational in the Mellin covariable z with coefficients rational
 in a single edge variable y; both numerator and denominator are stored as
-2-D coefficient arrays c[i, j] for z^i y^j.  This class is closed under
-sums, products and weight splitting, and admits exact partial-fraction
-oracles.
+2-D coefficient arrays c[i, j] for z^i y^j.  Common factors of exactly
+rational symbols cancel, and sums stay in the class.  The poles at each y
+come with their multiplicities, Laurent data and branches over a y grid.
 """
 
 from dataclasses import dataclass
 from math import comb
-from typing import NamedTuple
 
 import numpy as np
 
 from .errors import (
-    BandOccupied,
     DegenerateDenominator,
     DomainMismatch,
     EllipticityViolated,
-    NonDifferentiableCoefficients,
 )
 from .kernels import circle_moments
 
@@ -27,7 +24,6 @@ N_CONTOUR = 256
 RADIUS_CAP = 1.0
 ELLIPTICITY_TOL = 1e-8
 ELLIPTICITY_SAMPLES = 33
-SPLIT_SAMPLES = 9
 # margin by which each row's minimum must beat its runner-up, relative to
 # max(1, minimum), for the row-minimum matching to be taken without _lsap
 MATCH_TIE_TOL = 1e-12
@@ -573,82 +569,6 @@ def track_branches(f, y_grid):
 
 
 # ----------------------------------------------------------------------
-# symbol algebra
-
-def multiply(f1, f2):
-    dom = _domain_meet(f1.y_domain, f2.y_domain)
-    return MeromorphicSymbol(p2_mul(f1.num, f2.num), p2_mul(f1.den, f2.den), dom)
-
-
-class SplitResult(NamedTuple):
-    f0: MeromorphicSymbol
-    f1: MeromorphicSymbol
-    eps0: float
-    eps1: float
-
-
-def split_by_weight(f, y_region, beta, eps):
-    """Partial-fraction split of f across the weight line Re z = beta.
-
-    f0 = sum of singular parts at poles with Re p <= beta (holomorphic in
-    {Re z > beta + eps0}); f1 = f - f0 (holomorphic in {Re z < beta + eps1}),
-    0 < eps1 < eps0 < eps.
-    """
-    import sympy as sp
-
-    z = sp.Symbol("z")
-    if np.isscalar(y_region):
-        ys = np.array([float(y_region)])
-    else:
-        ys = np.linspace(y_region[0], y_region[1], SPLIT_SAMPLES)
-    right_gap = np.inf
-    for yv, rec in zip(ys, pole_records(f, ys)):
-        for p, _m in rec.pairs:
-            if beta < p.real < beta + eps:
-                raise BandOccupied(
-                    "pole %s inside the band (%g, %g) at y = %g"
-                    % (p, beta, beta + eps, yv)
-                )
-            if p.real > beta:
-                right_gap = min(right_gap, p.real - beta)
-    ns = _arr_to_sympy(f.num)
-    ds = _arr_to_sympy(f.den)
-    if ns is None or ds is None:
-        raise NonDifferentiableCoefficients(
-            "split_by_weight needs rational-representable coefficients"
-        )
-    terms = sp.Add.make_args(sp.apart(sp.cancel(ns / ds), z))
-    f0_expr = sp.Integer(0)
-    f1_expr = sp.Integer(0)
-    for term in terms:
-        _tn, td = term.as_numer_denom()
-        if sp.degree(td, z) == 0:
-            f1_expr += term          # polynomial (entire) part
-            continue
-        sides = set()
-        for _rows, roots in _root_groups(*_coef_rows(_sympy_to_arr(td), ys)):
-            sides.update("L" if x <= beta else "R"
-                         for x in roots.real.ravel().tolist())
-        if sides == {"L"}:
-            f0_expr += term
-        elif sides == {"R"}:
-            f1_expr += term
-        else:
-            raise BandOccupied(
-                "irreducible factor %s has poles on both sides of beta" % td
-            )
-    def _mk(expr):
-        if expr == 0:
-            return MeromorphicSymbol(np.zeros((1, 1)), np.ones((1, 1)), f.y_domain)
-        n2, d2 = sp.fraction(sp.together(expr))
-        return MeromorphicSymbol(_sympy_to_arr(n2), _sympy_to_arr(d2), f.y_domain)
-
-    eps1 = min(eps / 3, 0.9 * right_gap)
-    eps0 = (eps1 + eps) / 2
-    return SplitResult(_mk(f0_expr), _mk(f1_expr), float(eps0), float(eps1))
-
-
-# ----------------------------------------------------------------------
 # serialization
 
 def decode_rows(rows):
@@ -665,7 +585,22 @@ def decode_rows(rows):
     return out
 
 
+def decode_domain(dom):
+    """A y_domain entry: None, or [lo, hi] of two finite numbers with
+    lo <= hi as a tuple of floats; anything else is a ValueError."""
+    if dom is None:
+        return None
+    try:
+        lo, hi = (float(v) for v in dom)
+        ok = -np.inf < lo <= hi < np.inf
+    except (TypeError, ValueError, OverflowError):
+        ok = False
+    if not ok:
+        raise ValueError("y_domain must be null or two finite numbers "
+                         "lo <= hi (got %r)" % (dom,))
+    return lo, hi
+
+
 def symbol_from_json(obj):
-    dom = obj.get("y_domain")
     return MeromorphicSymbol(decode_rows(obj["num"]), decode_rows(obj["den"]),
-                             tuple(dom) if dom else None, reduce=False)
+                             decode_domain(obj.get("y_domain")), reduce=False)

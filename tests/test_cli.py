@@ -2,8 +2,10 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -280,6 +282,18 @@ def test_verify_subset_passes(tmp_path):
         assert float(r["max_defect"]) <= float(r["tolerance"])
 
 
+def test_verify_runs_every_check(tmp_path):
+    """With no check list verify runs every check on its seeded corpora,
+    one row per clause of TOLERANCES, and all of them pass."""
+    from mellin_edge import checks
+
+    out = tmp_path / "out"
+    assert run("verify", write_cfg(tmp_path, "c.json", {"seed": 3}), out) == 0
+    rep = json.loads((out / "verify_report.json").read_text())
+    assert [r["check_name"] for r in rep["checks"]] == list(checks.TOLERANCES)
+    assert rep["all_pass"] is True
+
+
 def test_verify_zero_tolerance_fails(tmp_path):
     cfg = write_cfg(tmp_path, "c.json", {
         "checks": ["plancherel"], "tolerances": {"plancherel": 0.0}})
@@ -293,6 +307,22 @@ def test_verify_unknown_check(tmp_path, capsys):
     cfg = write_cfg(tmp_path, "c.json", {"checks": ["nonsense"]})
     assert run("verify", cfg, tmp_path / "out") == 2
     assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
+
+
+def test_readme_lists_the_verify_checks(tmp_path, capsys, monkeypatch):
+    """The README's verify bullet names each check of mellin_edge.checks
+    once, and a list with an unknown name exits 2 before any check runs."""
+    from mellin_edge import checks
+
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    bullet = readme.split("- **verify**")[1].split("- **green-check**")[0]
+    assert re.findall(r"^  - `(\w+)`", bullet, re.M) == list(checks.VERIFY)
+    for name in checks.VERIFY:
+        monkeypatch.setitem(checks.VERIFY, name, None)   # not callable
+    cfg = write_cfg(tmp_path, "c.json", {"checks": ["plancherel", "nonsense"]})
+    assert run("verify", cfg, tmp_path / "out") == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
+    assert not (tmp_path / "out" / "verify_report.json").exists()
 
 
 def test_verify_dilation_note(tmp_path):
@@ -429,11 +459,13 @@ GREEN_SYMBOL = {"num": [[[1.0, 0.0]]],
                 "den": [[[-0.25, 0.0]], [[1.0, 0.0]]], "y_domain": None}
 
 
-def _poles_with(den00=0.0, y_max=0.5):
-    """The README poles config with the z^0 y^0 coefficient of den and
-    y.max replaced (JSON's NaN and Infinity are accepted on reading)."""
+def _poles_with(den00=0.0, y_max=0.5, y_domain=(-0.5, 0.5)):
+    """The README poles config with the z^0 y^0 coefficient of den, y.max
+    and the symbol's y_domain replaced (JSON's NaN and Infinity are
+    accepted on reading)."""
     sym = json.loads(json.dumps(BRANCHING_SYMBOL))
     sym["den"][0][0] = [den00, 0.0]
+    sym["y_domain"] = y_domain
     return {"symbol": sym, "y": {"min": -0.5, "max": y_max, "n": 5}}
 
 
@@ -488,6 +520,15 @@ def _poles_with(den00=0.0, y_max=0.5):
                  "symbol", id="den-inf"),
     pytest.param("poles", lambda tmp: _poles_with(y_max=float("inf")), "y",
                  id="y-max-inf"),
+    pytest.param("solve", lambda tmp: _solve_with("cone", "y_domain", [0.0]),
+                 "y_domain", id="cone-y-domain-one-number"),
+    pytest.param("solve", lambda tmp: _solve_with(
+        "cone", "y_domain", [-0.5, float("inf")]), "y_domain",
+        id="cone-y-domain-inf"),
+    pytest.param("solve", lambda tmp: _solve_with(
+        "cone", "y_domain", [0.5, -0.5]), "y_domain", id="cone-y-domain-lo-hi"),
+    pytest.param("poles", lambda tmp: _poles_with(y_domain=[0.0]), "y_domain",
+                 id="symbol-y-domain-one-number"),
 ])
 def test_malformed_number_is_a_config_error(tmp_path, capsys, cmd, make_cfg,
                                             named):

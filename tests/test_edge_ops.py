@@ -5,7 +5,7 @@ asymptotic summation, convention differences."""
 import numpy as np
 import pytest
 
-from mellin_edge import edge_ops
+from mellin_edge import checks, edge_ops
 from mellin_edge.edge_ops import (
     GREEN_TOL,
     GreenSymbolFiniteRank,
@@ -14,7 +14,6 @@ from mellin_edge.edge_ops import (
     asymptotic_sum,
     eta_bracket,
     eta_derivative,
-    eta_derivative_green_check,
     eval_mellin_edge_symbol,
     excision,
     formal_adjoint,
@@ -68,15 +67,12 @@ def test_eta_bracket():
 def test_twisted_homogeneity_exact(grid_deep):
     # defects are measured in L^2(dr), so pick terms whose output lives
     # there (mu = j keeps the r-power bounded at r -> 0)
-    u = small_bump(grid_deep)
-    cases = [(1, 1, 1.0, 0.0), (2, 2, 2.0, 0.0), (2, 1, 2.0, 0.0),
-             (1, 1, 1.0, -0.3)]
-    for j, alpha, mu, gj in cases:
-        m = single_term_symbol(j=j, alpha=alpha, mu=mu, gj=gj)
-        for lam in (2.0, 4.0):
-            for eta in (1.0, 1.5, 3.0):
-                d = twisted_homogeneity_defect(m, 0.0, eta, lam, u)
-                assert d <= 1e-8
+    ms = [single_term_symbol(j=j, alpha=alpha, mu=mu, gj=gj)
+          for j, alpha, mu, gj in [(1, 1, 1.0, 0.0), (2, 2, 2.0, 0.0),
+                                   (2, 1, 2.0, 0.0), (1, 1, 1.0, -0.3)]]
+    [(_name, defect, _tol)] = checks.twisted_homogeneity(ms, small_bump(
+        grid_deep))
+    assert defect <= 1e-8
 
 
 def test_homogeneity_lambda_off_grid(grid_deep):
@@ -217,8 +213,8 @@ def test_eta_derivative_fd_consistency(grid_deep):
 def test_eta_derivative_green_check(grid_deep):
     u = small_bump(grid_deep)
     m = single_term_symbol(j=1, alpha=1, mu=1.0, gj=-0.5)
-    report = eta_derivative_green_check(m, 0.0, u)
-    assert report["measured_slope"] <= report["target_order"] + 0.1
+    [(_name, excess, _tol)] = checks.eta_derivative_order([m], u)
+    assert excess <= 0.1
 
 
 def test_asymptotic_sum_schedule():

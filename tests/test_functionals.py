@@ -1,5 +1,5 @@
-"""Analytic functionals: contour/point-mass representations, pairing,
-Laurent conversion, singular functions, Mellin potentials."""
+"""Analytic functionals: contour/point-mass representations, Laurent
+conversion, singular functions."""
 
 import numpy as np
 import pytest
@@ -14,10 +14,7 @@ from mellin_edge.errors import (
 from mellin_edge.functionals import (
     AnalyticFunctional,
     Contour,
-    MellinPotential,
     from_symbol,
-    pair,
-    potential,
     singular_function,
     to_point_masses,
 )
@@ -27,38 +24,9 @@ from mellin_edge.symbols import MeromorphicSymbol
 
 from conftest import make_grid, simple_pole
 
-# M omega for the canonical cut-off profile, frozen from independent
-# high-precision quadrature of int_0^1 omega(r) r^{z-1} dr
-PHI_POINTS = [
-    (0.5 + 0j, complex(1.7311019835703316, 0.0)),
-    (2.0 + 1.0j, complex(0.18535866956188732, -0.17088953838465731)),
-    (-0.3 + 0.7j, complex(-0.8183403932841643, -1.1740345817969677)),
-]
-
 
 def unit_circle(center=0.25, radius=0.4):
     return Contour("circle", center=center, radius=radius)
-
-
-def test_pair_residue_of_simple_pole():
-    # <zeta, h> = h(p) for zeta = contour functional of 1/(z-p)
-    zeta = from_symbol(simple_pole(0.25), 0.0, unit_circle())
-    val, defect = pair(zeta, lambda z: np.ones_like(z), certify=True)
-    assert abs(val - 1.0) <= 1e-12
-    assert defect <= 1e-12
-    h = lambda z: np.exp(z) + z**2
-    assert abs(pair(zeta, h) - (np.exp(0.25) + 0.0625)) <= 1e-10
-
-
-def test_pair_point_mass_derivatives():
-    # <zeta, h> = 2 h(p) + 3 h'(p)
-    zeta = AnalyticFunctional(masses=[(0.5, [2.0, 3.0])])
-    h = lambda z: np.exp(2.0 * z)
-    exact = 2 * np.exp(1.0) + 3 * 2 * np.exp(1.0)
-    assert abs(pair(zeta, h) - exact) <= 1e-9
-    # explicit derivative callable bypasses the Cauchy circle
-    hd = lambda p, l: 2.0**l * np.exp(2.0 * p)
-    assert abs(pair(zeta, h, h_derivatives=hd) - exact) <= 1e-13
 
 
 def test_pole_on_contour_rejected():
@@ -94,7 +62,7 @@ def test_not_discrete_branch_cut():
                               density=lambda z: np.sqrt(z - 0.1),
                               carrier=[0.1 + 0j])
     with pytest.raises(NotDiscrete):
-        to_point_masses(zeta, pole_hints=[0.1 + 0j])
+        to_point_masses(zeta)
 
 
 def test_singular_function_closed_form():
@@ -126,64 +94,12 @@ def test_singular_function_carrier_guard():
         singular_function(zeta, CutoffFunction(), grid, gamma_target=0.1)
 
 
-def test_mellin_potential_frozen_values():
-    phi = MellinPotential(CutoffFunction())
-    for z, val in PHI_POINTS:
-        got = complex(phi(np.array([z]))[0])
-        assert abs(got - val) <= 1e-12 * max(1.0, abs(val))
-
-
-def test_mellin_potential_residue_and_derivative():
-    phi = MellinPotential(CutoffFunction())
-    # simple pole at 0 with residue 1: z Phi(z) -> 1
-    for eps in (1e-3, 1e-5):
-        assert abs(eps * phi(np.array([eps + 0j]))[0] - 1.0) <= 5 * eps
-    # pole-free part is bounded through the origin
-    assert abs(phi.pole_free_part(np.array([1e-6 + 0j]))[0]) < 10.0
-    # derivative matches a central difference
-    z = 1.3 + 0.4j
-    h = 1e-5
-    fd = (phi(np.array([z + h]))[0] - phi(np.array([z - h]))[0]) / (2 * h)
-    assert abs(phi(np.array([z]), derivative=1)[0] - fd) <= 1e-8 * abs(fd)
-
-
-def test_mellin_potential_scaled_cutoff():
-    # Phi_s(z) = s^z Phi(z) + s^z-free relation: check against quadrature
-    # via the defining integral int_0^s omega(r/s) r^{z-1} dr at a point
-    from scipy.integrate import quad
-    s = 4.0
-    omega = CutoffFunction(scale=s)
-    phi = MellinPotential(omega)
-    z = 1.5
-    oracle, _ = quad(lambda r: omega(r) * r ** (z - 1), 0.0, s,
-                     epsabs=1e-13, epsrel=1e-13)
-    assert abs(phi(np.array([z + 0j]))[0] - oracle) <= 1e-10
-
-
-def test_potential_representative():
-    # f1 = <zeta_w, Phi(z-w)> has Laurent data of zeta at each carrier point
-    zeta = AnalyticFunctional(masses=[(0.2, [2.0, 0.7])])
-    f1 = potential(zeta, CutoffFunction())
-    d = circle_moments(f1, 0.2 + 0j, 0.15, np.arange(3), 256)
-    assert abs(d[0] - 2.0) <= 1e-9
-    assert abs(d[1] - 0.7) <= 1e-9
-    assert abs(d[2]) <= 1e-9
-
-
-def test_potential_contour_rep():
-    zeta = from_symbol(simple_pole(0.25, scale=1.3), 0.0, unit_circle())
-    f1 = potential(zeta, CutoffFunction())
-    # evaluate outside the representing contour (radius 0.4), where f1
-    # agrees with the meromorphic extension carrying the full residue
-    d = circle_moments(f1, 0.25 + 0j, 0.5, np.arange(2), 256)
-    assert abs(d[0] - 1.3) <= 1e-8
-
-
 def test_contour_winding():
     c = unit_circle(center=0.0, radius=1.0)
     assert c.winding(0.2 + 0.1j) == 1
     assert c.winding(2.0 + 0j) == 0
-    rect = Contour("rectangle", c=0.0, c_prime=1.0, m=2.0, eps=0.1)
+    rect = Contour("polygon", vertices=[-0.1 - 2.1j, 1.1 - 2.1j, 1.1 + 2.1j,
+                                        -0.1 + 2.1j])
     assert rect.winding(0.5 + 0j) == 1
     assert rect.winding(-1.0 + 0j) == 0
 

@@ -1,8 +1,8 @@
 """No unreached code: every public function, class and method in
-`src/mellin_edge` is reached from `cli.main`, from the benchmark harness in
-`perfbench/` (the dotted names of its `TARGETS` included) or from
-`tests/test_acceptance.py`.  ALLOWED lists the paper constructs that only
-their unit tests exercise so far.
+`src/mellin_edge` is reached from `cli.main` or from the benchmark harness
+in `perfbench/` (the dotted names of its `TARGETS` included).  The paper's
+constructs are reached through `verify`, which runs every check of
+`mellin_edge.checks`.
 
 The scan is by name over the AST.  A definition is reached when its name
 appears in a reached definition's body, in a module's top-level statements
@@ -20,23 +20,6 @@ import mellin_edge
 
 SRC = pathlib.Path(mellin_edge.__file__).parent
 REPO = pathlib.Path(__file__).resolve().parent.parent
-
-# the paper's constructs that wait for a check reachable from `verify`
-ALLOWED = {
-    "asym_types.subordinate",
-    "edge_ops.asymptotic_sum",
-    "edge_ops.excision",
-    "edge_ops.eta_derivative",
-    "edge_ops.eta_derivative_green_check",
-    "functionals.Contour.scaled",
-    "functionals.MellinPotential",
-    "functionals.pair",
-    "functionals.potential",
-    "mellin.kernel_cutoff",
-    "symbols.SplitResult",
-    "symbols.multiply",             # the symbol algebra the module promises
-    "symbols.split_by_weight",
-}
 
 
 def _of_numpy(node):
@@ -89,9 +72,8 @@ def _definitions(trees):
     return defs
 
 
-def unreached(allowed=ALLOWED, src=SRC, repo=REPO):
-    """The qualified names of the public definitions nothing reaches,
-    counting the definitions in `allowed` and their members as reached."""
+def unreached(src=SRC, repo=REPO):
+    """The qualified names of the public definitions nothing reaches."""
     trees = [(p.stem, _parse(p)) for p in sorted(src.glob("*.py"))]
     reached = {"main"}           # cli.main
     for _mod, tree in trees:
@@ -100,26 +82,18 @@ def unreached(allowed=ALLOWED, src=SRC, repo=REPO):
                        for x in _names(stmt))
     for path in sorted((repo / "perfbench").glob("*.py")):
         reached.update(_names(_parse(path), strings=True))
-    reached.update(_names(_parse(repo / "tests" / "test_acceptance.py")))
-    defs = [(qual in allowed or qual.rpartition(".")[0] in allowed, name,
-             qual, body)
-            for name, qual, body in _definitions(trees)]
+    defs = _definitions(trees)
     grown = True
     while grown:
         grown = False
-        for live, name, _qual, body in defs:
-            if (live or name in reached) and not body <= reached:
+        for name, _qual, body in defs:
+            if name in reached and not body <= reached:
                 reached |= body
                 grown = True
-    return sorted(qual for live, name, qual, _body in defs
-                  if not (live or name in reached or name.startswith("_")))
+    return sorted(qual for name, qual, _body in defs
+                  if not (name in reached or name.startswith("_")))
 
 
 def test_every_public_definition_is_reached():
     found = unreached()
     assert found == [], "reached from no entry point: " + ", ".join(found)
-
-
-def test_allowed_definitions_exist_and_are_unreached():
-    # an entry that gains a caller, or goes, leaves the list
-    assert sorted(ALLOWED) == [q for q in unreached(()) if q in ALLOWED]

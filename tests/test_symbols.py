@@ -11,11 +11,9 @@ from scipy.optimize import linear_sum_assignment
 
 from mellin_edge import cli, symbols
 from mellin_edge.errors import (
-    BandOccupied,
     DegenerateDenominator,
     DomainMismatch,
     EllipticityViolated,
-    NonDifferentiableCoefficients,
 )
 from mellin_edge.kernels import circle_moments
 from mellin_edge.symbols import (
@@ -26,13 +24,11 @@ from mellin_edge.symbols import (
     invert_symbol,
     laurent_expand,
     locate_poles,
-    multiply,
     p2_at_y,
     p2_mul,
     p2_shift_z,
     pole_records,
     same_pole,
-    split_by_weight,
     symbol_from_json,
     track_branches,
 )
@@ -500,31 +496,10 @@ def test_spectral_remainder_holomorphic():
     assert np.max(np.abs(rem - 5.0)) <= 1e-9
 
 
-def test_split_by_weight_convention():
-    f = branching_symbol()
-    res = split_by_weight(f, 0.3, 0.0, 0.2)
-    # at y = 0.3 > 0 the pole -y sits left of beta = 0, +y to the right
-    p0 = locate_poles(res.f0, 0.3).pairs
-    p1 = locate_poles(res.f1, 0.3).pairs
-    assert len(p0) == 1 and p0[0][0] == pytest.approx(-0.3, abs=1e-9)
-    assert len(p1) == 1 and p1[0][0] == pytest.approx(0.3, abs=1e-9)
-    assert 0.0 < res.eps1 < res.eps0 < 0.2
-    # the split reconstructs f
-    zs = np.array([1.0 + 2.0j, -2.0 + 0.5j, 0.1 + 1.0j])
-    recon = res.f0(0.3, zs) + res.f1(0.3, zs)
-    assert np.max(np.abs(recon - f(0.3, zs))) <= 1e-12
-
-
-def test_split_band_occupied():
-    f = simple_pole(0.1)
-    with pytest.raises(BandOccupied):
-        split_by_weight(f, 0.0, 0.0, 0.2)
-
-
 def test_multiply_and_translate():
     f = simple_pole(0.5)
     g = simple_pole(-1.0)
-    h = multiply(f, g)
+    h = MeromorphicSymbol(p2_mul(f.num, g.num), p2_mul(f.den, g.den))
     z = 2.0 + 1.0j
     assert h(0.0, z) == pytest.approx(f(0.0, z) * g(0.0, z), rel=1e-12)
     # translation z -> z + sigma of both polynomials moves the pole by
@@ -595,12 +570,3 @@ def test_branches_csv_format(tmp_path):
     row = lines[1].split(",")
     assert float(row[1]) == pytest.approx(0.25, abs=1e-12)
     assert row[3] == "1" and row[4] == "0"
-
-
-def test_non_polynomial_coefficients_rejected():
-    # split_by_weight works in exact arithmetic: a coefficient 3e-12 away
-    # from 1/7 has no rational within 1e-12 of denominator <= 10^9
-    f = MeromorphicSymbol(np.ones((1, 1)),
-                          np.array([[-(1 / 7 + 3e-12)], [1.0]]))
-    with pytest.raises(NonDifferentiableCoefficients, match="rational"):
-        split_by_weight(f, 0.0, 0.5, 0.1)
