@@ -9,6 +9,7 @@ type branches with the parameter y.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -25,13 +26,20 @@ from .kernels import (
     windowed_mass,
 )
 from .mellin import (
+    TAIL_TOL,
     CutoffFunction,
     HalfLineFunction,
     check_line_clearance,
-    op_mellin,
+    line_inverse,
+    line_transform,
     residue_masses,
 )
-from .symbols import MeromorphicSymbol, invert_symbol, track_branches
+from .symbols import (
+    MeromorphicSymbol,
+    invert_symbol,
+    locate_poles,
+    track_branches,
+)
 from .asym_types import AsymptoticType
 
 SOLVE_TOL = 1e-7
@@ -89,22 +97,38 @@ class ConeProblem:
         self.scaled_rhs = f if self.mu == 0 else HalfLineFunction(
             f.grid, f.grid.r**self.mu * f.values)
 
+    @cached_property
+    def weight_line(self):
+        """What every solve shares, made on the first: (z, the tail-checked
+        samples of r^mu f at z, the inverse step, r^mu, max(||f||_gamma,
+        1e-300)) with z = 1/2 - gamma + i rho."""
+        f, gamma = self.cut_rhs, self.gamma
+        grid = f.grid
+        line = line_transform(self.scaled_rhs.values, grid, gamma, TAIL_TOL)
+        return ((0.5 - gamma) + 1j * grid.rho, line,
+                line_inverse(grid.rho, grid, gamma), grid.r**self.mu,
+                max(f.norm(gamma), 1e-300))
+
 
 def solve(problem, y, poles):
     """u = op_M^gamma(sigma_c^{-1})(r^mu f), with the residual verified by
     applying the discrete operator A; `poles` is the PoleRecord of
-    sigma_c^{-1}(y, .)."""
-    gamma = problem.gamma
-    ft = problem.scaled_rhs
-    u = op_mellin(problem.inverse_symbol, y, gamma, ft, poles=poles)
+    sigma_c^{-1}(y, .).  Only the symbols depend on y: the rest is the
+    problem's weight_line, and each product keeps op_mellin's operand
+    order (a named left operand, the symbol's temporary on the right)."""
+    gamma, f = problem.gamma, problem.cut_rhs
+    grid = f.grid
+    check_line_clearance(poles, gamma)
+    z, line, invert, rmu, fnorm = problem.weight_line
+    u = HalfLineFunction(grid, invert(line * problem.inverse_symbol(y, z)))
     # residual: A u = r^{-mu} op_M^gamma(sigma_c) u vs f.  The solution decays
     # only algebraically at r -> infinity, so the tail precondition is waived
     # for this same-grid verification pass.
-    au = op_mellin(problem.symbol, y, gamma, u, tail_tol=np.inf)
-    f = problem.cut_rhs
-    rvals = au.values / f.grid.r**problem.mu - f.values
-    residual = (HalfLineFunction(f.grid, rvals).norm(gamma)
-                / max(f.norm(gamma), 1e-300))
+    check_line_clearance(locate_poles(problem.symbol, y), gamma)
+    vals = line_transform(u.values, grid, gamma, np.inf)
+    au = HalfLineFunction(grid, invert(vals * problem.symbol(y, z)))
+    rvals = au.values / rmu - f.values
+    residual = HalfLineFunction(grid, rvals).norm(gamma) / fnorm
     if residual > SOLVE_TOL:
         raise ResidualTooLarge(residual, SOLVE_TOL)
     u.residual = residual

@@ -140,8 +140,10 @@ _VELTKAMP = 134217729.0               # 2^27 + 1
 # among them, "e", exponent sign, 3 exponent digits; a zero byte is not
 # shown (no output character is NUL).
 G17_WIDTH = 29
-# Rows formatted and compacted at a time: bounds the working planes.
-CSV_CHUNK_ROWS = 1024
+# Rows formatted and compacted at a time: bounds the working planes.  On
+# solution.csv's shape (N = 8192, 5 y nodes, 4 columns; 2 vCPUs) 4096 rows
+# write in 36 ms against 48 ms at 1024, for 1.1 MB more peak RSS.
+CSV_CHUNK_ROWS = 4096
 # Up to this many rows of plain arrays, '%.17g' % v itself is as fast and
 # spares the process the fast path's fixed cost: its tables and numpy's
 # loops, about 0.4 MB of resident memory.
@@ -352,13 +354,12 @@ def csv_rows(columns):
 def _join(fields, n):
     """The fields' nonzero bytes row by row, "," between, "\\n" after."""
     keeps = [np.flatnonzero(f.any(axis=1)) for f in fields]
-    chars = np.empty((sum(map(len, keeps)) + len(fields), n), dtype=np.uint8)
+    chars = np.empty((n, sum(map(len, keeps)) + len(fields)), dtype=np.uint8)
     o = 0
     for j, (f, keep) in enumerate(zip(fields, keeps)):
         w = len(keep)
-        np.take(np.broadcast_to(f, (len(f), n)), keep, axis=0,
-                out=chars[o:o + w])          # a one-column block repeats
-        chars[o + w] = ord("\n" if j == len(fields) - 1 else ",")
+        # a one-column block broadcasts down the rows
+        chars[:, o:o + w] = np.take(f, keep, axis=0).T
+        chars[:, o + w] = ord("\n" if j == len(fields) - 1 else ",")
         o += w + 1
-    chars = chars.T
     return chars[chars != 0]

@@ -10,11 +10,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mellin_edge import cli, cone, symbols
+from mellin_edge import cli, cone, mellin, symbols
 from mellin_edge.cli import main
 from mellin_edge.errors import CertificationFailed
 from mellin_edge.edge_spaces import EdgeField, TorusGrid, field_to_binary
-from mellin_edge.mellin import LogGrid
+from mellin_edge.mellin import TAIL_TOL, LogGrid
 
 from conftest import DT, count_pole_searches, make_grid
 
@@ -199,6 +199,68 @@ def test_solve_one_pole_search_per_symbol_and_node(tmp_path, monkeypatch):
     assert run("solve", cfg, tmp_path / "out") == 0
     assert len(calls) == 2 * 5
     assert len(set(calls)) == len(calls)
+
+
+@pytest.mark.parametrize("n_y", [5, 9])
+def test_solve_transforms_the_rhs_once_per_run(tmp_path, monkeypatch, n_y):
+    """cone transforms the right-hand side once per run and each node's
+    solution once, for its residual (n_y + 1 line_transform calls); the
+    run reaches no op_mellin."""
+    transform = cone.line_transform
+    tails = []
+
+    def counted(values, grid, gamma, tail_tol):
+        tails.append(tail_tol)
+        return transform(values, grid, gamma, tail_tol)
+
+    monkeypatch.setattr(cone, "line_transform", counted)
+    op_mellin_code = mellin.op_mellin.__code__
+    reached = []
+
+    def profile(frame, event, _arg):
+        if event == "call" and frame.f_code is op_mellin_code:
+            reached.append(frame.f_code.co_name)
+
+    cfg = write_cfg(tmp_path, "c.json", _solve_with("y", "n", n_y))
+    sys.setprofile(profile)
+    try:
+        status = run("solve", cfg, tmp_path / "out")
+    finally:
+        sys.setprofile(None)
+    assert status == 0
+    assert tails == [TAIL_TOL] + [np.inf] * n_y
+    assert reached == []
+
+
+def test_solve_tail_failure_after_complete_coefficients(tmp_path, capsys,
+                                                        monkeypatch):
+    """A right-hand side that fails the tail check fails the first solve
+    with TailTooLarge (exit 3) after coefficients.csv is complete: a run
+    with the check waived writes the same file.  No solution.csv.part is
+    left."""
+    # the bump runs past the grid's right end, r = e^9.15 ~ 9400; small
+    # enough that the harvest still certifies
+    cfg = write_cfg(tmp_path, "c.json", _solve_with(
+        "cone", "rhs", {"a": 5000.0, "b": 12000.0, "amplitude": 1e-3}))
+    solve = cone.solve
+    solves = []
+
+    def counted(problem, y, poles):
+        solves.append(y)
+        return solve(problem, y, poles)
+
+    monkeypatch.setattr(cone, "solve", counted)
+    out = tmp_path / "out"
+    assert run("solve", cfg, out) == 3
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "TailTooLarge"
+    assert len(solves) == 1
+    assert os.listdir(out) == ["coefficients.csv"]
+    monkeypatch.setattr(cone, "TAIL_TOL", np.inf)
+    waived = tmp_path / "waived"
+    run("solve", cfg, waived)
+    assert (out / "coefficients.csv").read_bytes() == (
+        waived / "coefficients.csv").read_bytes()
 
 
 @pytest.mark.parametrize("coeffs", [[[]], [[[1.0, 0.0]], []],

@@ -8,6 +8,7 @@ import pytest
 
 from mellin_edge import cli
 from mellin_edge.cone import (
+    SOLVE_TOL,
     AsymptoticExpansion,
     ConeProblem,
     bump_rhs,
@@ -23,10 +24,10 @@ from mellin_edge.errors import (
     ResidualTooLarge,
 )
 from mellin_edge.kernels import csv_rows
-from mellin_edge.mellin import CutoffFunction
+from mellin_edge.mellin import CutoffFunction, HalfLineFunction, op_mellin
 from mellin_edge.symbols import locate_poles, track_branches
 
-from conftest import bump_callable, quad_mellin
+from conftest import bump_callable, make_grid, quad_mellin
 
 
 # a(y, z) = z^2 - y^2: row j holds the y-coefficients of z^j
@@ -210,3 +211,46 @@ def test_solve_residual_too_large(grid_short):
     with pytest.raises(ResidualTooLarge) as err:
         solve(bad, 0.0, poles_at(bad, 0.0))
     assert err.value.residual > err.value.tol == 1e-7
+
+
+def solve_by_op_mellin(problem, y, poles):
+    """(u, residual) as two op_mellin calls: u = op_M(sigma_c^{-1})(r^mu f),
+    then the residual of r^{-mu} op_M(sigma_c) u against f."""
+    gamma, f = problem.gamma, problem.cut_rhs
+    u = op_mellin(problem.inverse_symbol, y, gamma, problem.scaled_rhs,
+                  poles=poles)
+    au = op_mellin(problem.symbol, y, gamma, u, tail_tol=np.inf)
+    rvals = au.values / f.grid.r**problem.mu - f.values
+    return u.values, (HalfLineFunction(f.grid, rvals).norm(gamma)
+                      / max(f.norm(gamma), 1e-300))
+
+
+@pytest.mark.parametrize("n", [8192, 16384, 32768, 65536])
+def test_solve_is_the_op_mellin_composition_bit_for_bit(n):
+    # from N = 16384 (256 KiB of complex128) on, numpy may form a product
+    # of temporaries in its left operand's buffer, in the other operand
+    # order; complex products are not bit-symmetric, so a reordered
+    # product would change the last bits of u or of the residual
+    grid = make_grid(-50.0, n)
+    raised = 0
+    for mu in (0, 1):
+        for support_radius in (None, 2.5):
+            prob = ConeProblem(BENCHMARK_COEFFS, mu, 0.0, bump_rhs(grid),
+                               np.array([0.3]), support_radius, (-0.5, 0.5))
+            poles = poles_at(prob, 0.3)
+            u_ref, res_ref = solve_by_op_mellin(prob, 0.3, poles)
+            try:
+                u = solve(prob, 0.3, poles)
+            except ResidualTooLarge as err:
+                raised += 1
+                assert res_ref > SOLVE_TOL
+                assert np.float64(err.residual).tobytes() == (
+                    np.float64(res_ref).tobytes())
+                assert str(err) == str(
+                    ResidualTooLarge(res_ref, SOLVE_TOL))
+                continue
+            assert u.values.tobytes() == u_ref.tobytes()
+            assert np.float64(u.residual).tobytes() == (
+                np.float64(res_ref).tobytes())
+    # both outcomes are covered: mu = 1 fails the residual check
+    assert raised == 2

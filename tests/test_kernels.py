@@ -28,6 +28,7 @@ from mellin_edge.kernels import (
     scaled_singular,
     windowed_mass,
 )
+from mellin_edge import kernels
 from mellin_edge.cone import ConeProblem, bump_rhs, detect_branching, solve
 from mellin_edge.errors import CertificationFailed
 from mellin_edge.mellin import CutoffFunction
@@ -308,3 +309,28 @@ def test_csv_rows_fields():
     assert b"".join(chunks).decode() == "".join(
         "%.17g,%d,2.5\n" % (ys[k], k) for k in idx.tolist())
     assert b"".join(csv_rows([np.zeros(0)])) == b""
+
+
+def test_csv_rows_chunk_independent(monkeypatch):
+    # about 10k rows crossing every chunk boundary: a one-column block, an
+    # int column and floats with the fallback values (zero, a subnormal,
+    # nan, +-inf, near-ties) at and around the boundaries.  One- and
+    # seven-row chunks (0.5 ms a chunk) write the first 1100 rows only
+    xs = tie_family()
+    near = xs[~g17_digits(xs)[2]][:4]
+    assert near.size == 4
+    n = 10007
+    rng = np.random.default_rng(26)
+    ints = rng.integers(-10 ** 12, 10 ** 12, n)
+    floats = rng.standard_normal(n) * 10.0 ** rng.integers(-30, 30, n)
+    odd = np.concatenate([[0.0, -0.0, 5e-324, -2.5e-310, np.nan, np.inf,
+                           -np.inf], near])
+    for at in (0, 6, 7, 1023, 1024, 4095, 4096, 8191, 8192, n - odd.size):
+        floats[at:at + odd.size] = odd
+    want = ["0.125,%d,%.17g\n" % row
+            for row in zip(ints.tolist(), floats.tolist())]
+    for rows, m in ((1, 1100), (7, 1100), (1024, n), (4096, n)):
+        monkeypatch.setattr(kernels, "CSV_CHUNK_ROWS", rows)
+        chunks = list(csv_rows([g17_field([0.125]), ints[:m], floats[:m]]))
+        assert len(chunks) == -(-m // rows)
+        assert b"".join(chunks) == "".join(want[:m]).encode()
