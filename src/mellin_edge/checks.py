@@ -16,7 +16,7 @@ import numpy as np
 from .asym_types import (AsymptoticType, WeightData, build_covering,
                          check_shadow, covering_reconstructs, restrict,
                          set_equal, shadow_closure, subordinate, union)
-from .cone import (ConeProblem, bump_rhs, detect_branching,
+from .cone import (CONT_TOL, ConeProblem, bump_rhs, detect_branching,
                    extract_asymptotics, random_bump_field)
 from .edge_ops import (GreenSymbolFiniteRank, MellinEdgeSymbol,
                        adjoint_pairing_defect, asymptotic_sum, eta_bracket,
@@ -50,7 +50,7 @@ TOLERANCES = {
     "branching_coefficients": 1e-8,
     "branching_log_terms": 1e-7,
     "branching_events": 1e-12,
-    "branching_continuity": 1e-4,
+    "branching_continuity": CONT_TOL,
     "adjoint_pairing": 1e-8,
     "adjoint_involution": 0.0,
     "convention_independence": 1e-7,
@@ -327,9 +327,8 @@ def convention_independence(weight_cases, cutoff_cases, u):
     for cases, clause in ((weight_cases, "weight-shift contour"),
                           (cutoff_cases, "cut-off flatness")):
         for m1, m2, etas in cases:
-            rep = mellin_convention_difference(m1, m2, 0.0, u, etas)
-            ok = all(c["clause"] == clause for c in rep["clauses"])
-            defects.append(rep["max_defect"] if ok else np.inf)
+            got, ds = mellin_convention_difference(m1, m2, 0.0, u, etas)
+            defects += ds if got == clause else [np.inf]
     return [_row("convention_independence", defects)]
 
 

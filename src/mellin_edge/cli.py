@@ -13,7 +13,7 @@ import sys
 import numpy as np
 
 from . import cone, edge_ops, edge_spaces, kernels, mellin, symbols
-from .errors import ConfigError, MellinEdgeError
+from .errors import CertificationFailed, ConfigError, MellinEdgeError
 
 
 # ----------------------------------------------------------------------
@@ -168,6 +168,11 @@ def cmd_solve(cfg, out_dir, seed):
     problem = cone.ConeProblem(coeffs, mu, gamma, rhs, ys, sr, dom)
 
     br = cone.detect_branching(problem, depth, radii=radii)
+    # a nan jump fails too
+    if not br.continuity_defect <= cone.CONT_TOL:
+        raise CertificationFailed(
+            "singular part jumps by %.3e across a collision event"
+            % br.continuity_defect)
     with open(os.path.join(out_dir, "coefficients.csv"), "wb") as fh:
         fh.write(b"y,re_p,im_p,k,re_c,im_c,branch_id\n")
         if br.table:

@@ -13,11 +13,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import (
-    CertificationFailed,
-    PoleOnHarvestBoundary,
-    ResidualTooLarge,
-)
+from .errors import PoleOnHarvestBoundary, ResidualTooLarge
 from .kernels import (
     CERT_MARGIN,
     certify_flat,
@@ -93,21 +89,20 @@ class ConeProblem:
         if self.support_radius is not None:
             far = CutoffFunction(scale=2.0 * self.support_radius)
             f = HalfLineFunction(f.grid, f.values * far(f.grid.r))
-        self.cut_rhs = f
         self.scaled_rhs = f if self.mu == 0 else HalfLineFunction(
             f.grid, f.grid.r**self.mu * f.values)
 
     @cached_property
     def weight_line(self):
         """What every solve shares, made on the first: (z, the tail-checked
-        samples of r^mu f at z, the inverse step, r^mu, max(||f||_gamma,
+        samples of r^mu f at z, the inverse step, max(||r^mu f||_gamma,
         1e-300)) with z = 1/2 - gamma + i rho."""
-        f, gamma = self.cut_rhs, self.gamma
-        grid = f.grid
-        line = line_transform(self.scaled_rhs.values, grid, gamma, TAIL_TOL)
+        ft, gamma = self.scaled_rhs, self.gamma
+        grid = ft.grid
+        line = line_transform(ft.values, grid, gamma, TAIL_TOL)
         return ((0.5 - gamma) + 1j * grid.rho, line,
-                line_inverse(grid.rho, grid, gamma), grid.r**self.mu,
-                max(f.norm(gamma), 1e-300))
+                line_inverse(grid.rho, grid, gamma),
+                max(ft.norm(gamma), 1e-300))
 
 
 def solve(problem, y, poles):
@@ -116,19 +111,21 @@ def solve(problem, y, poles):
     sigma_c^{-1}(y, .).  Only the symbols depend on y: the rest is the
     problem's weight_line, and each product keeps op_mellin's operand
     order (a named left operand, the symbol's temporary on the right)."""
-    gamma, f = problem.gamma, problem.cut_rhs
-    grid = f.grid
+    gamma, ft = problem.gamma, problem.scaled_rhs
+    grid = ft.grid
     check_line_clearance(poles, gamma)
-    z, line, invert, rmu, fnorm = problem.weight_line
+    z, line, invert, ftnorm = problem.weight_line
     u = HalfLineFunction(grid, invert(line * problem.inverse_symbol(y, z)))
-    # residual: A u = r^{-mu} op_M^gamma(sigma_c) u vs f.  The solution decays
-    # only algebraically at r -> infinity, so the tail precondition is waived
-    # for this same-grid verification pass.
+    # residual in the range of A: ||A u - f||_{gamma-mu} / ||f||_{gamma-mu}
+    # = ||a u - r^mu f||_gamma / ||r^mu f||_gamma with a u =
+    # op_M^gamma(sigma_c) u, so nothing is divided by r^mu.  The solution
+    # decays only algebraically at r -> infinity, so the tail precondition
+    # is waived for this same-grid verification pass.
     check_line_clearance(locate_poles(problem.symbol, y), gamma)
     vals = line_transform(u.values, grid, gamma, np.inf)
     au = HalfLineFunction(grid, invert(vals * problem.symbol(y, z)))
-    rvals = au.values / rmu - f.values
-    residual = HalfLineFunction(grid, rvals).norm(gamma) / fnorm
+    rvals = au.values - ft.values
+    residual = HalfLineFunction(grid, rvals).norm(gamma) / ftnorm
     if residual > SOLVE_TOL:
         raise ResidualTooLarge(residual, SOLVE_TOL)
     u.residual = residual
@@ -223,7 +220,7 @@ def split_flat_singular(u, expansion, omega, gamma):
     sing = singular_part(expansion, omega, grid)
     flat = HalfLineFunction(grid, u.values - sing.values)
     ratios = certify_flat(_windowed_mass(flat), gamma, expansion.depth_used,
-                          "flat remainder", "flatness")
+                          "flat remainder")
     beta = expansion.depth_used - CERT_MARGIN
     return FlatRemainder(values=flat, certified_weight=gamma + beta,
                          mass_ratios=ratios), sing
@@ -243,8 +240,10 @@ def detect_branching(problem, depth, radii=(0.05, 0.1, 0.2)):
     """Asymptotics of the solution over the whole y-grid.
 
     Harvests every node, assembles the y-dependent asymptotic type and the
-    coefficient table, reports pole-collision events, and verifies that the
-    synthesized singular part is continuous in y across each event.
+    coefficient table, reports pole-collision events, and measures how far
+    the synthesized singular part jumps in y across them: the largest jump
+    (nan if one is nan) is the continuity_defect, which a caller compares
+    with CONT_TOL.
     """
     y_grid = problem.y_grid
     spectral = track_branches(problem.inverse_symbol, y_grid)
@@ -278,19 +277,12 @@ def detect_branching(problem, depth, radii=(0.05, 0.1, 0.2)):
     # the check is done in the omega == 1 region; radii must sit there
     rr = np.asarray(radii, dtype=float)
     using = np.array([exp.evaluate(rr) for exp in expansions])  # y x r
-    defect = 0.0
+    jumps = [0.0]
     for ye in events:
         k = int(np.argmin(np.abs(y_grid - ye)))
         if 0 < k < len(y_grid) - 1:
             mid = 0.5 * (using[k - 1] + using[k + 1])
-            d = float(np.max(np.abs(using[k] - mid)))
-            # a nan defect (say, from a radius outside (0, inf)) fails too
-            if not d <= CONT_TOL:
-                raise CertificationFailed(
-                    "singular part jumps by %.3e across a collision event"
-                    % d, clause="continuity",
-                )
-            defect = max(defect, d)
+            jumps.append(np.max(np.abs(using[k] - mid)))
     return BranchingResult(asym_type=atype, events=events, table=table,
-                           continuity_defect=defect, expansions=expansions,
-                           poles=spectral.poles)
+                           continuity_defect=float(np.max(jumps)),
+                           expansions=expansions, poles=spectral.poles)

@@ -9,12 +9,7 @@ differences, eta-derivatives, and asymptotic summation with excision.
 
 import numpy as np
 
-from .errors import (
-    CertificationFailed,
-    LambdaOffGrid,
-    NonFiniteInput,
-    ScheduleDiverged,
-)
+from .errors import LambdaOffGrid, NonFiniteInput, ScheduleDiverged
 from .kernels import (
     CERT_T_FLOOR,
     circle_nodes,
@@ -42,7 +37,6 @@ from .symbols import (
     pole_records,
 )
 
-GREEN_TOL = 1e-7
 FD_ETA_REL = 1e-3
 GREEN_N_CONTOUR = 256
 # harvest depth left of the weight line in the cut-off flatness clause of
@@ -312,15 +306,14 @@ def green_apply(g, y, eta, u):
 
 
 def mellin_convention_difference(m1, m2, y, u, etas):
-    """Certify that d(y, eta) = m1 - m2 behaves as a Green symbol.
+    """How far d(y, eta) = m1 - m2 is from a Green symbol: (clause, the
+    clause's defect at each eta), with the clause chosen by the cut-offs.
 
-    Same cut-offs / different weights: the difference must reproduce the
-    weight-shift contour term.  Different cut-offs / same weights: the
-    difference must vanish identically near r = 0 (flat to all orders).
-    Both clauses compare against GREEN_TOL.  Returns a defect report;
-    raises CertificationFailed on violation.
+    Same cut-offs / different weights ("weight-shift contour"): the
+    difference must reproduce the weight-shift contour term.  Different
+    cut-offs / same weights ("cut-off flatness"): the difference must
+    vanish identically near r = 0 (flat to all orders).
     """
-    report = {"clauses": []}
     g = u.grid
     same_cutoffs = (m1.omega is m2.omega or
                     np.allclose(m1.omega(g.r), m2.omega(g.r))) and \
@@ -339,6 +332,7 @@ def mellin_convention_difference(m1, m2, y, u, etas):
                    in zip(m1.terms, m2.terms))
     else:
         term_poles = [locate_poles(f, y) for _j, _a, f, _gj in m1.terms]
+    defects = []
     for eta, a1, a2 in zip(etas, d1, d2):
         dvals = a1 - a2
         s = eta_bracket(eta)
@@ -353,17 +347,8 @@ def mellin_convention_difference(m1, m2, y, u, etas):
                 oracle += (sign * eta_power(eta, alpha)
                            * m1.omega(g.r * s)
                            * g.r ** (-m1.mu + j) * cont.values)
-            defect = (HalfLineFunction(g, dvals - oracle).norm(gmin)
-                      / max(u.norm(gmin), 1e-300))
-            report["clauses"].append(
-                {"clause": "weight-shift contour", "eta": float(eta),
-                 "max_defect": defect, "tolerance": GREEN_TOL}
-            )
-            if defect > GREEN_TOL:
-                raise CertificationFailed(
-                    "weight-shift difference misses the contour oracle "
-                    "(defect %.3e)" % defect, clause="weight-shift contour",
-                )
+            defects.append(HalfLineFunction(g, dvals - oracle).norm(gmin)
+                           / max(u.norm(gmin), 1e-300))
         else:
             # below the smallest cut-off plateau the difference reduces to
             # op(f) applied to (omega1' - omega2') u, whose r -> 0 behavior
@@ -383,19 +368,9 @@ def mellin_convention_difference(m1, m2, y, u, etas):
             mask = (g.r <= a_min) & (g.t >= CERT_T_FLOOR)
             resid = np.abs(dvals - sing)[mask] if mask.any() else np.zeros(1)
             scale = max(float(np.max(np.abs(dvals))), 1e-300)
-            defect = float(np.max(resid)) / scale
-            report["clauses"].append(
-                {"clause": "cut-off flatness", "eta": float(eta),
-                 "max_defect": defect, "tolerance": GREEN_TOL}
-            )
-            if defect > GREEN_TOL:
-                raise CertificationFailed(
-                    "cut-off difference is not flat near r = 0 after "
-                    "removing the residue-synthesized singular part",
-                    clause="cut-off flatness",
-                )
-    report["max_defect"] = max(c["max_defect"] for c in report["clauses"])
-    return report
+            defects.append(float(np.max(resid)) / scale)
+    return ("weight-shift contour" if same_cutoffs else "cut-off flatness",
+            defects)
 
 
 def eta_derivative(m, y, eta, u):
@@ -457,9 +432,7 @@ def asymptotic_sum(gs, y, u, eta_fan, margin=10.0, c_max=2.0**24):
                 for jj in range(n_keep + 1, len(gs)):
                     cs[jj] *= 2.0
                 if max(cs) > c_max:
-                    raise ScheduleDiverged(
-                        "excision schedule exceeded c_max", failing_n=n_keep
-                    )
+                    raise ScheduleDiverged("excision schedule exceeded c_max")
 
     rank_terms = []
     for jj, gj in enumerate(gs):
@@ -471,6 +444,4 @@ def asymptotic_sum(gs, y, u, eta_fan, margin=10.0, c_max=2.0**24):
                     return float(excision(np.abs(eta) / c0)) * base
                 return amp
             rank_terms.append((zeta_out, trace_in, make_amp(amplitude, cj)))
-    out = GreenSymbolFiniteRank(rank_terms, order_m=m0, omega=gs[0].omega)
-    out.schedule = list(cs)
-    return out
+    return GreenSymbolFiniteRank(rank_terms, order_m=m0, omega=gs[0].omega)

@@ -276,7 +276,7 @@ def _certify_flat_edge(flat, reference, gamma, depth):
         if mode_mass(gamma) <= 1e-6 * ref_base:
             continue
         certify_flat(mode_mass, gamma, depth,
-                     "edge flat part at mode %s" % (idx,), "edge flatness")
+                     "edge flat part at mode %s" % (idx,))
 
 
 def apply_edge_operator(symbol, u, y=0.0, y_dependent=False):

@@ -22,8 +22,6 @@ class GridMismatch(MellinEdgeError):
 class PoleOnWeightLine(MellinEdgeError):
     def __init__(self, pole, distance, line_re):
         self.pole = pole
-        self.distance = distance
-        self.line_re = line_re
         super().__init__(
             "pole %s at distance %.3e from weight line Re z = %g"
             % (pole, distance, line_re)
@@ -101,25 +99,19 @@ class ResidualTooLarge(MellinEdgeError):
 
 class PoleOnHarvestBoundary(MellinEdgeError):
     def __init__(self, pole, depth_used):
-        self.pole = pole
-        self.depth_used = depth_used
         super().__init__(
             "pole %s near harvest boundary; depth shrunk to %g" % (pole, depth_used)
         )
 
 
 class CertificationFailed(MellinEdgeError):
-    def __init__(self, msg, clause=None):
-        self.clause = clause
-        super().__init__(msg)
+    pass
 
 
 # --- edge operators ---
 
 class ScheduleDiverged(MellinEdgeError):
-    def __init__(self, msg, failing_n=None):
-        self.failing_n = failing_n
-        super().__init__(msg)
+    pass
 
 
 # --- cli ---

@@ -102,7 +102,7 @@ def scaled_singular(masses, t, s, omega):
     return np.sqrt(s) * omega(np.exp(ts)) * point_mass_synthesis(ts, masses)
 
 
-def certify_flat(mass, gamma, depth, what, clause):
+def certify_flat(mass, gamma, depth, what):
     """Ratios mass(gamma + b) / mass(gamma) at the shifts
     b = frac * (depth - CERT_MARGIN), frac in CERT_FRACS, with mass a
     callable of the weight.  A certified flat part keeps every ratio <=
@@ -116,9 +116,7 @@ def certify_flat(mass, gamma, depth, what, clause):
         if not ratio <= CERT_FACTOR:
             raise CertificationFailed(
                 "%s fails the weight check at beta'=%.4g (mass ratio %.3e); "
-                "a deeper harvest is likely needed" % (what, beta_p, ratio),
-                clause=clause,
-            )
+                "a deeper harvest is likely needed" % (what, beta_p, ratio))
     return ratios
 
 

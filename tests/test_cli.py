@@ -1,5 +1,6 @@
 """Batch CLI: subcommands, artifacts, exit codes, determinism."""
 
+import dataclasses
 import json
 import os
 import re
@@ -318,7 +319,7 @@ def test_solve_failure_leaves_no_solution_csv(tmp_path, monkeypatch,
     def fail_second(*args, **kwargs):
         calls.append(1)
         if len(calls) == 2:
-            raise CertificationFailed("planted", clause="flatness")
+            raise CertificationFailed("planted")
         return split(*args, **kwargs)
 
     monkeypatch.setattr(cone, "split_flat_singular", fail_second)
@@ -328,6 +329,27 @@ def test_solve_failure_leaves_no_solution_csv(tmp_path, monkeypatch,
     assert json.loads(capsys.readouterr().err)["error"] == \
         "CertificationFailed"
     assert os.listdir(out) == ["coefficients.csv"]
+
+
+def test_solve_continuity_failure_precedes_any_artifact(tmp_path, capsys,
+                                                       monkeypatch):
+    """cmd_solve compares the branching pass's continuity defect with
+    CONT_TOL: a jump of 2e-4 exits 3 before any artifact is written."""
+    detect = cone.detect_branching
+
+    def planted(*args, **kwargs):
+        return dataclasses.replace(detect(*args, **kwargs),
+                                   continuity_defect=2e-4)
+
+    monkeypatch.setattr(cone, "detect_branching", planted)
+    out = tmp_path / "out"
+    assert run("solve", write_cfg(tmp_path, "c.json", solve_config()),
+               out) == 3
+    assert json.loads(capsys.readouterr().err) == {
+        "error": "CertificationFailed",
+        "message": "singular part jumps by 2.000e-04 across a collision "
+                   "event"}
+    assert os.listdir(out) == []
 
 
 def test_verify_subset_passes(tmp_path):
@@ -363,6 +385,29 @@ def test_verify_zero_tolerance_fails(tmp_path):
     assert run("verify", cfg, out) == 1
     rep = json.loads((out / "verify_report.json").read_text())
     assert rep["all_pass"] is False
+
+
+def test_verify_failed_certification_is_a_row(tmp_path, monkeypatch):
+    """A convention pair that is not a Green difference (poles 0.8 and 0.7)
+    fails its row: verify writes the report and exits 1, and a tolerance
+    override governs the row."""
+    from mellin_edge import checks
+
+    monkeypatch.setitem(
+        checks.VERIFY, "convention_independence",
+        lambda rng: checks.convention_independence(
+            [(checks._edge(1, 0, 0.8, 1.0), checks._edge(1, 0, 0.7, 1.0, -0.6),
+              [1.0, 2.0])], [], checks._deep_bump()))
+    for tol, status in ((None, 1), (1.0, 0)):
+        cfg = {"checks": ["convention_independence"]}
+        if tol is not None:
+            cfg["tolerances"] = {"convention_independence": tol}
+        out = tmp_path / ("out%s" % tol)
+        assert run("verify", write_cfg(tmp_path, "c.json", cfg), out) == status
+        [row] = json.loads((out / "verify_report.json").read_text())["checks"]
+        assert row["check_name"] == "convention_independence"
+        assert 1e-7 < float(row["max_defect"]) < 1.0
+        assert row["pass"] is (status == 0)
 
 
 def test_verify_unknown_check(tmp_path, capsys):

@@ -96,20 +96,19 @@ def test_windowed_mass_window_and_nonfinite():
 
 def test_certify_flat_ratios_and_failure():
     shifts = np.array([f * (1.0 - CERT_MARGIN) for f in CERT_FRACS])
-    ratios = certify_flat(lambda g: np.exp(-g), 0.5, 1.0, "x", "flatness")
+    ratios = certify_flat(lambda g: np.exp(-g), 0.5, 1.0, "x")
     assert np.allclose(ratios, np.exp(-shifts), rtol=1e-15)
     assert all(r <= CERT_FACTOR for r in ratios)
     # mass growing like e^{10 g}: the first shift whose ratio passes
     # CERT_FACTOR = 50 is named (e^{10 * 0.225} ~ 9.5, e^{10 * 0.54} ~ 221)
     with pytest.raises(CertificationFailed) as err:
-        certify_flat(lambda g: np.exp(10 * g), 0.5, 1.0, "what", "clause")
-    assert err.value.clause == "clause"
+        certify_flat(lambda g: np.exp(10 * g), 0.5, 1.0, "what")
     assert str(err.value) == (
         "what fails the weight check at beta'=0.54 (mass ratio %.3e); "
         "a deeper harvest is likely needed" % np.exp(10 * 0.54))
     # a non-finite mass never certifies
     with pytest.raises(CertificationFailed):
-        certify_flat(lambda g: np.nan if g > 0.5 else 1.0, 0.5, 1.0, "x", "y")
+        certify_flat(lambda g: np.nan if g > 0.5 else 1.0, 0.5, 1.0, "x")
 
 
 def test_scaled_singular_at_unit_scale_is_plain_synthesis():

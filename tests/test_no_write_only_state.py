@@ -14,9 +14,8 @@ import pathlib
 
 import mellin_edge
 
-# attached to results by `cone.solve` (`residual`) and
-# `edge_ops.asymptotic_sum` (`schedule`) for callers outside the package
-ALLOWED = {"residual", "schedule"}
+# attached to results by `cone.solve` for callers outside the package
+ALLOWED = {"residual"}
 
 
 def _is_dataclass(node):
