@@ -64,9 +64,6 @@ class AsymptoticType:
     def node_index(self, y):
         return int(np.argmin(np.abs(self.y_nodes - y)))
 
-    def __eq__(self, other):
-        return set_equal(self, other)
-
     def to_json(self):
         return {
             "kind": self.kind,

@@ -171,7 +171,7 @@ def residue_oracle(corpus):
         num = sum(c * z**i for i, c in enumerate(coeffs)) or sp.Integer(1)
         den = sp.expand(sp.prod([(z - sp.Rational(n, 4)) ** m
                                  for n, m in zip(ns, orders)]))
-        f = MeromorphicSymbol(array(num), array(den), reduce=False)
+        f = MeromorphicSymbol(array(num), array(den))
         exact = {}          # pole -> coefficients of (z - p)^{-1-j}, j = 0..
         for term in sp.Add.make_args(sp.apart(num / den, z)):
             n_, d_ = term.as_numer_denom()
@@ -192,8 +192,8 @@ def residue_oracle(corpus):
 
         poles = locate_poles(f, 0.0)
         center = np.mean(pts)
-        contour = Contour("circle", n_nodes=512, center=center,
-                          radius=max(abs(q - center) for q in pts) + 0.7)
+        contour = Contour(center, max(abs(q - center) for q in pts) + 0.7,
+                          n_nodes=512)
         masses = to_point_masses(from_symbol(f, 0.0, contour)).masses
         if len(poles.pairs) != len(pts) or len(masses) != len(pts):
             defects.append(np.inf)
@@ -284,15 +284,15 @@ def symbol_order(ms, u):
 
 def eta_derivative_order(ms, u):
     """d m / d eta drops the order by one: the measured order of each
-    single-term symbol's eta_derivative over |eta| = 1.5, 3, 6, 12, less
-    mu - j + |alpha| - 1."""
+    single-term symbol's eta_derivative over |eta| = 1.5, 3, 6, 12 equals
+    mu - j + |alpha| - 1; the defect is the distance between the two."""
     defects = []
     for m in ms:
         j, alpha, _f, _gj = m.single_term()
         slope, _ = measured_order(
             lambda y, eta, w: eta_derivative(m, y, eta, w)[0], 0.0, u,
             (1.5, 3.0, 6.0, 12.0))
-        defects.append(slope - (m.mu - j + abs(alpha) - 1))
+        defects.append(abs(slope - (m.mu - j + abs(alpha) - 1)))
     return [_row("eta_derivative_order", defects)]
 
 

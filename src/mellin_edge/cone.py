@@ -82,7 +82,7 @@ class ConeProblem:
         # sigma_c(A), pole-free (for residuals), and its inverse
         self.inverse_symbol = invert_symbol(self.coeffs, self.y_domain)
         self.symbol = MeromorphicSymbol(self.coeffs, np.ones((1, 1)),
-                                        self.y_domain, reduce=False)
+                                        self.y_domain)
         # the right-hand side f, cut off beyond the support radius, and
         # f_tilde = r^mu f, the function the Mellin inverse acts on
         f = self.rhs

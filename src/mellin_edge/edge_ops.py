@@ -254,7 +254,7 @@ def formal_adjoint(m):
     for j, alpha, f, gj in m.terms:
         fstar = MeromorphicSymbol(p2_reflect_conj(f.num),
                                   p2_reflect_conj(f.den),
-                                  f.y_domain, reduce=False)
+                                  f.y_domain)
         terms.append((j, alpha, fstar, -gj))
     return MellinEdgeSymbol(terms, mu=m.mu, gamma=-m.gamma,
                             omega=m.omega_prime, omega_prime=m.omega,

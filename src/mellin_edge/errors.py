@@ -46,10 +46,6 @@ class DegenerateDenominator(MellinEdgeError):
     pass
 
 
-class DomainMismatch(MellinEdgeError):
-    pass
-
-
 # --- asymptotic types ---
 
 class EmptyDomain(MellinEdgeError):
@@ -69,10 +65,6 @@ class CoveringFailed(MellinEdgeError):
 # --- functionals ---
 
 class PoleOnContour(MellinEdgeError):
-    pass
-
-
-class WindingMismatch(MellinEdgeError):
     pass
 
 

@@ -13,7 +13,6 @@ from .errors import (
     NotDiscrete,
     PoleOnContour,
     RepresentationInvalid,
-    WindingMismatch,
 )
 from .kernels import (
     circle_moments,
@@ -31,39 +30,19 @@ STABILIZE_TOL = 1e-8
 
 
 class Contour:
-    """Closed positively oriented quadrature contour."""
+    """The positively oriented circle |z - center| = radius with n_nodes
+    equispaced trapezoid nodes."""
 
-    def __init__(self, kind, n_nodes=256, **params):
-        self.kind = kind
+    def __init__(self, center, radius, n_nodes=256):
+        self.center = complex(center)
+        self.radius = float(radius)
         self.n_nodes = int(n_nodes)
-        if kind == "circle":
-            self.center = complex(params["center"])
-            self.radius = float(params["radius"])
-            if self.radius <= 0:
-                raise ValueError("radius must be positive")
-        elif kind == "polygon":
-            self.vertices = [complex(v) for v in params["vertices"]]
-            if len(self.vertices) < 3:
-                raise ValueError("polygon needs at least 3 vertices")
-        else:
-            raise ValueError("unknown contour kind %r" % kind)
+        if self.radius <= 0:
+            raise ValueError("radius must be positive")
 
     def nodes(self):
         """(z nodes, dz weights) for the trapezoid rule along the contour."""
-        if self.kind == "circle":
-            return circle_nodes(self.center, self.radius, self.n_nodes)[1:]
-        verts = self.vertices
-        lengths = [abs(verts[(i + 1) % len(verts)] - verts[i])
-                   for i in range(len(verts))]
-        total = sum(lengths)
-        zs, dzs = [], []
-        for i, v in enumerate(verts):
-            w = verts[(i + 1) % len(verts)]
-            n_edge = max(2, int(round(self.n_nodes * lengths[i] / total)))
-            tt = (np.arange(n_edge) + 0.5) / n_edge   # midpoint rule per edge
-            zs.append(v + tt * (w - v))
-            dzs.append(np.full(n_edge, (w - v) / n_edge, dtype=complex))
-        return np.concatenate(zs), np.concatenate(dzs)
+        return circle_nodes(self.center, self.radius, self.n_nodes)[1:]
 
     def winding(self, p):
         z, _dz = self.nodes()
@@ -122,11 +101,8 @@ def from_symbol(f, y, contour):
         d = np.min(np.abs(z - p))
         if d < CONTOUR_CLEARANCE:
             raise PoleOnContour("pole %s at distance %.3e from contour" % (p, d))
-        w = contour.winding(p)
-        if w == 1:
+        if contour.winding(p) == 1:
             enclosed.append(p)
-        elif w != 0:
-            raise WindingMismatch("winding %d around pole %s" % (w, p))
     return AnalyticFunctional(contour=contour, density=lambda zz: f(y, zz),
                               carrier=enclosed)
 

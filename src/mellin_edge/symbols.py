@@ -2,9 +2,8 @@
 
 Symbols are rational in the Mellin covariable z with coefficients rational
 in a single edge variable y; both numerator and denominator are stored as
-2-D coefficient arrays c[i, j] for z^i y^j.  Common factors of exactly
-rational symbols cancel, and sums stay in the class.  The poles at each y
-come with their multiplicities, Laurent data and branches over a y grid.
+2-D coefficient arrays c[i, j] for z^i y^j.  The poles at each y come with
+their multiplicities, Laurent data and branches over a y grid.
 """
 
 from dataclasses import dataclass
@@ -12,11 +11,7 @@ from math import comb
 
 import numpy as np
 
-from .errors import (
-    DegenerateDenominator,
-    DomainMismatch,
-    EllipticityViolated,
-)
+from .errors import DegenerateDenominator, EllipticityViolated
 from .kernels import circle_moments
 
 CLUSTER_TOL = 1e-6
@@ -43,26 +38,6 @@ def p2_trim(a):
     while a.shape[1] > 1 and np.all(a[:, -1] == 0):
         a = a[:, :-1]
     return a
-
-
-def p2_mul(a, b):
-    a, b = p2(a), p2(b)
-    out = np.zeros((a.shape[0] + b.shape[0] - 1, a.shape[1] + b.shape[1] - 1),
-                   dtype=complex)
-    for i in range(a.shape[0]):
-        for j in range(a.shape[1]):
-            if a[i, j] != 0:
-                out[i:i + b.shape[0], j:j + b.shape[1]] += a[i, j] * b
-    return out
-
-
-def p2_add(a, b):
-    a, b = p2(a), p2(b)
-    out = np.zeros((max(a.shape[0], b.shape[0]), max(a.shape[1], b.shape[1])),
-                   dtype=complex)
-    out[: a.shape[0], : a.shape[1]] += a
-    out[: b.shape[0], : b.shape[1]] += b
-    return out
 
 
 def p2_at_y(a, y):
@@ -96,113 +71,25 @@ def p2_reflect_conj(a):
 
 
 # ----------------------------------------------------------------------
-# exact reduction via sympy (when coefficients are rational-representable)
-
-def _to_rational(x):
-    from fractions import Fraction
-
-    import sympy as sp
-
-    if x == 0:
-        return sp.Integer(0)
-    fr = Fraction(x).limit_denominator(10**9)
-    if abs(float(fr) - x) <= 1e-12 * max(1.0, abs(x)):
-        return sp.Rational(fr.numerator, fr.denominator)
-    return None
-
-
-def _arr_to_sympy(a):
-    import sympy as sp
-
-    z, y = sp.symbols("z y")
-    a = p2(a)
-    expr = sp.Integer(0)
-    for i in range(a.shape[0]):
-        for j in range(a.shape[1]):
-            c = a[i, j]
-            if c == 0:
-                continue
-            re = _to_rational(c.real)
-            im = _to_rational(c.imag)
-            if re is None or im is None:
-                return None
-            expr += (re + sp.I * im) * z**i * y**j
-    return expr
-
-
-def _sympy_to_arr(expr):
-    import sympy as sp
-
-    z, y = sp.symbols("z y")
-    p = sp.Poly(sp.expand(expr), z, y)
-    out = np.zeros((p.degree(z) + 1, p.degree(y) + 1), dtype=complex)
-    for (i, j), c in p.terms():
-        out[i, j] = complex(c)
-    return out
-
-
-def _reduce(num, den):
-    """Cancel common factors exactly when possible; otherwise leave as-is."""
-    num, den = p2_trim(num), p2_trim(den)
-    if num.shape == (1, 1) or den.shape == (1, 1):
-        return num, den
-    import sympy as sp
-
-    ns = _arr_to_sympy(num)
-    ds = _arr_to_sympy(den)
-    if ns is None or ds is None or ns == 0:
-        return num, den
-    frac = sp.cancel(ns / ds)
-    n2, d2 = sp.fraction(sp.together(frac))
-    try:
-        return p2_trim(_sympy_to_arr(n2)), p2_trim(_sympy_to_arr(d2))
-    except sp.PolynomialError:
-        return num, den
-
-
-# ----------------------------------------------------------------------
 # core types
 
 class MeromorphicSymbol:
-    """y-parameterized rational function f(y, z) = num(z,y)/den(z,y)."""
+    """y-parameterized rational function f(y, z) = num(z,y)/den(z,y).
+
+    num and den are kept as given, trimmed; pole_records cancels their
+    common roots.  `reduce` is unused; it stays for the benchmark's
+    edge_apply check (perfbench/workloads.py), which passes reduce=False."""
 
     def __init__(self, num, den, y_domain=None, reduce=True):
         num, den = p2_trim(num), p2_trim(den)
         if np.all(den == 0):
             raise DegenerateDenominator("zero denominator")
-        if reduce:
-            num, den = _reduce(num, den)
         self.num = num
         self.den = den
         self.y_domain = tuple(y_domain) if y_domain is not None else None
 
     def __call__(self, y, z):
         return p2_eval(self.num, y, z) / p2_eval(self.den, y, z)
-
-    def __add__(self, other):
-        num = p2_add(p2_mul(self.num, other.den), p2_mul(other.num, self.den))
-        return MeromorphicSymbol(num, p2_mul(self.den, other.den),
-                                 _domain_meet(self.y_domain, other.y_domain))
-
-    def __sub__(self, other):
-        num = p2_add(p2_mul(self.num, other.den),
-                     -p2_mul(other.num, self.den))
-        return MeromorphicSymbol(num, p2_mul(self.den, other.den),
-                                 _domain_meet(self.y_domain, other.y_domain))
-
-    def __repr__(self):
-        return "MeromorphicSymbol(num %s, den %s)" % (self.num.shape, self.den.shape)
-
-
-def _domain_meet(a, b):
-    if a is None:
-        return b
-    if b is None:
-        return a
-    lo, hi = max(a[0], b[0]), min(a[1], b[1])
-    if lo > hi:
-        raise DomainMismatch("disjoint y domains %s, %s" % (a, b))
-    return (lo, hi)
 
 
 def invert_symbol(coeffs, y_domain=None):
@@ -603,4 +490,4 @@ def decode_domain(dom):
 
 def symbol_from_json(obj):
     return MeromorphicSymbol(decode_rows(obj["num"]), decode_rows(obj["den"]),
-                             decode_domain(obj.get("y_domain")), reduce=False)
+                             decode_domain(obj.get("y_domain")))

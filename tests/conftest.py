@@ -66,6 +66,28 @@ def double_pole(p, scale=1.0):
                               np.array([1.0])])
 
 
+def poly2_mul(a, b):
+    """Product of two [z-power][y-power] coefficient arrays."""
+    a, b = np.atleast_2d(a), np.atleast_2d(b)
+    out = np.zeros((a.shape[0] + b.shape[0] - 1, a.shape[1] + b.shape[1] - 1),
+                   dtype=complex)
+    for (i, j), c in np.ndenumerate(a):
+        out[i:i + b.shape[0], j:j + b.shape[1]] += c * b
+    return out
+
+
+def symbol_sum(*fs):
+    """f_1 + ... + f_n over the product of their denominators."""
+    num, den = np.zeros((1, 1)), np.ones((1, 1))
+    for f in fs:
+        terms = [poly2_mul(num, f.den), poly2_mul(f.num, den)]
+        shape = np.max([t.shape for t in terms], axis=0)
+        num = sum(np.pad(t, [(0, s - n) for s, n in zip(shape, t.shape)])
+                  for t in terms)
+        den = poly2_mul(den, f.den)
+    return MeromorphicSymbol(num, den)
+
+
 def count_pole_searches(monkeypatch):
     """Route every mellin_edge binding of symbols.pole_records, which
     locate_poles calls too, through a counter; returns the list that gets

@@ -1,7 +1,9 @@
 """The benchmark's traced run wraps the functions named in
 perfbench/tracer.py TARGETS; each must exist in the package, or a traced
-run fails before it measures anything."""
+run fails before it measures anything.  Each name the harness imports from
+the package must exist too, or its output checks fail."""
 
+import ast
 import importlib
 import importlib.util
 import json
@@ -27,6 +29,36 @@ def test_tracer_targets_resolve():
     missing = [layer + "." + path for layer, path, _probe in tracer.TARGETS
                if not _resolves(layer, path)]
     assert missing == []
+
+
+def _imported(module, name):
+    """Whether `from module import name` (`import module` for name None)
+    finds its target: an attribute of the module or a submodule."""
+    try:
+        mod = importlib.import_module(module)
+        return name is None or hasattr(mod, name) or bool(
+            importlib.import_module(module + "." + name))
+    except ModuleNotFoundError:
+        return False
+
+
+def test_harness_imports_resolve():
+    """Every `from mellin_edge... import ...` and `import mellin_edge...` in
+    perfbench/*.py, those inside functions included, resolves."""
+    bench = os.path.dirname(TRACER)
+    imports = []
+    for name in sorted(os.listdir(bench)):
+        if name.endswith(".py"):
+            with open(os.path.join(bench, name)) as fh:
+                tree = ast.parse(fh.read(), filename=name)
+            for node in ast.walk(tree):
+                if isinstance(node, ast.ImportFrom) and node.level == 0:
+                    imports += [(node.module, a.name) for a in node.names]
+                elif isinstance(node, ast.Import):
+                    imports += [(a.name, None) for a in node.names]
+    ours = [(m, n) for m, n in imports if m.split(".")[0] == "mellin_edge"]
+    assert len(ours) > 0
+    assert [(m, n) for m, n in ours if not _imported(m, n)] == []
 
 
 def _load_tracer():

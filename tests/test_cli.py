@@ -576,7 +576,8 @@ def _poles_with(den00=0.0, y_max=0.5, y_domain=(-0.5, 0.5)):
     return {"symbol": sym, "y": {"min": -0.5, "max": y_max, "n": 5}}
 
 
-@pytest.mark.parametrize("cmd,make_cfg,named", [
+# (subcommand, config maker, what the message names): each exits 2
+MALFORMED = [
     pytest.param("green-check", lambda tmp: {
         "symbol": GREEN_SYMBOL, "delta": 0.0, "beta": 0.5,
         "tolerance": "abc"}, "tolerance", id="tolerance"),
@@ -636,7 +637,10 @@ def _poles_with(den00=0.0, y_max=0.5, y_domain=(-0.5, 0.5)):
         "cone", "y_domain", [0.5, -0.5]), "y_domain", id="cone-y-domain-lo-hi"),
     pytest.param("poles", lambda tmp: _poles_with(y_domain=[0.0]), "y_domain",
                  id="symbol-y-domain-one-number"),
-])
+]
+
+
+@pytest.mark.parametrize("cmd,make_cfg,named", MALFORMED)
 def test_malformed_number_is_a_config_error(tmp_path, capsys, cmd, make_cfg,
                                             named):
     cfg = write_cfg(tmp_path, "c.json", make_cfg(tmp_path))

@@ -208,8 +208,25 @@ def test_eta_derivative_fd_consistency(grid_deep):
 def test_eta_derivative_green_check(grid_deep):
     u = small_bump(grid_deep)
     m = single_term_symbol(j=1, alpha=1, mu=1.0, gj=-0.5)
-    [(_name, excess, _tol)] = checks.eta_derivative_order([m], u)
-    assert excess <= 0.1
+    [(_name, defect, _tol)] = checks.eta_derivative_order([m], u)
+    assert defect <= 0.1
+
+
+def test_eta_derivative_order_fails_two_orders_low(grid_deep, monkeypatch):
+    """The row is two-sided: a derivative planted two orders too low (its
+    output divided by [eta]^2) fails it with a defect of about 2."""
+    u = small_bump(grid_deep)
+    m = single_term_symbol(j=1, alpha=1, mu=1.0, gj=-0.5)
+
+    def planted(m, y, eta, w):
+        out, fd_defect = eta_derivative(m, y, eta, w)
+        return (HalfLineFunction(out.grid, out.values / eta_bracket(eta) ** 2),
+                fd_defect)
+
+    monkeypatch.setattr(checks, "eta_derivative", planted)
+    [(_name, defect, tol)] = checks.eta_derivative_order([m], u)
+    assert defect == pytest.approx(2.0, abs=0.1)
+    assert not defect <= tol
 
 
 def test_asymptotic_sum_schedule():

@@ -196,11 +196,10 @@ def decaying_field(grid, n, seed=1, heavy_mode=None):
 def two_term_symbol(r_power_right):
     """j = 0: 1/(z + 1.2 + 0.3y); j = 1, alpha = 1:
     (0.5 + 0.1y)/((z + 2 + 0.2y)(z - 2.5 - 0.1y)) on Re z = 1."""
-    f0 = MeromorphicSymbol(np.ones((1, 1)), [[1.2, 0.3], [1.0, 0.0]],
-                           reduce=False)
+    f0 = MeromorphicSymbol(np.ones((1, 1)), [[1.2, 0.3], [1.0, 0.0]])
     f1 = MeromorphicSymbol([[0.5, 0.1]],
                            [[-5.0, -0.7, -0.02], [-0.5, 0.1, 0.0],
-                            [1.0, 0.0, 0.0]], reduce=False)
+                            [1.0, 0.0, 0.0]])
     return MellinEdgeSymbol([(0, 0, f0, 0.0), (1, 1, f1, -0.5)], mu=0.0,
                             gamma=0.0, r_power_right=r_power_right)
 
@@ -246,7 +245,7 @@ def test_apply_edge_operator_y_independent_matches_per_mode_calls(
 def line_crossing_symbol(y_hit):
     """1/(z - 1/2 - y + y_hit): on the weight line Re z = 1/2 at y_hit only."""
     return MellinEdgeSymbol([(0, 0, MeromorphicSymbol(
-        np.ones((1, 1)), [[-0.5 + y_hit, -1.0], [1.0, 0.0]], reduce=False),
+        np.ones((1, 1)), [[-0.5 + y_hit, -1.0], [1.0, 0.0]]),
         0.0)], mu=0.0, gamma=0.0)
 
 
@@ -294,8 +293,7 @@ def test_apply_edge_operator_call_counts(grid_short, monkeypatch):
     monkeypatch.setattr(edge_ops, "line_transform", counted_transform)
     n = 8
     u = decaying_field(grid_short, n)
-    f = MeromorphicSymbol(np.ones((1, 1)), [[1.2, 0.3], [1.0, 0.0]],
-                          reduce=False)
+    f = MeromorphicSymbol(np.ones((1, 1)), [[1.2, 0.3], [1.0, 0.0]])
     m = MellinEdgeSymbol([(0, 0, f, 0.0)], mu=0.0, gamma=0.0)
     apply_edge_operator(m, u, y_dependent=True)
     assert calls == {"pole_records": 1, "searched_nodes": n,

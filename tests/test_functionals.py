@@ -9,7 +9,6 @@ from mellin_edge.errors import (
     NotDiscrete,
     PoleOnContour,
     RepresentationInvalid,
-    WindingMismatch,
 )
 from mellin_edge.functionals import (
     AnalyticFunctional,
@@ -26,7 +25,7 @@ from conftest import make_grid, simple_pole
 
 
 def unit_circle(center=0.25, radius=0.4):
-    return Contour("circle", center=center, radius=radius)
+    return Contour(center, radius)
 
 
 def test_pole_on_contour_rejected():
@@ -37,7 +36,7 @@ def test_pole_on_contour_rejected():
 def test_to_point_masses_partial_fraction_oracle():
     # (3z + 2)/(z - 1)^2: d_0 = 3, d_1 = 5 (sympy apart oracle)
     f = MeromorphicSymbol(np.array([[2.0], [3.0]]),
-                          np.array([[1.0], [-2.0], [1.0]]), reduce=False)
+                          np.array([[1.0], [-2.0], [1.0]]))
     zeta = from_symbol(f, 0.0, unit_circle(center=1.0, radius=0.4))
     pm = to_point_masses(zeta)
     assert len(pm.masses) == 1
@@ -98,19 +97,6 @@ def test_contour_winding():
     c = unit_circle(center=0.0, radius=1.0)
     assert c.winding(0.2 + 0.1j) == 1
     assert c.winding(2.0 + 0j) == 0
-    rect = Contour("polygon", vertices=[-0.1 - 2.1j, 1.1 - 2.1j, 1.1 + 2.1j,
-                                        -0.1 + 2.1j])
-    assert rect.winding(0.5 + 0j) == 1
-    assert rect.winding(-1.0 + 0j) == 0
-
-
-def test_contour_winding_twice_rejected():
-    # a square around the pole traversed twice winds 2 times
-    square = [0.65 + v for v in (1.0, 1j, -1.0, -1j)]
-    contour = Contour("polygon", 256, vertices=square * 2)
-    assert contour.winding(0.65) == 2
-    with pytest.raises(WindingMismatch, match="winding 2"):
-        from_symbol(simple_pole(0.65), 0.0, contour)
 
 
 def test_functional_needs_masses_or_contour_and_density():

@@ -31,7 +31,8 @@ from mellin_edge.mellin import (
 )
 from mellin_edge.symbols import MeromorphicSymbol, locate_poles
 
-from conftest import DT, bump, make_grid, random_bump_field, simple_pole
+from conftest import (DT, bump, make_grid, random_bump_field, simple_pole,
+                      symbol_sum)
 
 
 def test_log_grid_basics():
@@ -94,7 +95,7 @@ def test_op_volterra_closed_form(grid_deep):
 
 def test_op_mellin_takes_pole_record(grid_deep, monkeypatch):
     # a given record replaces the pole search; the output is the same array
-    f = simple_pole(0.2) + simple_pole(-0.7, scale=2.0)
+    f = symbol_sum(simple_pole(0.2), simple_pole(-0.7, scale=2.0))
     u = bump(grid_deep)
     searched = op_mellin(f, None, 0.0, u)
     poles = locate_poles(f, None)

@@ -1,5 +1,5 @@
-"""Meromorphic symbol families: reduction, pole location, Laurent data,
-branch tracking, weight splitting, algebra, serialization."""
+"""Meromorphic symbol families: pole location, Laurent data, branch
+tracking, weight splitting, serialization."""
 
 import json
 
@@ -10,11 +10,7 @@ from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
 from mellin_edge import cli, symbols
-from mellin_edge.errors import (
-    DegenerateDenominator,
-    DomainMismatch,
-    EllipticityViolated,
-)
+from mellin_edge.errors import DegenerateDenominator, EllipticityViolated
 from mellin_edge.kernels import circle_moments
 from mellin_edge.symbols import (
     MeromorphicSymbol,
@@ -25,7 +21,6 @@ from mellin_edge.symbols import (
     laurent_expand,
     locate_poles,
     p2_at_y,
-    p2_mul,
     p2_shift_z,
     pole_records,
     same_pole,
@@ -33,7 +28,7 @@ from mellin_edge.symbols import (
     track_branches,
 )
 
-from conftest import double_pole, simple_pole
+from conftest import double_pole, poly2_mul, simple_pole, symbol_sum
 
 
 def branching_symbol():
@@ -45,19 +40,10 @@ def branching_symbol():
     )
 
 
-def test_reduce_cancels_common_factor():
-    # (z - 1)(z - 2) / (z - 1) reduces to z - 2: no pole at z = 1
-    num = np.array([[2.0], [-3.0], [1.0]])
-    den = np.array([[-1.0], [1.0]])
-    f = MeromorphicSymbol(num, den)
-    assert f.den.shape == (1, 1)
-    assert locate_poles(f, 0.0).pairs == ()
-
-
 def test_locate_poles_quadratic_oracle():
     # z^2 + (y - 1) z - y has roots 1 and -y (quadratic formula)
     den = np.array([[0.0, -1.0], [-1.0, 1.0], [1.0, 0.0]])
-    f = MeromorphicSymbol(np.ones((1, 1)), den, reduce=False)
+    f = MeromorphicSymbol(np.ones((1, 1)), den)
     for y in (0.3, -0.7, 2.0):
         got = sorted(locate_poles(f, y).pairs, key=lambda pm: pm[0].real)
         exact = sorted([-y, 1.0])
@@ -77,7 +63,7 @@ def test_locate_poles_multiplicity():
 def test_laurent_expand_partial_fraction_oracle():
     # (3z + 2)/(z - 1)^2 = 3/(z - 1) + 5/(z - 1)^2  (sympy apart)
     f = MeromorphicSymbol(np.array([[2.0], [3.0]]),
-                          np.array([[1.0], [-2.0], [1.0]]), reduce=False)
+                          np.array([[1.0], [-2.0], [1.0]]))
     poles = locate_poles(f, 0.0)
     assert [m for _p, m in poles.pairs] == [2]
     d = laurent_expand(f, 0.0, poles, 0)
@@ -86,7 +72,7 @@ def test_laurent_expand_partial_fraction_oracle():
 
 
 def test_laurent_radius_independent():
-    f = simple_pole(0.3, scale=2.0) + double_pole(-0.5, scale=0.7)
+    f = symbol_sum(simple_pole(0.3, scale=2.0), double_pole(-0.5, scale=0.7))
     poles = locate_poles(f, 0.0)
     assert [m for _p, m in poles.pairs] == [2, 1]
     assert poles.gaps == pytest.approx((0.8, 0.8), abs=1e-9)
@@ -100,7 +86,7 @@ def test_laurent_radius_independent():
 
 def test_locate_poles_gaps():
     # gaps[i]: distance to the nearest other pole, inf for a lone pole
-    f = simple_pole(0.0) + simple_pole(0.1) + double_pole(1.0)
+    f = symbol_sum(simple_pole(0.0), simple_pole(0.1), double_pole(1.0))
     poles = locate_poles(f, 0.0)
     assert [m for _p, m in poles.pairs] == [1, 1, 2]
     assert poles.gaps == pytest.approx((0.1, 0.1, 0.9), abs=1e-9)
@@ -169,8 +155,8 @@ def linear_poles(*ab):
     """f(y, z) = 1 / prod (z - a - b y): poles on the lines a + b y."""
     den = np.ones((1, 1), dtype=complex)
     for a, b in ab:
-        den = p2_mul(den, np.array([[-a, -b], [1.0, 0.0]]))
-    return MeromorphicSymbol(np.ones((1, 1)), den, reduce=False)
+        den = poly2_mul(den, np.array([[-a, -b], [1.0, 0.0]]))
+    return MeromorphicSymbol(np.ones((1, 1)), den)
 
 
 @pytest.mark.parametrize("f", [
@@ -211,9 +197,9 @@ def test_vanished_pole_returns_with_new_id():
     def moving_ids(c):                          # c: ascending y-coefficients
         fac = np.zeros((2, len(c)), dtype=complex)
         fac[0, 0], fac[1] = -1.0, c
-        den = p2_mul(fac, np.array([[-0.5j], [1.0]]))
+        den = poly2_mul(fac, np.array([[-0.5j], [1.0]]))
         sd = track_branches(
-            MeromorphicSymbol(np.ones((1, 1)), den, reduce=False), ys)
+            MeromorphicSymbol(np.ones((1, 1)), den), ys)
         return sd, [[b for (p, _m), b in zip(rec.pairs, ids)
                      if abs(p.imag) < 0.25]
                     for rec, ids in zip(sd.poles, sd.branch_ids)]
@@ -233,9 +219,9 @@ def test_pole_free_node_closes_its_branches():
     # across that node whether or not another pole occupies it
     ys = np.linspace(-0.5, 0.5, 11)
     moving = np.array([[-1.0, 0.0], [0.0, 1.0]])
-    for den in (moving, p2_mul(moving, np.array([[-0.5j], [1.0]]))):
+    for den in (moving, poly2_mul(moving, np.array([[-0.5j], [1.0]]))):
         sd = track_branches(
-            MeromorphicSymbol(np.ones((1, 1)), den, reduce=False), ys)
+            MeromorphicSymbol(np.ones((1, 1)), den), ys)
         ids = [b for rec, ids in zip(sd.poles, sd.branch_ids)
                for (p, _m), b in zip(rec.pairs, ids) if abs(p.imag) < 0.25]
         assert len(ids) == 10 and set(ids) == {0}
@@ -296,22 +282,22 @@ def pole_families(draw):
     y0 = draw(st.sampled_from(ORACLE_YS[:-1]))
     lead = draw(st.sampled_from(["generic", "vanishes", "constant"]))
     if lead == "vanishes":           # leading coefficient y - y0
-        den = p2_mul(den, np.array([[0.0, 0.0], [-y0, 1.0]]))
+        den = poly2_mul(den, np.array([[0.0, 0.0], [-y0, 1.0]]))
     elif lead == "constant":         # y z - 1 alone: no pole at y = 0
         den = np.array([[-1.0, 0.0], [0.0, 1.0]])
     if draw(st.booleans()):          # zero roots
-        den = p2_mul(den, np.array([[0.0]] * draw(st.integers(1, 2))
+        den = poly2_mul(den, np.array([[0.0]] * draw(st.integers(1, 2))
                                    + [[1.0]]))
     k = draw(st.sampled_from([1, 2, 3]))
     if k > 1:                        # (z - r0 - r1 y)^k
         fac = np.array([[-draw(coef), -draw(coef)], [1.0, 0.0]])
         for _i in range(k):
-            den = p2_mul(den, fac)
+            den = poly2_mul(den, fac)
     num = np.array([[draw(coef) or 1.0]])
     if draw(st.booleans()):          # a factor cancelling in f
         fac = np.array([[-draw(coef), -draw(coef)], [1.0, 0.0]])
-        num, den = p2_mul(num, fac), p2_mul(den, fac)
-    return MeromorphicSymbol(num, den, reduce=False)
+        num, den = poly2_mul(num, fac), poly2_mul(den, fac)
+    return MeromorphicSymbol(num, den)
 
 
 @settings(max_examples=150)
@@ -367,7 +353,7 @@ def test_pole_free_symbol_makes_no_eigvals_call(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigvals",
                         lambda a: calls.append(a.shape) or eigvals(a))
     f = MeromorphicSymbol([[0.0, 0.0, -1.0], [0.0, 0.0, 0.0], [1.0, 0.0, 0.0]],
-                          [[1.0, 0.5]], reduce=False)
+                          [[1.0, 0.5]])
     records = pole_records(f, np.linspace(-0.004, 0.004, 9))
     assert records == [PoleRecord((), ())] * 9
     assert calls == []
@@ -485,7 +471,8 @@ def test_only_contested_nodes_run_lsap(monkeypatch, f, ys, costs):
 
 
 def test_spectral_remainder_holomorphic():
-    f = simple_pole(0.3) + MeromorphicSymbol(np.array([[5.0]]), np.ones((1, 1)))
+    f = symbol_sum(simple_pole(0.3),
+                   MeromorphicSymbol(np.array([[5.0]]), np.ones((1, 1))))
     sd = track_branches(f, np.array([0.0]))
     # subtracting the singular parts of the node's record leaves the constant 5
     zs = 0.3 + 0.05 * np.exp(1j * np.linspace(0, 2 * np.pi, 7))
@@ -499,7 +486,7 @@ def test_spectral_remainder_holomorphic():
 def test_multiply_and_translate():
     f = simple_pole(0.5)
     g = simple_pole(-1.0)
-    h = MeromorphicSymbol(p2_mul(f.num, g.num), p2_mul(f.den, g.den))
+    h = MeromorphicSymbol(poly2_mul(f.num, g.num), poly2_mul(f.den, g.den))
     z = 2.0 + 1.0j
     assert h(0.0, z) == pytest.approx(f(0.0, z) * g(0.0, z), rel=1e-12)
     # translation z -> z + sigma of both polynomials moves the pole by
@@ -512,16 +499,6 @@ def test_multiply_and_translate():
 def test_zero_denominator_rejected():
     with pytest.raises(DegenerateDenominator):
         MeromorphicSymbol(np.ones((1, 1)), np.zeros((3, 2)))
-
-
-def test_disjoint_y_domains_rejected():
-    f = MeromorphicSymbol(np.ones((1, 1)), np.array([[1.0], [1.0]]),
-                          y_domain=(0.0, 1.0))
-    g = MeromorphicSymbol(np.ones((1, 1)), np.array([[2.0], [1.0]]),
-                          y_domain=(2.0, 3.0))
-    for op in (f.__add__, f.__sub__):
-        with pytest.raises(DomainMismatch, match="disjoint"):
-            op(g)
 
 
 def test_invert_conormal_symbol():
